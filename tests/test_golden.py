@@ -1,0 +1,80 @@
+"""Golden CLI outputs: the exit status and stdout bytes of fixed commands.
+
+Each case runs through ``stalkmech.cli.execute`` from the repository root
+and must reproduce its file under ``tests/golden/`` byte for byte: the
+first line holds the exit status, the rest is stdout. A change that moves
+any printed digit, column or parameter echo fails here.
+
+Regenerate every file from the current code with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff before committing it. R/L = 0 is left out: its rows
+are known to be wrong today, and a golden file would pin them.
+"""
+
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from stalkmech.cli import execute
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+BENDING = "fixtures/bending/granular_20mm.csv"
+MANIFEST = "fixtures/trials/manifest.csv"
+PREDICT = [
+    "predict-force", "--angles", "15:85:5", "--length-mm", "20",
+    "--pad-radius-mm", "10", "--bending-input", BENDING,
+]
+
+CASES = {
+    "alpha-table": ["alpha-table", "--angles", "0:75:15"],
+    "alpha-table-json": ["alpha-table", "--angles", "0:75:15", "--format", "json"],
+    "alpha-table-unreachable": ["alpha-table", "--angles", "15,80,30", "--alpha-max", "1"],
+    "solve": ["solve", "--gamma-deg", "45"],
+    "shape": ["shape", "--alpha", "1.03"],
+    "calibrate": ["calibrate", "--input", BENDING, "--length-mm", "20"],
+    "predict-force": PREDICT,
+    "predict-force-json": [*PREDICT, "--format", "json"],
+    "predict-force-alpha-max": [*PREDICT, "--alpha-max", "1"],
+    "analyze": ["analyze", "--manifest", MANIFEST],
+    "analyze-per-angle": ["analyze", "--manifest", MANIFEST, "--per-angle"],
+    "compare": [
+        "compare", "--manifest", MANIFEST, "--scenario", "20mm Granular",
+        "--length-mm", "20", "--pad-radius-mm", "10", "--bending-input", BENDING,
+    ],
+}
+
+
+def render(argv: list[str]) -> str:
+    """Exit status line followed by stdout, run from the repository root."""
+    stream = io.StringIO()
+    status = execute(argv, stream)
+    return f"exit {status}\n{stream.getvalue()}"
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN / f"{name}.txt"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, monkeypatch):
+    monkeypatch.chdir(REPO)
+    expected = golden_path(name).read_text(encoding="utf-8")
+    assert render(CASES[name]) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    os.chdir(REPO)
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        golden_path(name).write_text(render(argv), encoding="utf-8", newline="\n")
+        print(f"wrote {golden_path(name).relative_to(REPO)}")
