@@ -18,7 +18,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 
-from .alpha import generate_alpha_table, solve_alpha_for_angle
+from .alpha import AlphaResult, generate_alpha_table, solve_alpha_for_angle
 from .analysis import compare_theory, summarize_scenario
 from .elastica import centerline, solve_shape_shooting
 from .errors import StalkmechError
@@ -186,6 +186,11 @@ def _config_parameters(config: SolverConfig) -> dict:
     }
 
 
+def _bending_label(label: str | None, path: str) -> str:
+    """The stiffness source label: ``--label``, else the bending file's stem."""
+    return label or path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+
+
 def _resolve_calibration(args, geometry: BeamGeometry) -> StiffnessCalibration:
     if (args.bending_input is None) == (args.ei_nm2 is None):
         raise ValueError("give exactly one of --bending-input or --ei-nm2")
@@ -200,7 +205,7 @@ def _resolve_calibration(args, geometry: BeamGeometry) -> StiffnessCalibration:
             stalk_length=geometry.stalk_length,
         )
     samples = read_bending_samples(args.bending_input)
-    label = args.label or args.bending_input.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    label = _bending_label(args.label, args.bending_input)
     return calibrate_ei(samples, geometry, source_label=label)
 
 
@@ -217,17 +222,16 @@ ALPHA_COLUMNS = [
 ]
 
 
-def _alpha_row(angle_deg: float, row) -> dict:
-    if row.error is not None:
+def _alpha_row(angle_deg: float, result: AlphaResult | None, error: str | None = None) -> dict:
+    if error is not None:
         return {
             "surface_angle_deg": angle_deg,
             "alpha": None,
             "tip_angle_deg": None,
             "outer_iterations": None,
             "boundary_residual": None,
-            "error": row.error,
+            "error": error,
         }
-    result = row.result
     return {
         "surface_angle_deg": angle_deg,
         "alpha": result.alpha,
@@ -243,7 +247,7 @@ def cmd_alpha_table(args) -> OutputDocument:
     geometry = _resolve_geometry(args, require_length=False)
     config = _solver_config(args)
     table = generate_alpha_table([math.radians(a) for a in angles_deg], geometry, config)
-    rows = [_alpha_row(deg, row) for deg, row in zip(angles_deg, table)]
+    rows = [_alpha_row(deg, row.result, row.error) for deg, row in zip(angles_deg, table)]
     parameters = {
         "angles_deg": angles_deg,
         **_geometry_parameters(geometry),
@@ -256,20 +260,13 @@ def cmd_solve(args) -> OutputDocument:
     geometry = _resolve_geometry(args, require_length=False)
     config = _solver_config(args)
     result = solve_alpha_for_angle(math.radians(args.gamma_deg), geometry, config)
-    row = {
-        "surface_angle_deg": args.gamma_deg,
-        "alpha": result.alpha,
-        "tip_angle_deg": math.degrees(result.tip_angle_achieved),
-        "outer_iterations": result.outer_iterations,
-        "boundary_residual": result.inner_solution.boundary_residual,
-        "error": None,
-    }
+    rows = [_alpha_row(args.gamma_deg, result)]
     parameters = {
         "gamma_deg": args.gamma_deg,
         **_geometry_parameters(geometry),
         **_config_parameters(config),
     }
-    return OutputDocument("solve", parameters, ALPHA_COLUMNS, [row])
+    return OutputDocument("solve", parameters, ALPHA_COLUMNS, rows)
 
 
 def cmd_shape(args) -> OutputDocument:
@@ -301,7 +298,7 @@ def cmd_shape(args) -> OutputDocument:
 def cmd_calibrate(args) -> OutputDocument:
     geometry = BeamGeometry.from_millimeters(args.length_mm, 0.0)
     samples = read_bending_samples(args.input)
-    label = args.label or args.input.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    label = _bending_label(args.label, args.input)
     calibration = calibrate_ei(samples, geometry, source_label=label)
     row = {
         "source_label": calibration.source_label,
@@ -539,6 +536,15 @@ def _add_calibration_flags(sub) -> None:
     sub.add_argument("--label", default=None, help="label for the stiffness source")
 
 
+def _add_threshold_flag(sub) -> None:
+    sub.add_argument(
+        "--threshold-kpa",
+        type=float,
+        default=DEFAULT_ATTACH_THRESHOLD_KPA,
+        help="attachment detection threshold (kPa, negative)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stalkmech",
@@ -588,12 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", default=None, help="trial file (repeatable)")
     p.add_argument("--scenario", default=None, help="scenario label for --input files")
     p.add_argument("--angle-deg", type=float, default=None, help="surface angle for --input files")
-    p.add_argument(
-        "--threshold-kpa",
-        type=float,
-        default=DEFAULT_ATTACH_THRESHOLD_KPA,
-        help="attachment detection threshold (kPa, negative)",
-    )
+    _add_threshold_flag(p)
     p.add_argument("--per-angle", action="store_true", help="emit per-angle rows")
     _add_format_flag(p)
     p.set_defaults(handler=cmd_analyze)
@@ -601,12 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="theory vs measured adaptation force")
     p.add_argument("--manifest", required=True, help="manifest CSV (file,scenario,angle_deg)")
     p.add_argument("--scenario", default=None, help="scenario to compare")
-    p.add_argument(
-        "--threshold-kpa",
-        type=float,
-        default=DEFAULT_ATTACH_THRESHOLD_KPA,
-        help="attachment detection threshold (kPa, negative)",
-    )
+    _add_threshold_flag(p)
     _add_geometry_flags(p)
     _add_solver_flags(p)
     _add_calibration_flags(p)

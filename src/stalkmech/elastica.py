@@ -62,12 +62,18 @@ class ElasticaSolution:
         return np.linspace(0.0, 1.0, len(self.theta_samples))
 
 
-def _rk4_tip(alpha: float, initial_slope: float, n_steps: int) -> tuple[float, float]:
-    """Integrate theta'' = -alpha sin(theta) from (0, initial_slope); return (theta, theta') at s=1."""
+def _rk4_tip(
+    alpha: float, initial_slope: float, n_steps: int, samples: list[float] | None = None
+) -> tuple[float, float]:
+    """Integrate theta'' = -alpha sin(theta) from (0, initial_slope); return (theta, theta') at s=1.
+
+    When ``samples`` is given, theta at each node after the base is appended to it.
+    """
     h = 1.0 / n_steps
     half = 0.5 * h
     sixth = h / 6.0
     sin = math.sin
+    record = samples is not None
     th = 0.0
     om = initial_slope
     for _ in range(n_steps):
@@ -84,36 +90,9 @@ def _rk4_tip(alpha: float, initial_slope: float, n_steps: int) -> tuple[float, f
             raise IntegrationDivergedError(
                 f"integration diverged at alpha={alpha}, theta'(0)={initial_slope}"
             )
+        if record:
+            samples.append(th)
     return th, om
-
-
-def _rk4_full(alpha: float, initial_slope: float, n_samples: int) -> tuple[np.ndarray, float]:
-    """Like :func:`_rk4_tip` but records theta at every grid node."""
-    n_steps = n_samples - 1
-    h = 1.0 / n_steps
-    half = 0.5 * h
-    sixth = h / 6.0
-    sin = math.sin
-    th = 0.0
-    om = initial_slope
-    out = [0.0]
-    append = out.append
-    for _ in range(n_steps):
-        k1o = -alpha * sin(th)
-        k2t = om + half * k1o
-        k2o = -alpha * sin(th + half * om)
-        k3t = om + half * k2o
-        k3o = -alpha * sin(th + half * k2t)
-        k4t = om + h * k3o
-        k4o = -alpha * sin(th + h * k3t)
-        th += sixth * (om + 2.0 * (k2t + k3t) + k4t)
-        om += sixth * (k1o + 2.0 * (k2o + k3o) + k4o)
-        if not (-MAX_ANGLE < th < MAX_ANGLE):
-            raise IntegrationDivergedError(
-                f"integration diverged at alpha={alpha}, theta'(0)={initial_slope}"
-            )
-        append(th)
-    return np.asarray(out), om
 
 
 def integrate_elastica_ivp(
@@ -134,8 +113,9 @@ def integrate_elastica_ivp(
     if load.alpha == 0.0:
         # Zero load leaves the beam curvature-free: theta grows linearly.
         return initial_slope * np.linspace(0.0, 1.0, grid_points)
-    theta, _ = _rk4_full(load.alpha, initial_slope, grid_points)
-    return theta
+    samples = [0.0]
+    _rk4_tip(load.alpha, initial_slope, grid_points - 1, samples)
+    return np.asarray(samples)
 
 
 def _zero_solution(alpha: float, grid_points: int) -> ElasticaSolution:
@@ -257,7 +237,9 @@ def solve_shape_shooting(
                 b, r_b = c_next, residual(c_next)
             c_star = b
 
-    theta, om = _rk4_full(alpha, c_star, config.grid_points)
+    samples = [0.0]
+    _, om = _rk4_tip(alpha, c_star, n_steps, samples)
+    theta = np.asarray(samples)
     achieved = abs(om - target)
     if achieved > config.boundary_tolerance:
         raise NoSolutionError(

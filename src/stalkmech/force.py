@@ -16,9 +16,10 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .alpha import solve_alpha_for_angle
-from .errors import CalibrationError, SolverError, TrialParseError
+from .alpha import generate_alpha_table
+from .errors import CalibrationError, TrialParseError
 from .geometry import DEFAULT_CONFIG, BeamGeometry, SolverConfig
+from .trials import iter_csv_rows
 from .units import mm_cell_to_m
 
 # Beyond this tip deflection (as a fraction of stalk length) the linear
@@ -145,18 +146,17 @@ def predict_force_curve(
 ) -> list[AdaptationPrediction]:
     """Theory force curve: solve alpha per angle and convert to newtons.
 
-    Order-preserving; angles that cannot be solved produce rows carrying
-    the error message instead of being dropped.
+    The loads come from :func:`generate_alpha_table`, so rows stay in order
+    and angles that cannot be solved produce rows carrying the error
+    message instead of being dropped.
     """
     predictions = []
-    for angle in angles:
-        try:
-            result = solve_alpha_for_angle(angle, geometry, config)
-            force = alpha_to_force(result.alpha, calibration, geometry)
-        except (SolverError, ValueError) as exc:
-            predictions.append(AdaptationPrediction(angle, None, None, str(exc)))
+    for row in generate_alpha_table(angles, geometry, config):
+        if row.error is not None:
+            predictions.append(AdaptationPrediction(row.surface_angle, None, None, row.error))
         else:
-            predictions.append(AdaptationPrediction(angle, result.alpha, force))
+            force = alpha_to_force(row.alpha, calibration, geometry)
+            predictions.append(AdaptationPrediction(row.surface_angle, row.alpha, force))
     return predictions
 
 
@@ -170,25 +170,7 @@ def read_bending_samples(source: str | Path | TextIO) -> list[tuple[float, float
             return read_bending_samples(handle)
 
     samples: list[tuple[float, float]] = []
-    header_seen = False
-    for line_number, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != BENDING_HEADER:
-                raise TrialParseError(
-                    f"line {line_number}: expected header {BENDING_HEADER!r}, got {line!r}",
-                    line_number=line_number,
-                )
-            header_seen = True
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise TrialParseError(
-                f"line {line_number}: expected 2 fields, got {len(cells)}",
-                line_number=line_number,
-            )
+    for line_number, cells in iter_csv_rows(source, BENDING_HEADER):
         try:
             deflection = mm_cell_to_m(cells[0])
             force = float(cells[1])
@@ -199,6 +181,4 @@ def read_bending_samples(source: str | Path | TextIO) -> list[tuple[float, float
                 f"line {line_number}: non-finite value", line_number=line_number
             )
         samples.append((deflection, force))
-    if not header_seen:
-        raise TrialParseError("missing header line", line_number=None)
     return samples

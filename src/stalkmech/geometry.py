@@ -50,20 +50,18 @@ class BeamGeometry:
 
 @dataclass(frozen=True)
 class NormalizedLoad:
-    """Dimensionless tip load alpha = F L^2 / (EI) with its force angle.
+    """Dimensionless tip load alpha = F L^2 / (EI).
 
-    Only the surface-pushing load case is supported: the contact force points
-    back along the undeformed stalk axis, so ``force_angle`` is pi exactly.
+    Only the surface-pushing load case is modelled: the contact force points
+    back along the undeformed stalk axis (force angle pi), which gives the
+    pendulum form theta'' = -alpha sin(theta) of the beam equation.
     """
 
     alpha: float
-    force_angle: float = math.pi
 
     def __post_init__(self):
         if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.force_angle != math.pi:
-            raise ValueError("force_angle is fixed to pi in the adaptation load case")
 
     def tip_moment(self, geometry: BeamGeometry) -> float:
         """Normalized tip moment alpha * R / L (the tip slope boundary value)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -80,6 +80,40 @@ class AttachmentEvent:
     pressure: float
 
 
+def iter_csv_rows(lines: Iterable[str], header: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, cells)`` for each data row of a headed CSV.
+
+    Blank lines and ``#`` comment lines are skipped. The first other line
+    must equal ``header``, and every later line must have as many
+    comma-separated cells as the header. Violations, and input without a
+    header line, raise :class:`TrialParseError` naming the physical line
+    (counted from 1). Converting the cells is left to the caller.
+    """
+    n_fields = header.count(",") + 1
+    header_seen = False
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != header:
+                raise TrialParseError(
+                    f"line {line_number}: expected header {header!r}, got {line!r}",
+                    line_number=line_number,
+                )
+            header_seen = True
+            continue
+        cells = line.split(",")
+        if len(cells) != n_fields:
+            raise TrialParseError(
+                f"line {line_number}: expected {n_fields} fields, got {len(cells)}",
+                line_number=line_number,
+            )
+        yield line_number, cells
+    if not header_seen:
+        raise TrialParseError("missing header line", line_number=None)
+
+
 def parse_trial(
     source: str | TextIO | Iterable[str],
     scenario: str,
@@ -98,25 +132,7 @@ def parse_trial(
     force: list[float] = []
     displacement: list[float] = []
     pressure: list[float] = []
-    header_seen = False
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != TRIAL_HEADER:
-                raise TrialParseError(
-                    f"line {line_number}: expected header {TRIAL_HEADER!r}, got {line!r}",
-                    line_number=line_number,
-                )
-            header_seen = True
-            continue
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise TrialParseError(
-                f"line {line_number}: expected 4 fields, got {len(cells)}",
-                line_number=line_number,
-            )
+    for line_number, cells in iter_csv_rows(lines, TRIAL_HEADER):
         try:
             time.append(float(cells[0]))
             force.append(float(cells[1]))
@@ -126,8 +142,6 @@ def parse_trial(
             raise TrialParseError(
                 f"line {line_number}: {exc}", line_number=line_number
             ) from None
-    if not header_seen:
-        raise TrialParseError("missing header line", line_number=None)
 
     return TrialRecord(
         scenario=scenario,
@@ -241,25 +255,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     base = path.parent
     entries: list[ManifestEntry] = []
     with open(path, "r", encoding="utf-8") as handle:
-        header_seen = False
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != MANIFEST_HEADER:
-                    raise TrialParseError(
-                        f"line {line_number}: expected header {MANIFEST_HEADER!r}, got {line!r}",
-                        line_number=line_number,
-                    )
-                header_seen = True
-                continue
-            cells = line.split(",")
-            if len(cells) != 3:
-                raise TrialParseError(
-                    f"line {line_number}: expected 3 fields, got {len(cells)}",
-                    line_number=line_number,
-                )
+        for line_number, cells in iter_csv_rows(handle, MANIFEST_HEADER):
             try:
                 angle = math.radians(float(cells[2]))
             except ValueError:
@@ -267,8 +263,6 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                     f"line {line_number}: bad angle {cells[2]!r}", line_number=line_number
                 ) from None
             entries.append(ManifestEntry(base / cells[0], cells[1], angle))
-    if not header_seen:
-        raise TrialParseError("missing header line", line_number=None)
     return entries
 
 

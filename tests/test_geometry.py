@@ -33,9 +33,6 @@ class TestBeamGeometry:
 
 
 class TestNormalizedLoad:
-    def test_defaults_to_pushing_force_angle(self):
-        assert NormalizedLoad(1.0).force_angle == math.pi
-
     def test_tip_moment(self):
         geom = BeamGeometry.from_ratio(0.5)
         assert NormalizedLoad(1.2).tip_moment(geom) == 1.2 * 0.5
@@ -44,10 +41,6 @@ class TestNormalizedLoad:
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(ValueError):
             NormalizedLoad(alpha)
-
-    def test_other_force_angles_rejected(self):
-        with pytest.raises(ValueError):
-            NormalizedLoad(1.0, force_angle=0.0)
 
 
 class TestSolverConfig:

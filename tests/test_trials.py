@@ -14,6 +14,7 @@ from stalkmech import (
     detect_attachment,
     load_trial,
     parse_trial,
+    read_bending_samples,
     read_manifest,
     serialize_trial,
     stiffness_at_deflection,
@@ -239,3 +240,49 @@ class TestManifest:
         manifest.write_text("file,scenario,angle_deg\nf.csv,s,steep\n")
         with pytest.raises(TrialParseError):
             read_manifest(manifest)
+
+
+# The three headed CSV formats: a reader taking a path and returning a
+# sized result, the header, and two valid data rows.
+CSV_FORMATS = {
+    "trial": (
+        lambda path: load_trial(path).time,
+        "time_s,force_N,displacement_mm,pressure_kPa",
+        ["0,0,0,-8", "0.5,0.12,0.5,-8.1"],
+    ),
+    "manifest": (read_manifest, "file,scenario,angle_deg", ["a.csv,s,15", "b.csv,s,30"]),
+    "bending": (read_bending_samples, "deflection_mm,force_N", ["1,0.2", "2,0.41"]),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CSV_FORMATS))
+class TestHeadedCsvFormats:
+    def read(self, fmt, tmp_path, lines):
+        path = tmp_path / f"{fmt}.csv"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return CSV_FORMATS[fmt][0](path)
+
+    def test_missing_header(self, fmt, tmp_path):
+        with pytest.raises(TrialParseError, match="missing header line") as excinfo:
+            self.read(fmt, tmp_path, ["# comments only", ""])
+        assert excinfo.value.line_number is None
+
+    def test_wrong_header(self, fmt, tmp_path):
+        _, header, rows = CSV_FORMATS[fmt]
+        with pytest.raises(TrialParseError, match="expected header") as excinfo:
+            self.read(fmt, tmp_path, ["# export", header.upper(), *rows])
+        assert excinfo.value.line_number == 2
+
+    def test_wrong_field_count_names_the_line(self, fmt, tmp_path):
+        _, header, rows = CSV_FORMATS[fmt]
+        n_fields = header.count(",") + 1
+        lines = [header, rows[0], "", rows[1] + ",extra"]
+        with pytest.raises(TrialParseError) as excinfo:
+            self.read(fmt, tmp_path, lines)
+        assert excinfo.value.line_number == 4
+        assert str(excinfo.value) == f"line 4: expected {n_fields} fields, got {n_fields + 1}"
+
+    def test_comments_and_blank_lines_skipped(self, fmt, tmp_path):
+        _, header, rows = CSV_FORMATS[fmt]
+        lines = ["# export", "", header, "# mid comment", rows[0], "   ", rows[1], ""]
+        assert len(self.read(fmt, tmp_path, lines)) == 2
