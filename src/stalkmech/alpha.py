@@ -9,12 +9,11 @@ boundary-value problem.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .elastica import ElasticaSolution, solve_shape_shooting
-from .errors import SolverError, UnreachableAngleError, OracleRangeError
+from .errors import NoSolutionError, SolverError, UnreachableAngleError, OracleRangeError
 from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
 
 
@@ -37,6 +36,55 @@ class AlphaTableRow:
     alpha: float | None
     result: AlphaResult | None
     error: str | None = None
+
+
+def _brentq(f, a: float, b: float, xtol: float, maxiter: int) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Secant or inverse quadratic steps while they shrink fast enough, else
+    bisection, until half the bracket is below (xtol + 4 eps |x|) / 2. The
+    returned point is always one at which ``f`` was evaluated. Raises
+    ValueError for a same-sign bracket, NoSolutionError after ``maxiter``.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # the root now lies between xpre and xcur
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4 * sys.float_info.epsilon * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NoSolutionError(
+        f"Brent iteration did not converge after {maxiter} iterations", last_residual=fcur
+    )
 
 
 def _validate_angle(surface_angle: float) -> None:
@@ -101,7 +149,7 @@ def solve_alpha_for_angle(
         hi = min(2.0 * hi, config.alpha_bracket_max)
         tip_hi = tip_angle(hi)
 
-    alpha_star = brentq(
+    alpha_star = _brentq(
         lambda a: tip_angle(a) - surface_angle,
         0.0,
         hi,
@@ -169,5 +217,5 @@ def linearized_alpha(surface_angle: float, geometry: BeamGeometry) -> float:
         raise OracleRangeError(
             f"no root below the tangent singularity for gamma*L/R = {target:g}"
         )
-    u = brentq(f, lo, hi, xtol=1e-15)
+    u = _brentq(f, lo, hi, xtol=1e-15, maxiter=100)
     return u * u

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import IntegrationDivergedError, NoSolutionError
 from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
@@ -255,6 +254,20 @@ def solve_shape_shooting(
     )
 
 
+def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Thomas sweep, no pivoting: lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]."""
+    lo, d, up, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    n = len(d)
+    for i in range(1, n):
+        w = lo[i - 1] / d[i - 1]
+        d[i] -= w * up[i - 1]
+        r[i] -= w * r[i - 1]
+    r[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        r[i] = (r[i] - up[i] * r[i + 1]) / d[i]
+    return np.asarray(r)
+
+
 def _relaxation_guess(alpha: float, tip_slope: float, s: np.ndarray) -> np.ndarray:
     """Starting profile for Newton: the linearized shape where valid, else a ramp."""
     u = math.sqrt(alpha)
@@ -304,14 +317,13 @@ def solve_shape_oracle(
         return (prev - 2.0 * t + nxt) * inv_h2 + a * np.sin(t)
 
     def newton(t: np.ndarray, a: float, bc: float) -> np.ndarray:
-        band = np.zeros((3, m))
-        band[0, 1:] = inv_h2
-        band[2, :-1] = inv_h2
-        band[2, m - 2] = 2.0 * inv_h2  # ghost elimination doubles the tip subdiagonal
+        upper = np.full(m - 1, inv_h2)
+        lower = np.full(m - 1, inv_h2)
+        lower[-1] = 2.0 * inv_h2  # ghost elimination doubles the tip subdiagonal
         f = system_residual(t, a, bc)
         for _ in range(config.max_iterations):
-            band[1, :] = -2.0 * inv_h2 + a * np.cos(t)
-            step = solve_banded((1, 1), band, -f)
+            diag = -2.0 * inv_h2 + a * np.cos(t)
+            step = _solve_tridiagonal(lower, diag, upper, -f)
             norm_f = np.linalg.norm(f)
             lam = 1.0
             while True:

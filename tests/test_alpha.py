@@ -4,6 +4,7 @@ import pytest
 
 from stalkmech import (
     BeamGeometry,
+    NoSolutionError,
     SolverConfig,
     UnreachableAngleError,
     generate_alpha_table,
@@ -11,10 +12,32 @@ from stalkmech import (
     solve_alpha_for_angle,
     solve_shape_shooting,
 )
+from stalkmech.alpha import _brentq
 from stalkmech.geometry import NormalizedLoad
 
 # Reference required-load column at R/L = 0.5 for 15..75 degrees.
 TABLE = {15.0: 0.445, 30.0: 0.772, 45.0: 1.03, 60.0: 1.254, 75.0: 1.467}
+
+
+class TestBrent:
+    @pytest.mark.parametrize(
+        "f, a, b, root",
+        [
+            (lambda x: x**3 - 2.0, 0.0, 3.0, 2.0 ** (1.0 / 3.0)),
+            (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        ],
+    )
+    def test_closed_form_roots(self, f, a, b, root):
+        x = _brentq(f, a, b, xtol=1e-12, maxiter=100)
+        assert abs(x - root) <= 1e-12
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(ValueError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, maxiter=100)
+
+    def test_iteration_budget_exhausted(self):
+        with pytest.raises(NoSolutionError):
+            _brentq(lambda x: x**3 - 2.0, 0.0, 3.0, xtol=1e-12, maxiter=3)
 
 
 class TestLinearizedOracle:
@@ -141,3 +164,9 @@ class TestAlphaTable:
         assert rows[0].error is None
         assert rows[1].error is not None and rows[1].alpha is None
         assert rows[2].error is None
+
+    def test_outer_search_out_of_iterations_is_an_error_row(self, half_ratio_geometry):
+        config = SolverConfig(max_iterations=5)
+        rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry, config)
+        assert rows[0].alpha is None and rows[0].result is None
+        assert "after 5 iterations" in rows[0].error

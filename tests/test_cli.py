@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stalkmech
 from stalkmech.cli import execute, parse_angles_spec
 
 
@@ -335,3 +340,49 @@ class TestExitCodes:
     def test_negative_length_rejected(self):
         status, _ = run(["solve", "--gamma-deg", "30", "--length-mm", "-5"])
         assert status == 1
+
+
+class TestNumpyOnlyRuntime:
+    """The package needs numpy and the standard library, and nothing else."""
+
+    PRELUDE = (
+        "import sys\n"
+        "allowed = set(sys.stdlib_module_names) | {'numpy', 'stalkmech'}\n"
+        "def foreign(names):\n"
+        "    return sorted({n.partition('.')[0] for n in names} - allowed)\n"
+    )
+
+    def child(self, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(stalkmech.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-c", self.PRELUDE + code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_import_loads_no_other_package(self):
+        proc = self.child(
+            "before = set(sys.modules)\n"
+            "import stalkmech.cli\n"
+            "print(foreign(set(sys.modules) - before))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_solvers_run_with_other_packages_blocked(self):
+        proc = self.child(
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if foreign([name]):\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "import io, math, stalkmech.cli\n"
+            "from stalkmech import BeamGeometry, NormalizedLoad\n"
+            "assert stalkmech.cli.execute(['alpha-table', '--angles', '15,45'], io.StringIO()) == 0\n"
+            "geometry = BeamGeometry.from_ratio(0.5)\n"
+            "stalkmech.solve_shape_oracle(NormalizedLoad(1.03), geometry)\n"
+            "stalkmech.linearized_alpha(math.radians(15.0), geometry)\n"
+        )
+        assert proc.returncode == 0, proc.stderr

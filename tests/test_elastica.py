@@ -13,6 +13,7 @@ from stalkmech import (
     solve_shape_oracle,
     solve_shape_shooting,
 )
+from stalkmech.elastica import _solve_tridiagonal
 
 # Normalized loads of the reference angle table at R/L = 0.5.
 TABLE_ALPHAS = [0.445, 0.772, 1.03, 1.254, 1.467]
@@ -130,6 +131,21 @@ class TestOracle:
         shoot = solve_shape_shooting(NormalizedLoad(2.4), half_ratio_geometry, config)
         mesh = solve_shape_oracle(NormalizedLoad(2.4), half_ratio_geometry, config)
         assert np.max(np.abs(shoot.theta_samples - mesh.theta_samples)) <= 1e-6
+
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_tridiagonal_sweep_matches_dense_solve(self, n):
+        # Diagonally dominant like the Newton Jacobian, with the last
+        # subdiagonal entry doubled as the ghost-node elimination does.
+        rng = np.random.default_rng(n)
+        lower = rng.uniform(0.5, 1.0, n - 1)
+        lower[-1] *= 2.0
+        upper = rng.uniform(0.5, 1.0, n - 1)
+        diag = -(4.0 + rng.uniform(0.0, 1.0, n))
+        rhs = rng.normal(size=n)
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        x = _solve_tridiagonal(lower, diag, upper, rhs)
+        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-14)
 
 
 class TestCenterline:
