@@ -115,6 +115,7 @@ def solve_alpha_for_angle(
         return AlphaResult(0.0, 0.0, 0.0, 0, zero)
 
     evals = 0
+    solved: dict[float, ElasticaSolution] = {}
     last_alpha = 0.0
     last_slope: float | None = None
 
@@ -129,7 +130,7 @@ def solve_alpha_for_angle(
     def tip_angle(a: float) -> float:
         nonlocal evals, last_alpha, last_slope
         evals += 1
-        sol = solve_shape_shooting(
+        sol = solved[a] = solve_shape_shooting(
             NormalizedLoad(a), geometry, config, initial_slope_hint=hint_for(a)
         )
         if a > 0.0:
@@ -156,10 +157,8 @@ def solve_alpha_for_angle(
         xtol=1e-12,
         maxiter=config.max_iterations,
     )
-    solution = solve_shape_shooting(
-        NormalizedLoad(alpha_star), geometry, config, initial_slope_hint=hint_for(alpha_star)
-    )
-    evals += 1
+    # Brent returns a point it evaluated, so its shape is already solved.
+    solution = solved[alpha_star]
     achieved = solution.tip_angle
     if abs(achieved - surface_angle) > config.angle_tolerance:
         raise UnreachableAngleError(
