@@ -178,11 +178,16 @@ def solve_shape_shooting(
     target = load.tip_moment(geometry)
     n_steps = config.grid_points - 1
 
+    last = (math.nan, [], math.nan)  # slope, samples and theta'(1) of the last pass
+
     def residual(c: float) -> float:
+        nonlocal last
+        samples = [0.0]
         try:
-            _, om = _rk4_tip(alpha, c, n_steps)
+            _, om = _rk4_tip(alpha, c, n_steps, samples)
         except IntegrationDivergedError:
             return math.inf
+        last = (c, samples, om)
         return om - target
 
     c_star = None
@@ -236,8 +241,9 @@ def solve_shape_shooting(
                 b, r_b = c_next, residual(c_next)
             c_star = b
 
-    samples = [0.0]
-    _, om = _rk4_tip(alpha, c_star, n_steps, samples)
+    if last[0] != c_star:
+        residual(c_star)
+    _, samples, om = last
     theta = np.asarray(samples)
     achieved = abs(om - target)
     if achieved > config.boundary_tolerance:
