@@ -1,9 +1,21 @@
 """Find the normalized load that bends the stalk tip to a target surface angle.
 
-The map alpha -> tip_angle is strictly increasing in the working range, so
-the outer search brackets the target angle and hands the interval to Brent's
-method; every tip-angle evaluation is a full shooting solve of the
-boundary-value problem.
+The beam equation theta'' = -alpha sin(theta) is autonomous, so
+theta'^2 - 2 alpha cos(theta) is constant along the stalk. Put in the tip
+data theta(1) = gamma and theta'(1) = alpha rho (rho = R/L) and substitute
+sin(theta / 2) = k sin(phi): the arc-length condition becomes an incomplete
+elliptic integral of the first kind (Bisshopp & Drucker, Q. Appl. Math. 3,
+1945; Frisch-Fay, Flexible Bars, 1962),
+
+    sqrt(alpha) = F(phi_gamma, k) = integral_0^phi_gamma dphi / sqrt(1 - k^2 sin^2 phi)
+
+with k^2 = sin^2(gamma / 2) + alpha rho^2 / 4 and k sin(phi_gamma) = sin(gamma / 2).
+The integrand is analytic and bounded by 1 / cos(gamma / 2) for every
+rho >= 0, so a fixed 32-node Gauss-Legendre rule evaluates F to rounding
+error. Brent's method finds the unique root of sqrt(alpha) - F, which
+increases strictly in alpha; the base slope theta'(0) = 2 sqrt(alpha) k then
+follows in closed form, and one shooting pass from it builds the returned
+shape and checks it.
 """
 
 from __future__ import annotations
@@ -12,6 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elastica import ElasticaSolution, solve_shape_shooting
 from .errors import NoSolutionError, SolverError, UnreachableAngleError, OracleRangeError
 from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
@@ -19,7 +33,12 @@ from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
 
 @dataclass(frozen=True)
 class AlphaResult:
-    """Normalized load solving tip_angle(alpha) = surface_angle."""
+    """Normalized load solving tip_angle(alpha) = surface_angle.
+
+    ``outer_iterations`` counts the first-integral quadratures the root
+    search evaluated; ``inner_solution`` is the one shooting solve that
+    built the shape.
+    """
 
     surface_angle: float
     alpha: float
@@ -87,6 +106,36 @@ def _brentq(f, a: float, b: float, xtol: float, maxiter: int) -> float:
     )
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Legendre recurrence, the weights the squared first
+    components of its unit eigenvectors (halved from [-1, 1] to [0, 1]).
+    """
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (nodes + 1.0), vectors[0] ** 2
+
+
+_NODES, _WEIGHTS = _gauss_legendre(32)
+
+
+def _modulus(alpha: float, surface_angle: float, radius_ratio: float) -> tuple[float, float]:
+    """Elliptic modulus k and amplitude phi_gamma of the first integral."""
+    s = math.sin(0.5 * surface_angle)
+    c = 0.5 * math.sqrt(alpha) * radius_ratio  # k cos(phi_gamma)
+    return math.hypot(s, c), math.atan2(s, c)
+
+
+def _length_excess(alpha: float, surface_angle: float, radius_ratio: float) -> float:
+    """sqrt(alpha) - F(phi_gamma, k): negative while the load is too small."""
+    k, phi = _modulus(alpha, surface_angle, radius_ratio)
+    u = k * np.sin(phi * _NODES)
+    return math.sqrt(alpha) - phi * float(np.dot(_WEIGHTS, 1.0 / np.sqrt(1.0 - u * u)))
+
+
 def _validate_angle(surface_angle: float) -> None:
     if not (0.0 <= surface_angle < 0.5 * math.pi):
         raise ValueError(
@@ -101,46 +150,35 @@ def solve_alpha_for_angle(
 ) -> AlphaResult:
     """Normalized load alpha whose solved tip angle equals ``surface_angle``.
 
-    Brackets alpha by doubling until the tip angle passes the target (up to
-    ``config.alpha_bracket_max``), then root-finds on the monotone map. The
-    achieved tip angle matches the target within ``config.angle_tolerance``.
+    Brackets alpha by doubling until the first-integral length excess turns
+    non-negative (up to ``config.alpha_bracket_max``), then finds its root by
+    Brent's method. One shooting solve, seeded at the closed-form base slope
+    2 sqrt(alpha) k, builds the returned shape; its boundary residual stays
+    within ``config.boundary_tolerance`` and its tip angle within
+    ``config.angle_tolerance`` of the target.
 
     Raises UnreachableAngleError when the target exceeds the tip angle
-    attainable within the bracket bound, and ValueError for angles outside
-    [0, pi/2).
+    attainable within the bracket bound (reporting the tip angle a shooting
+    solve reaches at that bound) or when the shape misses the target, and
+    ValueError for angles outside [0, pi/2).
     """
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
         zero = solve_shape_shooting(NormalizedLoad(0.0), geometry, config)
         return AlphaResult(0.0, 0.0, 0.0, 0, zero)
 
+    ratio = geometry.radius_ratio
     evals = 0
-    solved: dict[float, ElasticaSolution] = {}
-    last_alpha = 0.0
-    last_slope: float | None = None
 
-    def hint_for(a: float) -> float | None:
-        # The converged base slope grows roughly linearly with alpha, so a
-        # scaled previous slope keeps the shooting bracket tight even across
-        # the doubling stages of the outer bracket search.
-        if last_slope is None or last_alpha <= 0.0:
-            return None
-        return last_slope * (a / last_alpha)
-
-    def tip_angle(a: float) -> float:
-        nonlocal evals, last_alpha, last_slope
+    def excess(a: float) -> float:
+        nonlocal evals
         evals += 1
-        sol = solved[a] = solve_shape_shooting(
-            NormalizedLoad(a), geometry, config, initial_slope_hint=hint_for(a)
-        )
-        if a > 0.0:
-            last_alpha, last_slope = a, sol.initial_slope
-        return sol.tip_angle
+        return _length_excess(a, surface_angle, ratio)
 
     hi = min(0.5, config.alpha_bracket_max)
-    tip_hi = tip_angle(hi)
-    while tip_hi < surface_angle:
+    while excess(hi) < 0.0:
         if hi >= config.alpha_bracket_max:
+            tip_hi = solve_shape_shooting(NormalizedLoad(hi), geometry, config).tip_angle
             raise UnreachableAngleError(
                 f"tip angle {tip_hi:.6f} rad at alpha={hi:g} is below the "
                 f"requested {surface_angle:.6f} rad; raise alpha_bracket_max "
@@ -148,17 +186,15 @@ def solve_alpha_for_angle(
                 max_tip_angle=tip_hi,
             )
         hi = min(2.0 * hi, config.alpha_bracket_max)
-        tip_hi = tip_angle(hi)
 
-    alpha_star = _brentq(
-        lambda a: tip_angle(a) - surface_angle,
-        0.0,
-        hi,
-        xtol=1e-12,
-        maxiter=config.max_iterations,
+    alpha_star = _brentq(excess, 0.0, hi, xtol=1e-12, maxiter=config.max_iterations)
+    k, _ = _modulus(alpha_star, surface_angle, ratio)
+    solution = solve_shape_shooting(
+        NormalizedLoad(alpha_star),
+        geometry,
+        config,
+        initial_slope_hint=2.0 * math.sqrt(alpha_star) * k,
     )
-    # Brent returns a point it evaluated, so its shape is already solved.
-    solution = solved[alpha_star]
     achieved = solution.tip_angle
     if abs(achieved - surface_angle) > config.angle_tolerance:
         raise UnreachableAngleError(

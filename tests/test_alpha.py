@@ -1,7 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stalkmech.alpha
+import stalkmech.elastica
 from stalkmech import (
     BeamGeometry,
     NoSolutionError,
@@ -10,9 +15,10 @@ from stalkmech import (
     generate_alpha_table,
     linearized_alpha,
     solve_alpha_for_angle,
+    solve_shape_oracle,
     solve_shape_shooting,
 )
-from stalkmech.alpha import _brentq
+from stalkmech.alpha import _NODES, _WEIGHTS, _brentq
 from stalkmech.geometry import NormalizedLoad
 
 # Reference required-load column at R/L = 0.5 for 15..75 degrees.
@@ -38,6 +44,19 @@ class TestBrent:
     def test_iteration_budget_exhausted(self):
         with pytest.raises(NoSolutionError):
             _brentq(lambda x: x**3 - 2.0, 0.0, 3.0, xtol=1e-12, maxiter=3)
+
+
+class TestQuadratureRule:
+    @pytest.mark.parametrize("k", range(64))
+    def test_monomials_integrate_exactly(self, k):
+        assert float(np.dot(_WEIGHTS, _NODES**k)) == pytest.approx(1.0 / (k + 1), abs=1e-14)
+
+    def test_matches_the_numpy_rule(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(32)
+        assert np.allclose(_NODES, 0.5 * (nodes + 1.0), rtol=0.0, atol=1e-14)
+        assert np.allclose(_WEIGHTS, 0.5 * weights, rtol=0.0, atol=1e-14)
 
 
 class TestLinearizedOracle:
@@ -128,6 +147,35 @@ class TestSolveAlphaForAngle:
         ]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
 
+    def test_one_shooting_pass_per_solved_angle(self, half_ratio_geometry, config, monkeypatch):
+        counts = {"solves": 0, "passes": 0}
+
+        def counted(function, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            stalkmech.alpha, "solve_shape_shooting", counted(solve_shape_shooting, "solves")
+        )
+        monkeypatch.setattr(
+            stalkmech.elastica, "_rk4_tip", counted(stalkmech.elastica._rk4_tip, "passes")
+        )
+        solve_alpha_for_angle(math.radians(45.0), half_ratio_geometry, config)
+        assert counts == {"solves": 1, "passes": 1}
+
+    def test_pure_tip_force_takes_the_buckled_branch(self, config):
+        # At R/L = 0 the straight beam solves every load; the bent branch
+        # starts at the Euler buckling load pi^2 / 4.
+        geometry = BeamGeometry.from_ratio(0.0)
+        result = solve_alpha_for_angle(math.radians(15.0), geometry, config)
+        assert result.alpha == pytest.approx(2.48867, abs=5e-6)
+        assert abs(result.tip_angle_achieved - math.radians(15.0)) <= config.angle_tolerance
+        onset = solve_alpha_for_angle(math.radians(0.1), geometry, config).alpha
+        assert 0.0 < onset - math.pi**2 / 4.0 < 1e-5
+
     def test_unreachable_angle_reports_the_ceiling(self, half_ratio_geometry):
         config = SolverConfig(alpha_bracket_max=0.5)
         with pytest.raises(UnreachableAngleError) as excinfo:
@@ -170,3 +218,38 @@ class TestAlphaTable:
         rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry, config)
         assert rows[0].alpha is None and rows[0].result is None
         assert "after 5 iterations" in rows[0].error
+
+
+# R/L draws: the pure tip force, small pads (where the first integral's
+# modulus approaches sin(gamma / 2)) and the whole working range.
+RATIOS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-4, max_value=1e-2),
+    st.floats(min_value=1e-4, max_value=3.0),
+)
+ANGLES = st.floats(min_value=0.0, max_value=math.radians(89.5), exclude_min=True)
+
+
+class TestWholeDomain:
+    @given(gamma=ANGLES, ratio=RATIOS)
+    @settings(max_examples=60, deadline=None)
+    def test_every_angle_solves_and_round_trips(self, gamma, ratio):
+        config = SolverConfig()
+        geometry = BeamGeometry.from_ratio(ratio)
+        [row] = generate_alpha_table([gamma], geometry, config)
+        assert row.error is None
+        assert abs(row.result.tip_angle_achieved - gamma) <= config.angle_tolerance
+        assert row.result.inner_solution.boundary_residual <= 1e-10
+        if ratio >= 0.05:
+            cold = solve_shape_shooting(NormalizedLoad(row.alpha), geometry, config)
+            assert abs(cold.tip_angle - gamma) <= 1e-6
+
+    # Relaxation starts from the linearized shape, which stays in the bent
+    # branch's basin only where the pad arm is not small.
+    @given(gamma=ANGLES, ratio=st.floats(min_value=0.1, max_value=3.0))
+    @settings(max_examples=4, deadline=None)
+    def test_relaxation_agrees_with_the_returned_shape(self, gamma, ratio):
+        geometry = BeamGeometry.from_ratio(ratio)
+        result = solve_alpha_for_angle(gamma, geometry)
+        mesh = solve_shape_oracle(NormalizedLoad(result.alpha), geometry)
+        assert np.max(np.abs(mesh.theta_samples - result.inner_solution.theta_samples)) <= 1e-6

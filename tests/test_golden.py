@@ -9,8 +9,7 @@ Regenerate every file from the current code with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff before committing it. R/L = 0 is left out: its rows
-are known to be wrong today, and a golden file would pin them.
+and review the diff before committing it.
 """
 
 import io
@@ -35,6 +34,7 @@ CASES = {
     "alpha-table": ["alpha-table", "--angles", "0:75:15"],
     "alpha-table-json": ["alpha-table", "--angles", "0:75:15", "--format", "json"],
     "alpha-table-unreachable": ["alpha-table", "--angles", "15,80,30", "--alpha-max", "1"],
+    "alpha-table-zero-radius": ["alpha-table", "--angles", "0:75:15", "--radius-ratio", "0"],
     "solve": ["solve", "--gamma-deg", "45"],
     "shape": ["shape", "--alpha", "1.03"],
     "calibrate": ["calibrate", "--input", BENDING, "--length-mm", "20"],
