@@ -1,21 +1,15 @@
 """Find the normalized load that bends the stalk tip to a target surface angle.
 
-The beam equation theta'' = -alpha sin(theta) is autonomous, so
-theta'^2 - 2 alpha cos(theta) is constant along the stalk. Put in the tip
-data theta(1) = gamma and theta'(1) = alpha rho (rho = R/L) and substitute
-sin(theta / 2) = k sin(phi): the arc-length condition becomes an incomplete
+The beam equation theta'' = -alpha sin(theta) is autonomous, so with the
+tip data theta(1) = gamma, theta'(1) = alpha rho (rho = R/L) and
+sin(theta / 2) = k sin(phi), the arc-length condition becomes an incomplete
 elliptic integral of the first kind (Bisshopp & Drucker, Q. Appl. Math. 3,
-1945; Frisch-Fay, Flexible Bars, 1962),
-
-    sqrt(alpha) = F(phi_gamma, k) = integral_0^phi_gamma dphi / sqrt(1 - k^2 sin^2 phi)
-
-with k^2 = sin^2(gamma / 2) + alpha rho^2 / 4 and k sin(phi_gamma) = sin(gamma / 2).
-The integrand is analytic and bounded by 1 / cos(gamma / 2) for every
-rho >= 0, so a fixed 32-node Gauss-Legendre rule evaluates F to rounding
-error. Brent's method finds the unique root of sqrt(alpha) - F, which
-increases strictly in alpha; the base slope theta'(0) = 2 sqrt(alpha) k then
-follows in closed form, and one shooting pass from it builds the returned
-shape and checks it.
+1945): sqrt(alpha) = F(phi_gamma, k), with k^2 = sin^2(gamma/2) + alpha rho^2 / 4
+and k sin(phi_gamma) = sin(gamma/2). Its integrand is analytic and bounded
+by 1 / cos(gamma/2) for every rho >= 0, so a 32-node Gauss-Legendre rule
+is exact to rounding. Brent's method finds the unique root of the strictly
+increasing sqrt(alpha) - F, and one shooting pass from the closed-form base
+slope theta'(0) = 2 sqrt(alpha) k builds and checks the returned shape.
 """
 
 from __future__ import annotations
@@ -33,17 +27,12 @@ from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
 
 @dataclass(frozen=True)
 class AlphaResult:
-    """Normalized load solving tip_angle(alpha) = surface_angle.
-
-    ``outer_iterations`` counts the first-integral quadratures the root
-    search evaluated; ``inner_solution`` is the one shooting solve that
-    built the shape.
-    """
+    """Normalized load solving tip_angle(alpha) = surface_angle."""
 
     surface_angle: float
     alpha: float
     tip_angle_achieved: float
-    outer_iterations: int
+    outer_iterations: int  # first-integral quadratures the root search evaluated
     inner_solution: ElasticaSolution
 
 
@@ -107,12 +96,7 @@ def _brentq(f, a: float, b: float, xtol: float, maxiter: int) -> float:
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
-
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix of the Legendre recurrence, the weights the squared first
-    components of its unit eigenvectors (halved from [-1, 1] to [0, 1]).
-    """
+    """n-point Gauss-Legendre rule on [0, 1] by Golub-Welsch (Jacobi matrix eigenpairs)."""
     k = np.arange(1.0, n)
     off = k / np.sqrt(4.0 * k * k - 1.0)
     nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
@@ -122,17 +106,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NODES, _WEIGHTS = _gauss_legendre(32)
 
 
-def _modulus(alpha: float, surface_angle: float, radius_ratio: float) -> tuple[float, float]:
-    """Elliptic modulus k and amplitude phi_gamma of the first integral."""
+def _excess(alpha: float, surface_angle: float, radius_ratio: float) -> float:
+    """sqrt(alpha) - F(phi_gamma, k): negative while the load is too small."""
     s = math.sin(0.5 * surface_angle)
     c = 0.5 * math.sqrt(alpha) * radius_ratio  # k cos(phi_gamma)
-    return math.hypot(s, c), math.atan2(s, c)
-
-
-def _length_excess(alpha: float, surface_angle: float, radius_ratio: float) -> float:
-    """sqrt(alpha) - F(phi_gamma, k): negative while the load is too small."""
-    k, phi = _modulus(alpha, surface_angle, radius_ratio)
-    u = k * np.sin(phi * _NODES)
+    phi = math.atan2(s, c)
+    u = math.hypot(s, c) * np.sin(phi * _NODES)  # k sin(phi)
     return math.sqrt(alpha) - phi * float(np.dot(_WEIGHTS, 1.0 / np.sqrt(1.0 - u * u)))
 
 
@@ -150,16 +129,14 @@ def solve_alpha_for_angle(
 ) -> AlphaResult:
     """Normalized load alpha whose solved tip angle equals ``surface_angle``.
 
-    Brackets alpha by doubling until the first-integral length excess turns
-    non-negative (up to ``config.alpha_bracket_max``), then finds its root by
-    Brent's method. One shooting solve, seeded at the closed-form base slope
-    2 sqrt(alpha) k, builds the returned shape; its boundary residual stays
-    within ``config.boundary_tolerance`` and its tip angle within
-    ``config.angle_tolerance`` of the target.
+    Brackets alpha by doubling (up to ``config.alpha_bracket_max``) and
+    finds the root of the first-integral excess by Brent's method; each
+    evaluation counts as an outer iteration. One shooting solve from the
+    closed-form base slope then gives the shape, whose tip angle must match
+    the target within ``config.angle_tolerance``.
 
     Raises UnreachableAngleError when the target exceeds the tip angle
-    attainable within the bracket bound (reporting the tip angle a shooting
-    solve reaches at that bound) or when the shape misses the target, and
+    attainable within the bracket bound, or when the shape misses it, and
     ValueError for angles outside [0, pi/2).
     """
     _validate_angle(surface_angle)
@@ -173,7 +150,7 @@ def solve_alpha_for_angle(
     def excess(a: float) -> float:
         nonlocal evals
         evals += 1
-        return _length_excess(a, surface_angle, ratio)
+        return _excess(a, surface_angle, ratio)
 
     hi = min(0.5, config.alpha_bracket_max)
     while excess(hi) < 0.0:
@@ -188,13 +165,9 @@ def solve_alpha_for_angle(
         hi = min(2.0 * hi, config.alpha_bracket_max)
 
     alpha_star = _brentq(excess, 0.0, hi, xtol=1e-12, maxiter=config.max_iterations)
-    k, _ = _modulus(alpha_star, surface_angle, ratio)
-    solution = solve_shape_shooting(
-        NormalizedLoad(alpha_star),
-        geometry,
-        config,
-        initial_slope_hint=2.0 * math.sqrt(alpha_star) * k,
-    )
+    root = math.sqrt(alpha_star)
+    slope = root * math.hypot(2.0 * math.sin(0.5 * surface_angle), root * ratio)  # 2 sqrt(alpha) k
+    solution = solve_shape_shooting(NormalizedLoad(alpha_star), geometry, config, slope)
     achieved = solution.tip_angle
     if abs(achieved - surface_angle) > config.angle_tolerance:
         raise UnreachableAngleError(
