@@ -47,9 +47,9 @@ class TestBrent:
 
 
 class TestQuadratureRule:
-    @pytest.mark.parametrize("k", range(64))
-    def test_monomials_integrate_exactly(self, k):
-        assert float(np.dot(_WEIGHTS, _NODES**k)) == pytest.approx(1.0 / (k + 1), abs=1e-14)
+    def test_monomials_up_to_degree_63_integrate_exactly(self):
+        moments = np.array([np.dot(_WEIGHTS, _NODES**k) for k in range(64)])
+        assert np.max(np.abs(moments - 1.0 / np.arange(1, 65))) <= 1e-14
 
     def test_matches_the_numpy_rule(self):
         from numpy.polynomial.legendre import leggauss
@@ -244,8 +244,8 @@ class TestWholeDomain:
             cold = solve_shape_shooting(NormalizedLoad(row.alpha), geometry, config)
             assert abs(cold.tip_angle - gamma) <= 1e-6
 
-    # Relaxation starts from the linearized shape, which stays in the bent
-    # branch's basin only where the pad arm is not small.
+    # Below R/L = 0.1, at large angles, relaxation converges to another
+    # solution or not at all, so it is a reference only above that.
     @given(gamma=ANGLES, ratio=st.floats(min_value=0.1, max_value=3.0))
     @settings(max_examples=4, deadline=None)
     def test_relaxation_agrees_with_the_returned_shape(self, gamma, ratio):
