@@ -7,6 +7,12 @@ reduces raw adaptation/bending test logs into scenario summaries and
 theory-vs-measurement reports.
 """
 
+import os
+
+# The package's linear algebra is tiny, so OpenBLAS worker threads would only
+# spin beside it for a command's first ~0.1 s; numpy loads with one unless set.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .alpha import (
     AlphaResult,
     AlphaTableRow,
