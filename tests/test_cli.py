@@ -352,8 +352,11 @@ class TestNumpyOnlyRuntime:
         "    return sorted({n.partition('.')[0] for n in names} - allowed)\n"
     )
 
-    def child(self, code):
+    def child(self, code, blas_threads=None):
         env = dict(os.environ, PYTHONPATH=str(Path(stalkmech.__file__).resolve().parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
         return subprocess.run(
             [sys.executable, "-c", self.PRELUDE + code],
             env=env,
@@ -372,6 +375,14 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         # numpy.polynomial would add to every command's start-up time.
         assert proc.stdout.split() == ["[]", "False"]
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+    def test_numpy_starts_with_one_blas_thread_unless_set(self, given, expected):
+        proc = self.child(
+            "import os, stalkmech.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n", given
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [expected]
 
     def test_solvers_run_with_other_packages_blocked(self):
         proc = self.child(
