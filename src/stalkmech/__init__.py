@@ -9,8 +9,7 @@ theory-vs-measurement reports.
 
 import os
 
-# The package's linear algebra is tiny, so OpenBLAS worker threads would only
-# spin beside it for a command's first ~0.1 s; numpy loads with one unless set.
+# Numpy's OpenBLAS worker pool would only spin beside this package's tiny linear algebra.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .alpha import (
