@@ -8,8 +8,8 @@ elliptic integral of the first kind (Bisshopp & Drucker, Q. Appl. Math. 3,
 and k sin(phi_gamma) = sin(gamma/2). Its integrand is analytic and bounded
 by 1 / cos(gamma/2) for every rho >= 0, so a 32-node Gauss-Legendre rule
 is exact to rounding. Brent's method finds the unique root of the strictly
-increasing sqrt(alpha) - F, and one shooting pass from the closed-form base
-slope theta'(0) = 2 sqrt(alpha) k builds and checks the returned shape.
+increasing sqrt(alpha) - F. Its inverse is the shape in closed form,
+sin(theta / 2) = k sn(sqrt(alpha) s | k^2) (Frisch-Fay, Flexible Bars, 1962).
 """
 
 from __future__ import annotations
@@ -115,6 +115,21 @@ def _excess(alpha: float, surface_angle: float, radius_ratio: float) -> float:
     return math.sqrt(alpha) - phi * float(np.dot(_WEIGHTS, 1.0 / np.sqrt(1.0 - u * u)))
 
 
+def _amplitude(u: np.ndarray, m: float) -> np.ndarray:
+    """Jacobi amplitude am(u | m), 0 <= m <= 1: the AGM on m, then the descent on all of u."""
+    if m == 1.0:  # the AGM never converges here; am(u | 1) = gd(u)
+        return np.arctan(np.sinh(u))
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    ratios = []
+    while c > sys.float_info.epsilon * a:  # not 1e-16: a, b may stay 1 ulp apart, c/a ~ 1.05e-16
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+    phi = 2.0 ** len(ratios) * a * u  # DLMF 22.20(ii)
+    for ratio in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
+    return phi
+
+
 def _validate_angle(surface_angle: float) -> None:
     if not (0.0 <= surface_angle < 0.5 * math.pi):
         raise ValueError(
@@ -131,13 +146,14 @@ def solve_alpha_for_angle(
 
     Brackets alpha by doubling (up to ``config.alpha_bracket_max``) and
     finds the root of the first-integral excess by Brent's method; each
-    evaluation counts as an outer iteration. One shooting solve from the
-    closed-form base slope then gives the shape, whose tip angle must match
-    the target within ``config.angle_tolerance``.
+    evaluation counts as an outer iteration. The closed form then gives the
+    shape, whose tip slope and tip angle must match within
+    ``config.boundary_tolerance`` and ``config.angle_tolerance``.
 
     Raises UnreachableAngleError when the target exceeds the tip angle
-    attainable within the bracket bound, or when the shape misses it, and
-    ValueError for angles outside [0, pi/2).
+    attainable within the bracket bound, or when the shape misses it,
+    NoSolutionError when its tip slope misses, and ValueError for angles
+    outside [0, pi/2).
     """
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
@@ -166,8 +182,23 @@ def solve_alpha_for_angle(
 
     alpha_star = _brentq(excess, 0.0, hi, xtol=1e-12, maxiter=config.max_iterations)
     root = math.sqrt(alpha_star)
-    slope = root * math.hypot(2.0 * math.sin(0.5 * surface_angle), root * ratio)  # 2 sqrt(alpha) k
-    solution = solve_shape_shooting(NormalizedLoad(alpha_star), geometry, config, slope)
+    k = math.hypot(math.sin(0.5 * surface_angle), 0.5 * root * ratio)
+    s = np.linspace(0.0, 1.0, config.grid_points)
+    if k < 1.0:  # theta' = 2 sqrt(alpha) k cn(sqrt(alpha) s | k^2)
+        phi = _amplitude(root * s, k * k)
+        theta = 2.0 * np.arcsin(k * np.sin(phi))
+        tip_slope = 2.0 * root * k * math.cos(phi[-1])
+    else:  # reciprocal modulus: theta / 2 = am(k sqrt(alpha) s | 1 / k^2), theta' ~ dn
+        phi = _amplitude(k * root * s, 1.0 / (k * k))
+        theta = 2.0 * phi
+        tip_slope = 2.0 * root * k * math.sqrt(1.0 - (math.sin(phi[-1]) / k) ** 2)
+    residual = abs(tip_slope - alpha_star * ratio)
+    if residual > config.boundary_tolerance:
+        raise NoSolutionError(
+            f"boundary residual {residual:.3e} exceeds tolerance at alpha={alpha_star}",
+            last_residual=residual,
+        )
+    solution = ElasticaSolution(alpha_star, theta, float(theta[-1]), 2.0 * root * k, residual)
     achieved = solution.tip_angle
     if abs(achieved - surface_angle) > config.angle_tolerance:
         raise UnreachableAngleError(

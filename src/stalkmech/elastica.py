@@ -127,38 +127,10 @@ def _zero_solution(alpha: float, grid_points: int) -> ElasticaSolution:
     )
 
 
-def _secant_from_hint(residual, hint: float, config: SolverConfig) -> float | None:
-    """Secant iteration seeded at a known-good base slope.
-
-    Returns the converged slope, or None when the iteration leaves the
-    trust region around the hint (the caller then falls back to the
-    bracketed cold start). The residual is monotone near the root, so
-    convergence from a nearby hint takes a handful of evaluations.
-    """
-    a = hint
-    r_a = residual(a)
-    if abs(r_a) <= config.boundary_tolerance:
-        return a
-    b = hint * 1.002 + 1e-7
-    r_b = residual(b)
-    for _ in range(12):
-        if abs(r_b) <= config.boundary_tolerance:
-            return b
-        if not math.isfinite(r_b) or r_b == r_a:
-            return None
-        c_next = b - r_b * (b - a) / (r_b - r_a)
-        if not (0.0 < c_next < 8.0 * hint + 1.0):
-            return None
-        a, r_a = b, r_b
-        b, r_b = c_next, residual(c_next)
-    return None
-
-
 def solve_shape_shooting(
     load: NormalizedLoad,
     geometry: BeamGeometry,
     config: SolverConfig = DEFAULT_CONFIG,
-    initial_slope_hint: float | None = None,
 ) -> ElasticaSolution:
     """Solve the two-point boundary-value problem by shooting on theta'(0).
 
@@ -167,9 +139,6 @@ def solve_shape_shooting(
     ``config.boundary_tolerance``. A diverging trajectory counts as an
     arbitrarily large positive residual during the search, so the bracket
     contracts back into the physical branch.
-
-    ``initial_slope_hint`` shrinks the starting bracket around a known
-    nearby solution; it changes only the iteration count, never the result.
     """
     alpha = load.alpha
     if alpha == 0.0:
@@ -190,56 +159,51 @@ def solve_shape_shooting(
         last = (c, samples, om)
         return om - target
 
-    c_star = None
-    if initial_slope_hint is not None and initial_slope_hint > 0.0:
-        c_star = _secant_from_hint(residual, initial_slope_hint, config)
-
-    if c_star is None:
-        # Cold start: bracket the root, bisect, then polish with secant.
-        lo, r_lo = 0.0, -target  # c = 0 keeps the beam straight: theta'(1) = 0
-        hi = alpha * (geometry.radius_ratio + 1.0)
+    # Bracket the root, bisect, then polish with secant.
+    lo, r_lo = 0.0, -target  # c = 0 keeps the beam straight: theta'(1) = 0
+    hi = alpha * (geometry.radius_ratio + 1.0)
+    r_hi = residual(hi)
+    expansions = 0
+    while r_hi < 0.0:
+        expansions += 1
+        if expansions > config.max_iterations:
+            raise NoSolutionError(
+                f"no bracket for the base slope at alpha={alpha}", last_residual=r_hi
+            )
+        hi *= 2.0
         r_hi = residual(hi)
-        expansions = 0
-        while r_hi < 0.0:
-            expansions += 1
-            if expansions > config.max_iterations:
-                raise NoSolutionError(
-                    f"no bracket for the base slope at alpha={alpha}", last_residual=r_hi
-                )
-            hi *= 2.0
-            r_hi = residual(hi)
 
-        if r_hi == 0.0:
-            c_star = hi
-        else:
-            while hi - lo > _BISECTION_WIDTH:
-                mid = 0.5 * (lo + hi)
-                r_mid = residual(mid)
-                if r_mid < 0.0:
-                    lo, r_lo = mid, r_mid
-                else:
-                    hi, r_hi = mid, r_mid
-            # Secant polish from the bracket endpoints.
-            a, r_a = lo, r_lo
-            b, r_b = hi, r_hi
-            if math.isinf(r_b):
-                b, r_b = 0.5 * (lo + hi), residual(0.5 * (lo + hi))
-            iterations = 0
-            while abs(r_b) > config.boundary_tolerance:
-                iterations += 1
-                if iterations > config.max_iterations:
-                    raise NoSolutionError(
-                        f"secant polish stalled at alpha={alpha}", last_residual=r_b
-                    )
-                if r_b == r_a:
+    if r_hi == 0.0:
+        c_star = hi
+    else:
+        while hi - lo > _BISECTION_WIDTH:
+            mid = 0.5 * (lo + hi)
+            r_mid = residual(mid)
+            if r_mid < 0.0:
+                lo, r_lo = mid, r_mid
+            else:
+                hi, r_hi = mid, r_mid
+        # Secant polish from the bracket endpoints.
+        a, r_a = lo, r_lo
+        b, r_b = hi, r_hi
+        if math.isinf(r_b):
+            b, r_b = 0.5 * (lo + hi), residual(0.5 * (lo + hi))
+        iterations = 0
+        while abs(r_b) > config.boundary_tolerance:
+            iterations += 1
+            if iterations > config.max_iterations:
+                raise NoSolutionError(
+                    f"secant polish stalled at alpha={alpha}", last_residual=r_b
+                )
+            if r_b == r_a:
+                c_next = 0.5 * (a + b)
+            else:
+                c_next = b - r_b * (b - a) / (r_b - r_a)
+                if not (lo <= c_next <= hi):
                     c_next = 0.5 * (a + b)
-                else:
-                    c_next = b - r_b * (b - a) / (r_b - r_a)
-                    if not (lo <= c_next <= hi):
-                        c_next = 0.5 * (a + b)
-                a, r_a = b, r_b
-                b, r_b = c_next, residual(c_next)
-            c_star = b
+            a, r_a = b, r_b
+            b, r_b = c_next, residual(c_next)
+        c_star = b
 
     if last[0] != c_star:
         residual(c_star)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from stalkmech import (
     SolverConfig,
     UnreachableAngleError,
     generate_alpha_table,
+    integrate_elastica_ivp,
     linearized_alpha,
     solve_alpha_for_angle,
     solve_shape_oracle,
     solve_shape_shooting,
 )
-from stalkmech.alpha import _NODES, _WEIGHTS, _brentq
+from stalkmech.alpha import _NODES, _WEIGHTS, _amplitude, _brentq
 from stalkmech.geometry import NormalizedLoad
 
 # Reference required-load column at R/L = 0.5 for 15..75 degrees.
@@ -57,6 +59,52 @@ class TestQuadratureRule:
         nodes, weights = leggauss(32)
         assert np.allclose(_NODES, 0.5 * (nodes + 1.0), rtol=0.0, atol=1e-14)
         assert np.allclose(_WEIGHTS, 0.5 * weights, rtol=0.0, atol=1e-14)
+
+
+def incomplete_f(phi, m, panels=8):
+    """F(phi | m) by the module's 32-node rule on ``panels`` equal panels.
+
+    Eight panels keep the rule exact to rounding up to m = 0.999, where the
+    integrand peaks sharply near phi = pi/2.
+    """
+    t = (np.arange(panels)[:, None] + _NODES) * (phi / panels)
+    return phi / panels * float(np.sum(_WEIGHTS / np.sqrt(1.0 - m * np.sin(t) ** 2)))
+
+
+def amplitude_within(seconds, u, m):
+    """am(u | m), or None when it has not returned within ``seconds``."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_amplitude(u, m)), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    return out[0] if out else None
+
+
+class TestAmplitude:
+    U = np.linspace(0.0, 3.0, 61)
+
+    def test_zero_parameter_returns_the_argument(self):
+        assert np.array_equal(_amplitude(self.U, 0.0), self.U)
+
+    def test_unit_parameter_is_the_gudermannian_and_terminates(self):
+        am = amplitude_within(10.0, self.U, 1.0)
+        assert am is not None, "am(u | 1) did not return"
+        assert np.array_equal(am, np.arctan(np.sinh(self.U)))
+        # The AGM path meets the special case as m approaches 1.
+        near = _amplitude(self.U, 1.0 - 1e-12)
+        assert np.max(np.abs(near - am)) <= 1e-11
+
+    @pytest.mark.parametrize("m", [0.9531293398277989, 0.9999004793626809])
+    def test_agm_stops_when_its_means_settle_one_ulp_apart(self, m):
+        # For these parameters the AGM means end one unit in the last place
+        # apart, so c / a stays at about 1.05e-16 on every further step.
+        assert amplitude_within(10.0, self.U, m) is not None
+
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.999])
+    def test_inverts_the_incomplete_integral(self, m):
+        phi = np.linspace(0.0, 0.5 * math.pi, 41)[1:-1]
+        u = np.array([incomplete_f(p, m) for p in phi])
+        assert np.max(np.abs(_amplitude(u, m) - phi)) <= 1e-13
 
 
 class TestLinearizedOracle:
@@ -147,7 +195,9 @@ class TestSolveAlphaForAngle:
         ]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
 
-    def test_one_shooting_pass_per_solved_angle(self, half_ratio_geometry, config, monkeypatch):
+    def test_no_shooting_or_integration_per_solved_angle(
+        self, half_ratio_geometry, config, monkeypatch
+    ):
         counts = {"solves": 0, "passes": 0}
 
         def counted(function, key):
@@ -164,7 +214,7 @@ class TestSolveAlphaForAngle:
             stalkmech.elastica, "_rk4_tip", counted(stalkmech.elastica._rk4_tip, "passes")
         )
         solve_alpha_for_angle(math.radians(45.0), half_ratio_geometry, config)
-        assert counts == {"solves": 1, "passes": 1}
+        assert counts == {"solves": 0, "passes": 0}
 
     def test_pure_tip_force_takes_the_buckled_branch(self, config):
         # At R/L = 0 the straight beam solves every load; the bent branch
@@ -230,19 +280,46 @@ RATIOS = st.one_of(
 ANGLES = st.floats(min_value=0.0, max_value=math.radians(89.5), exclude_min=True)
 
 
+def check_round_trip(gamma, ratio):
+    """Solve one angle; check it against the target, cold shooting and RK4."""
+    config = SolverConfig()
+    geometry = BeamGeometry.from_ratio(ratio)
+    [row] = generate_alpha_table([gamma], geometry, config)
+    assert row.error is None
+    shape = row.result.inner_solution
+    assert abs(row.result.tip_angle_achieved - gamma) <= config.angle_tolerance
+    assert shape.boundary_residual <= 1e-10
+    # Integrating from the closed-form base slope reproduces the closed-form profile.
+    load = NormalizedLoad(row.alpha)
+    theta = integrate_elastica_ivp(load, shape.initial_slope, config.grid_points)
+    assert np.max(np.abs(theta - shape.theta_samples)) <= 1e-12
+    if ratio >= 0.05:
+        cold = solve_shape_shooting(load, geometry, config)
+        assert abs(cold.tip_angle - gamma) <= 1e-6
+    return row.result
+
+
 class TestWholeDomain:
     @given(gamma=ANGLES, ratio=RATIOS)
     @settings(max_examples=60, deadline=None)
     def test_every_angle_solves_and_round_trips(self, gamma, ratio):
-        config = SolverConfig()
-        geometry = BeamGeometry.from_ratio(ratio)
-        [row] = generate_alpha_table([gamma], geometry, config)
-        assert row.error is None
-        assert abs(row.result.tip_angle_achieved - gamma) <= config.angle_tolerance
-        assert row.result.inner_solution.boundary_residual <= 1e-10
-        if ratio >= 0.05:
-            cold = solve_shape_shooting(NormalizedLoad(row.alpha), geometry, config)
-            assert abs(cold.tip_angle - gamma) <= 1e-6
+        check_round_trip(gamma, ratio)
+
+    # Large pads at large angles put the modulus k at or above 1, where the
+    # shape takes the rotating (reciprocal-modulus) branch.
+    @given(
+        gamma=st.floats(min_value=math.radians(75.0), max_value=math.radians(89.5)),
+        ratio=st.floats(min_value=2.0, max_value=3.0),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_large_pads_at_large_angles_round_trip(self, gamma, ratio):
+        check_round_trip(gamma, ratio)
+
+    @pytest.mark.parametrize("ratio, k_min", [(2.0, 1.06), (3.0, 1.23)])
+    def test_rotating_branch_is_reached(self, ratio, k_min):
+        result = check_round_trip(math.radians(89.5), ratio)
+        k = result.inner_solution.initial_slope / (2.0 * math.sqrt(result.alpha))
+        assert k > k_min
 
     # Below R/L = 0.1, at large angles, relaxation converges to another
     # solution or not at all, so it is a reference only above that.

@@ -65,6 +65,15 @@ class TestAlphaTableCommand:
         assert "# parameter grid_points=1024\n" in out
         assert "# parameter alpha_bracket_max=10\n" in out
 
+    def test_coarse_grid_solves_every_row(self):
+        # The shape is exact at the nodes, so even 16 points meet the tip angle.
+        argv = ["alpha-table", "--angles", "15,45,85", "--radius-ratio", "0", "--grid-points", "16"]
+        status, out = run(argv)
+        assert status == 0
+        rows = csv_rows(out)
+        assert [r["error"] for r in rows] == ["", "", ""]
+        assert all(float(r["alpha"]) > math.pi**2 / 4.0 for r in rows)
+
     def test_out_of_domain_angle_marks_the_row(self):
         status, out = run(["alpha-table", "--angles", "0:90:45", "--radius-ratio", "0.5"])
         assert status == 0

@@ -77,17 +77,6 @@ class TestShooting:
         assert sol.boundary_residual <= config.boundary_tolerance
         assert sol.tip_angle == sol.theta_samples[-1]
 
-    def test_hint_does_not_change_the_solution(self, half_ratio_geometry, config):
-        cold = solve_shape_shooting(NormalizedLoad(1.03), half_ratio_geometry, config)
-        warm = solve_shape_shooting(
-            NormalizedLoad(1.03),
-            half_ratio_geometry,
-            config,
-            initial_slope_hint=cold.initial_slope * 1.04,
-        )
-        assert warm.initial_slope == pytest.approx(cold.initial_slope, abs=1e-9)
-        assert warm.boundary_residual <= config.boundary_tolerance
-
     def test_monotone_tip_response(self, half_ratio_geometry, config):
         # Strictly increasing tip angle over alpha in [0, 1.5], 0.05 steps.
         alphas = [0.05 * k for k in range(31)]
