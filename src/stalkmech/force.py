@@ -109,7 +109,7 @@ def calibrate_ei(
     if np.any(deflection < 0.0):
         raise CalibrationError("deflections must be non-negative")
     positive = deflection[deflection > 0.0]
-    if positive.size < 2 or np.unique(positive).size < 2:
+    if positive.size < 2 or positive.min() == positive.max():
         raise CalibrationError("need at least two distinct positive deflections")
 
     L = geometry.stalk_length

@@ -393,6 +393,19 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [expected]
 
+    def test_predict_force_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs about 15 ms to import, more than the solve itself.
+        bending = Path(__file__).resolve().parents[1] / "fixtures" / "bending" / "granular_20mm.csv"
+        proc = self.child(
+            "import io, stalkmech.cli\n"
+            "argv = ['predict-force', '--angles', '15:85:5', '--length-mm', '20',\n"
+            f"        '--pad-radius-mm', '10', '--bending-input', {str(bending)!r}]\n"
+            "assert stalkmech.cli.execute(argv, io.StringIO()) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
     def test_solvers_run_with_other_packages_blocked(self):
         proc = self.child(
             "class Block:\n"
