@@ -121,7 +121,7 @@ def _amplitude(u: np.ndarray, m: float) -> np.ndarray:
         return np.arctan(np.sinh(u))
     a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
     ratios = []
-    while c > sys.float_info.epsilon * a:  # not 1e-16: a, b may stay 1 ulp apart, c/a ~ 1.05e-16
+    while c > sys.float_info.epsilon * a:  # stop at eps: a, b can stay 1 ulp apart, c/a ~ 1.05e-16
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         ratios.append(c / a)
     phi = 2.0 ** len(ratios) * a * u  # DLMF 22.20(ii)
