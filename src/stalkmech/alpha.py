@@ -10,13 +10,16 @@ by 1 / cos(gamma/2) for every rho >= 0, so a 32-node Gauss-Legendre rule
 is exact to rounding. Brent's method finds the unique root of the strictly
 increasing sqrt(alpha) - F. Its inverse is the shape in closed form,
 sin(theta / 2) = k sn(sqrt(alpha) s | k^2) (Frisch-Fay, Flexible Bars, 1962).
+A load table reads only the tip of that shape, so the solver evaluates it
+at s = 1 alone; the whole grid is built when a caller first asks for it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +30,34 @@ from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
 
 @dataclass(frozen=True)
 class AlphaResult:
-    """Normalized load solving tip_angle(alpha) = surface_angle."""
+    """Normalized load solving tip_angle(alpha) = surface_angle.
+
+    ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|. The
+    sampled shape, ``inner_solution``, is built on first access from the
+    modulus k and the grid size, which are kept for it alone.
+    """
 
     surface_angle: float
     alpha: float
     tip_angle_achieved: float
     outer_iterations: int  # first-integral quadratures the root search evaluated
-    inner_solution: ElasticaSolution
+    boundary_residual: float
+    modulus: float = field(repr=False, compare=False)
+    grid_points: int = field(repr=False, compare=False)
+
+    @cached_property
+    def inner_solution(self) -> ElasticaSolution:
+        """The closed-form shape on ``grid_points`` nodes, its last node the solved tip."""
+        root = math.sqrt(self.alpha)
+        theta = _closed_form_theta(root, self.modulus, self.grid_points)
+        theta[-1] = self.tip_angle_achieved
+        return ElasticaSolution(
+            self.alpha,
+            theta,
+            self.tip_angle_achieved,
+            2.0 * root * self.modulus,
+            self.boundary_residual,
+        )
 
 
 @dataclass(frozen=True)
@@ -46,16 +70,19 @@ class AlphaTableRow:
     error: str | None = None
 
 
-def _brentq(f, a: float, b: float, xtol: float, maxiter: int) -> float:
+def _brentq(
+    f, a: float, b: float, xtol: float, maxiter: int, fb: float | None = None
+) -> float:
     """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     Secant or inverse quadratic steps while they shrink fast enough, else
     bisection, until half the bracket is below (xtol + 4 eps |x|) / 2. The
-    returned point is always one at which ``f`` was evaluated. Raises
-    ValueError for a same-sign bracket, NoSolutionError after ``maxiter``.
+    returned point is always one at which ``f`` was evaluated; ``fb``, when
+    given, is f(b) as the caller already evaluated it. Raises ValueError for
+    a same-sign bracket, NoSolutionError after ``maxiter``.
     """
     xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = f(xpre), f(xcur) if fb is None else fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -104,30 +131,71 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _NODES, _WEIGHTS = _gauss_legendre(32)
+_RULE = tuple(zip(_NODES.tolist(), _WEIGHTS.tolist()))
 
 
 def _excess(alpha: float, surface_angle: float, radius_ratio: float) -> float:
     """sqrt(alpha) - F(phi_gamma, k): negative while the load is too small."""
-    s = math.sin(0.5 * surface_angle)
-    c = 0.5 * math.sqrt(alpha) * radius_ratio  # k cos(phi_gamma)
+    sin, sqrt = math.sin, math.sqrt
+    s = sin(0.5 * surface_angle)
+    c = 0.5 * sqrt(alpha) * radius_ratio  # k cos(phi_gamma)
     phi = math.atan2(s, c)
-    u = math.hypot(s, c) * np.sin(phi * _NODES)  # k sin(phi)
-    return math.sqrt(alpha) - phi * float(np.dot(_WEIGHTS, 1.0 / np.sqrt(1.0 - u * u)))
+    k = math.hypot(s, c)
+    total = 0.0
+    for node, weight in _RULE:
+        u = k * sin(phi * node)  # k sin(phi)
+        total += weight / sqrt(1.0 - u * u)
+    return sqrt(alpha) - phi * total
+
+
+def _agm(m: float) -> tuple[float, list[float]]:
+    """Scale 2^n a_n and the ratios c_j / a_j of the AGM on m, 0 <= m < 1 (DLMF 22.20(ii))."""
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    ratios = []
+    while c > sys.float_info.epsilon * a:  # stop at eps: a, b can stay 1 ulp apart, c/a ~ 1.05e-16
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+    return 2.0 ** len(ratios) * a, ratios
 
 
 def _amplitude(u: np.ndarray, m: float) -> np.ndarray:
     """Jacobi amplitude am(u | m), 0 <= m <= 1: the AGM on m, then the descent on all of u."""
     if m == 1.0:  # the AGM never converges here; am(u | 1) = gd(u)
         return np.arctan(np.sinh(u))
-    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
-    ratios = []
-    while c > sys.float_info.epsilon * a:  # stop at eps: a, b can stay 1 ulp apart, c/a ~ 1.05e-16
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        ratios.append(c / a)
-    phi = 2.0 ** len(ratios) * a * u  # DLMF 22.20(ii)
+    scale, ratios = _agm(m)
+    phi = scale * u
     for ratio in reversed(ratios):
         phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
     return phi
+
+
+def _amplitude_at(u: float, m: float) -> float:
+    """:func:`_amplitude` at one point, in scalar arithmetic."""
+    if m == 1.0:
+        return math.atan(math.sinh(u))
+    scale, ratios = _agm(m)
+    phi = scale * u
+    for ratio in reversed(ratios):
+        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
+    return phi
+
+
+def _closed_form_tip(root: float, k: float) -> tuple[float, float]:
+    """theta(1) and theta'(1) of the closed-form shape for sqrt(alpha) = ``root``."""
+    if k < 1.0:  # theta' = 2 sqrt(alpha) k cn(sqrt(alpha) s | k^2)
+        phi = _amplitude_at(root, k * k)
+        return 2.0 * math.asin(k * math.sin(phi)), 2.0 * root * k * math.cos(phi)
+    # reciprocal modulus: theta / 2 = am(k sqrt(alpha) s | 1 / k^2), theta' ~ dn
+    phi = _amplitude_at(k * root, 1.0 / (k * k))
+    return 2.0 * phi, 2.0 * root * k * math.sqrt(1.0 - (math.sin(phi) / k) ** 2)
+
+
+def _closed_form_theta(root: float, k: float, grid_points: int) -> np.ndarray:
+    """theta on ``grid_points`` equispaced nodes of [0, 1], by the same closed form."""
+    s = np.linspace(0.0, 1.0, grid_points)
+    if k < 1.0:
+        return 2.0 * np.arcsin(k * np.sin(_amplitude(root * s, k * k)))
+    return 2.0 * _amplitude(k * root * s, 1.0 / (k * k))
 
 
 def _validate_angle(surface_angle: float) -> None:
@@ -147,8 +215,9 @@ def solve_alpha_for_angle(
     Brackets alpha by doubling (up to ``config.alpha_bracket_max``) and
     finds the root of the first-integral excess by Brent's method; each
     evaluation counts as an outer iteration. The closed form then gives the
-    shape, whose tip slope and tip angle must match within
-    ``config.boundary_tolerance`` and ``config.angle_tolerance``.
+    shape's tip, whose slope and angle must match within
+    ``config.boundary_tolerance`` and ``config.angle_tolerance``. Zero
+    angle is the zero load and the straight stalk.
 
     Raises UnreachableAngleError when the target exceeds the tip angle
     attainable within the bracket bound, or when the shape misses it,
@@ -157,8 +226,7 @@ def solve_alpha_for_angle(
     """
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
-        zero = solve_shape_shooting(NormalizedLoad(0.0), geometry, config)
-        return AlphaResult(0.0, 0.0, 0.0, 0, zero)
+        return AlphaResult(0.0, 0.0, 0.0, 0, 0.0, 0.0, config.grid_points)
 
     ratio = geometry.radius_ratio
     evals = 0
@@ -169,7 +237,7 @@ def solve_alpha_for_angle(
         return _excess(a, surface_angle, ratio)
 
     hi = min(0.5, config.alpha_bracket_max)
-    while excess(hi) < 0.0:
+    while (f_hi := excess(hi)) < 0.0:
         if hi >= config.alpha_bracket_max:
             tip_hi = solve_shape_shooting(NormalizedLoad(hi), geometry, config).tip_angle
             raise UnreachableAngleError(
@@ -180,33 +248,27 @@ def solve_alpha_for_angle(
             )
         hi = min(2.0 * hi, config.alpha_bracket_max)
 
-    alpha_star = _brentq(excess, 0.0, hi, xtol=1e-12, maxiter=config.max_iterations)
+    alpha_star = _brentq(
+        excess, 0.0, hi, xtol=1e-12, maxiter=config.max_iterations, fb=f_hi
+    )
     root = math.sqrt(alpha_star)
     k = math.hypot(math.sin(0.5 * surface_angle), 0.5 * root * ratio)
-    s = np.linspace(0.0, 1.0, config.grid_points)
-    if k < 1.0:  # theta' = 2 sqrt(alpha) k cn(sqrt(alpha) s | k^2)
-        phi = _amplitude(root * s, k * k)
-        theta = 2.0 * np.arcsin(k * np.sin(phi))
-        tip_slope = 2.0 * root * k * math.cos(phi[-1])
-    else:  # reciprocal modulus: theta / 2 = am(k sqrt(alpha) s | 1 / k^2), theta' ~ dn
-        phi = _amplitude(k * root * s, 1.0 / (k * k))
-        theta = 2.0 * phi
-        tip_slope = 2.0 * root * k * math.sqrt(1.0 - (math.sin(phi[-1]) / k) ** 2)
+    achieved, tip_slope = _closed_form_tip(root, k)
     residual = abs(tip_slope - alpha_star * ratio)
     if residual > config.boundary_tolerance:
         raise NoSolutionError(
             f"boundary residual {residual:.3e} exceeds tolerance at alpha={alpha_star}",
             last_residual=residual,
         )
-    solution = ElasticaSolution(alpha_star, theta, float(theta[-1]), 2.0 * root * k, residual)
-    achieved = solution.tip_angle
     if abs(achieved - surface_angle) > config.angle_tolerance:
         raise UnreachableAngleError(
             f"root search left tip angle {achieved:.8f} rad off target "
             f"{surface_angle:.8f} rad",
             max_tip_angle=achieved,
         )
-    return AlphaResult(surface_angle, alpha_star, achieved, evals, solution)
+    return AlphaResult(
+        surface_angle, alpha_star, achieved, evals, residual, k, config.grid_points
+    )
 
 
 def generate_alpha_table(
@@ -252,9 +314,10 @@ def linearized_alpha(surface_angle: float, geometry: BeamGeometry) -> float:
 
     lo = 1e-12
     hi = 0.5 * math.pi * (1.0 - 1e-12)
-    if f(hi) <= 0.0:
+    f_hi = f(hi)
+    if f_hi <= 0.0:
         raise OracleRangeError(
             f"no root below the tangent singularity for gamma*L/R = {target:g}"
         )
-    u = _brentq(f, lo, hi, xtol=1e-15, maxiter=100)
+    u = _brentq(f, lo, hi, xtol=1e-15, maxiter=100, fb=f_hi)
     return u * u

@@ -237,7 +237,7 @@ def _alpha_row(angle_deg: float, result: AlphaResult | None, error: str | None =
         "alpha": result.alpha,
         "tip_angle_deg": math.degrees(result.tip_angle_achieved),
         "outer_iterations": result.outer_iterations,
-        "boundary_residual": result.inner_solution.boundary_residual,
+        "boundary_residual": result.boundary_residual,
         "error": None,
     }
 

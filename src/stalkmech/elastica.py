@@ -183,6 +183,15 @@ def solve_shape_shooting(
                 lo, r_lo = mid, r_mid
             else:
                 hi, r_hi = mid, r_mid
+        if math.isinf(r_hi) and r_lo < 0.0:
+            # Every slope that could raise theta'(1) to the tip moment coils
+            # the stalk past MAX_ANGLE first.
+            raise NoSolutionError(
+                f"no shape within |theta| < 4 pi at alpha={alpha}: base slopes "
+                f"above {lo:.6g} coil past it, and theta'(1) = {r_lo + target:.4g} "
+                f"there stays below the tip moment {target:.4g}",
+                last_residual=r_lo,
+            )
         # Secant polish from the bracket endpoints.
         a, r_a = lo, r_lo
         b, r_b = hi, r_hi

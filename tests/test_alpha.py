@@ -1,3 +1,4 @@
+import io
 import math
 import threading
 
@@ -20,7 +21,15 @@ from stalkmech import (
     solve_shape_oracle,
     solve_shape_shooting,
 )
-from stalkmech.alpha import _NODES, _WEIGHTS, _amplitude, _brentq
+from stalkmech.alpha import (
+    _NODES,
+    _WEIGHTS,
+    _amplitude,
+    _amplitude_at,
+    _brentq,
+    _closed_form_theta,
+)
+from stalkmech.cli import execute
 from stalkmech.geometry import NormalizedLoad
 
 # Reference required-load column at R/L = 0.5 for 15..75 degrees.
@@ -105,6 +114,32 @@ class TestAmplitude:
         phi = np.linspace(0.0, 0.5 * math.pi, 41)[1:-1]
         u = np.array([incomplete_f(p, m) for p in phi])
         assert np.max(np.abs(_amplitude(u, m) - phi)) <= 1e-13
+
+    # The scalar and array forms run the same AGM and descent; only numpy's
+    # and the math module's sin and arcsin, each correct to an ulp, differ.
+    # The descent carries that to at most 2 ulps while m <= 0.99. Nearer 1
+    # it feeds arcsin arguments close to 1, which magnify it (up to 4 ulps
+    # at u <= 3 in 100,000 draws with 1 - m log-uniform); there the solver's
+    # own use is held by check_round_trip's tip check.
+    @staticmethod
+    def assert_scalar_matches_array(u, m):
+        nodes = _amplitude(u, m)
+        for x, node in zip(u.tolist(), nodes.tolist()):
+            assert abs(_amplitude_at(x, m) - node) <= 2.0 * math.ulp(node)
+
+    @pytest.mark.parametrize(
+        "m", [0.0, 1.0, 0.9531293398277989, 0.9999004793626809]
+    )
+    def test_scalar_form_matches_the_array_form(self, m):
+        self.assert_scalar_matches_array(self.U, m)
+
+    @given(
+        u=st.floats(min_value=0.0, max_value=3.2),
+        m=st.floats(min_value=0.0, max_value=0.99),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_form_matches_the_array_form_anywhere(self, u, m):
+        self.assert_scalar_matches_array(np.array([u]), m)
 
 
 class TestLinearizedOracle:
@@ -195,8 +230,9 @@ class TestSolveAlphaForAngle:
         ]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
 
+    @pytest.mark.parametrize("gamma_deg", [0.0, 45.0])
     def test_no_shooting_or_integration_per_solved_angle(
-        self, half_ratio_geometry, config, monkeypatch
+        self, half_ratio_geometry, config, monkeypatch, gamma_deg
     ):
         counts = {"solves": 0, "passes": 0}
 
@@ -213,8 +249,58 @@ class TestSolveAlphaForAngle:
         monkeypatch.setattr(
             stalkmech.elastica, "_rk4_tip", counted(stalkmech.elastica._rk4_tip, "passes")
         )
-        solve_alpha_for_angle(math.radians(45.0), half_ratio_geometry, config)
+        solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry, config)
         assert counts == {"solves": 0, "passes": 0}
+
+    def test_zero_angle_is_the_straight_stalk(self, half_ratio_geometry, config):
+        result = solve_alpha_for_angle(0.0, half_ratio_geometry, config)
+        assert (result.outer_iterations, result.boundary_residual) == (0, 0.0)
+        shape = result.inner_solution
+        assert np.array_equal(shape.theta_samples, np.zeros(config.grid_points))
+        assert (shape.initial_slope, shape.boundary_residual) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("gamma_deg", [15.0, 45.0, 75.0])
+    def test_each_quadrature_is_evaluated_once(
+        self, half_ratio_geometry, config, monkeypatch, gamma_deg
+    ):
+        # The doubling loop's last f(hi) is handed to Brent, not recomputed.
+        loads = []
+        excess = stalkmech.alpha._excess
+
+        def counted(alpha, *args):
+            loads.append(alpha)
+            return excess(alpha, *args)
+
+        monkeypatch.setattr(stalkmech.alpha, "_excess", counted)
+        result = solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry, config)
+        assert len(loads) == result.outer_iterations
+        assert len(set(loads)) == len(loads)
+
+    def test_shape_is_built_once_on_first_access(self, half_ratio_geometry, config):
+        result = solve_alpha_for_angle(math.radians(45.0), half_ratio_geometry, config)
+        assert "inner_solution" not in vars(result)
+        assert result.inner_solution is result.inner_solution
+        assert result.boundary_residual == result.inner_solution.boundary_residual
+        assert result.inner_solution.tip_angle == result.tip_angle_achieved
+
+    def test_load_tables_never_build_the_shape(
+        self, half_ratio_geometry, config, fixtures_dir, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(stalkmech.alpha, "_amplitude", lambda *args: calls.append(args))
+        angles = [math.radians(d) for d in (0.0, 15.0, 45.0, 85.0)]
+        assert all(row.error is None for row in generate_alpha_table(angles, half_ratio_geometry))
+        bending = str(fixtures_dir / "bending" / "granular_20mm.csv")
+        stalk = ["--length-mm", "20", "--pad-radius-mm", "10", "--bending-input", bending]
+        commands = [
+            ["alpha-table", "--angles", "0:75:15"],
+            ["predict-force", "--angles", "15:85:5", *stalk],
+            ["compare", "--manifest", str(fixtures_dir / "trials" / "manifest.csv"),
+             "--scenario", "20mm Granular", *stalk],
+        ]
+        for argv in commands:
+            assert execute(argv, io.StringIO()) == 0
+        assert calls == []
 
     def test_pure_tip_force_takes_the_buckled_branch(self, config):
         # At R/L = 0 the straight beam solves every load; the bent branch
@@ -286,8 +372,13 @@ def check_round_trip(gamma, ratio):
     geometry = BeamGeometry.from_ratio(ratio)
     [row] = generate_alpha_table([gamma], geometry, config)
     assert row.error is None
-    shape = row.result.inner_solution
-    assert abs(row.result.tip_angle_achieved - gamma) <= config.angle_tolerance
+    result = row.result
+    assert abs(result.tip_angle_achieved - gamma) <= config.angle_tolerance
+    # The grid's own closed-form value at s = 1, before the tip is placed on
+    # it, agrees with the scalar tip the solver checked.
+    grid = _closed_form_theta(math.sqrt(row.alpha), result.modulus, config.grid_points)
+    assert abs(grid[-1] - result.tip_angle_achieved) <= 1e-15
+    shape = result.inner_solution
     assert shape.boundary_residual <= 1e-10
     # Integrating from the closed-form base slope reproduces the closed-form profile.
     load = NormalizedLoad(row.alpha)
@@ -296,7 +387,7 @@ def check_round_trip(gamma, ratio):
     if ratio >= 0.05:
         cold = solve_shape_shooting(load, geometry, config)
         assert abs(cold.tip_angle - gamma) <= 1e-6
-    return row.result
+    return result
 
 
 class TestWholeDomain:

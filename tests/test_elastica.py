@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import stalkmech.elastica
 from stalkmech import (
     BeamGeometry,
     IntegrationDivergedError,
+    NoSolutionError,
     NormalizedLoad,
     SolverConfig,
     centerline,
@@ -13,7 +15,7 @@ from stalkmech import (
     solve_shape_oracle,
     solve_shape_shooting,
 )
-from stalkmech.elastica import _solve_tridiagonal
+from stalkmech.elastica import _BISECTION_WIDTH, _solve_tridiagonal
 
 # Normalized loads of the reference angle table at R/L = 0.5.
 TABLE_ALPHAS = [0.445, 0.772, 1.03, 1.254, 1.467]
@@ -85,6 +87,25 @@ class TestShooting:
             for a in alphas
         ]
         assert all(b > a for a, b in zip(tips, tips[1:]))
+
+    def test_coiled_stalk_names_the_coil_limit(self, config, monkeypatch):
+        # At alpha 8, R/L 2 the tip would sit near 937 degrees, past MAX_ANGLE.
+        slopes = []
+        rk4 = stalkmech.elastica._rk4_tip
+
+        def counted(alpha, initial_slope, *args):
+            slopes.append(initial_slope)
+            return rk4(alpha, initial_slope, *args)
+
+        monkeypatch.setattr(stalkmech.elastica, "_rk4_tip", counted)
+        with pytest.raises(NoSolutionError) as excinfo:
+            solve_shape_shooting(NormalizedLoad(8.0), BeamGeometry.from_ratio(2.0), config)
+        message = str(excinfo.value)
+        assert message.startswith("no shape within |theta| < 4 pi at alpha=8.0:")
+        assert "theta'(1) = 13.21 there stays below the tip moment 16" in message
+        # One pass at the first bracket end, alpha (R/L + 1) = 24, then one per
+        # bisection down to the width; no secant polish.
+        assert len(slopes) == 1 + math.ceil(math.log2(24.0 / _BISECTION_WIDTH))
 
     def test_grid_convergence_is_fourth_order(self, half_ratio_geometry):
         # Successive tip-angle differences shrink ~16x per grid doubling.
