@@ -5,10 +5,13 @@ tip data theta(1) = gamma, theta'(1) = alpha rho (rho = R/L) and
 sin(theta / 2) = k sin(phi), the arc-length condition becomes an incomplete
 elliptic integral of the first kind (Bisshopp & Drucker, Q. Appl. Math. 3,
 1945): sqrt(alpha) = F(phi_gamma, k), with k^2 = sin^2(gamma/2) + alpha rho^2 / 4
-and k sin(phi_gamma) = sin(gamma/2). Its integrand is analytic and bounded
-by 1 / cos(gamma/2) for every rho >= 0, so a 32-node Gauss-Legendre rule
-is exact to rounding. Brent's method finds the unique root of the strictly
-increasing sqrt(alpha) - F. Its inverse is the shape in closed form,
+and k sin(phi_gamma) = sin(gamma/2). In Carlson's symmetric form (DLMF
+19.25.5) F = sin(phi) R_F(cos^2 phi, 1 - k^2 sin^2 phi, 1), whose second
+argument is cos^2(gamma/2) for every load; duplication evaluates R_F to
+rounding in a few steps of square roots. As k >= sin(gamma/2), F never
+exceeds K(sin(gamma/2)), its value at rho = 0, so the unique root in
+sqrt(alpha) of the strictly increasing sqrt(alpha) - F lies in [0, K],
+where Brent's method finds it. Its inverse is the shape in closed form,
 sin(theta / 2) = k sn(sqrt(alpha) s | k^2) (Frisch-Fay, Flexible Bars, 1962).
 A load table reads only the tip of that shape, so the solver evaluates it
 at s = 1 alone; the whole grid is built when a caller first asks for it.
@@ -40,7 +43,7 @@ class AlphaResult:
     surface_angle: float
     alpha: float
     tip_angle_achieved: float
-    outer_iterations: int  # first-integral quadratures the root search evaluated
+    outer_iterations: int  # excess evaluations of the root search, K(s) not counted
     boundary_residual: float
     modulus: float = field(repr=False, compare=False)
     grid_points: int = field(repr=False, compare=False)
@@ -71,18 +74,21 @@ class AlphaTableRow:
 
 
 def _brentq(
-    f, a: float, b: float, xtol: float, maxiter: int, fb: float | None = None
+    f, a: float, b: float, xtol: float, maxiter: int,
+    fa: float | None = None, fb: float | None = None,
 ) -> float:
     """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     Secant or inverse quadratic steps while they shrink fast enough, else
     bisection, until half the bracket is below (xtol + 4 eps |x|) / 2. The
-    returned point is always one at which ``f`` was evaluated; ``fb``, when
-    given, is f(b) as the caller already evaluated it. Raises ValueError for
-    a same-sign bracket, NoSolutionError after ``maxiter``.
+    returned point is always one whose value of ``f`` is known; ``fa`` and
+    ``fb``, when given, are f(a) and f(b) as the caller already knows them,
+    and are not evaluated again. Raises ValueError for a same-sign bracket,
+    NoSolutionError after ``maxiter``.
     """
     xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur) if fb is None else fb
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -122,30 +128,41 @@ def _brentq(
     )
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule on [0, 1] by Golub-Welsch (Jacobi matrix eigenpairs)."""
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * (nodes + 1.0), vectors[0] ** 2
+# Carlson's (1995) stop rule for the fifth-order series: the spread of the
+# arguments, scaled by (3 eps)^(-1/6), falls below their mean.
+_RF_SPREAD = (3.0 * sys.float_info.epsilon) ** (-1.0 / 6.0)
 
 
-_NODES, _WEIGHTS = _gauss_legendre(32)
-_RULE = tuple(zip(_NODES.tolist(), _WEIGHTS.tolist()))
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's R_F(x, y, z), x, y, z >= 0 with at most one zero (DLMF 19.36(i)).
+
+    Each duplication step moves the three arguments a quarter of the way to
+    a common value; the series in their remaining spread then ends the sum.
+    """
+    sqrt = math.sqrt
+    mean = (x + y + z) / 3.0
+    spread = _RF_SPREAD * max(abs(mean - x), abs(mean - y), abs(mean - z))
+    while spread >= mean:
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        mean, spread = 0.25 * (mean + lam), 0.25 * spread
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -dx - dy
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(mean)
 
 
-def _excess(alpha: float, surface_angle: float, radius_ratio: float) -> float:
-    """sqrt(alpha) - F(phi_gamma, k): negative while the load is too small."""
-    sin, sqrt = math.sin, math.sqrt
-    s = sin(0.5 * surface_angle)
-    c = 0.5 * sqrt(alpha) * radius_ratio  # k cos(phi_gamma)
-    phi = math.atan2(s, c)
-    k = math.hypot(s, c)
-    total = 0.0
-    for node, weight in _RULE:
-        u = k * sin(phi * node)  # k sin(phi)
-        total += weight / sqrt(1.0 - u * u)
-    return sqrt(alpha) - phi * total
+def _excess(root: float, half_sine: float, half_cos2: float, radius_ratio: float) -> float:
+    """root - F(phi_gamma, k) at root = sqrt(alpha): negative while the load is too small.
+
+    ``half_sine`` and ``half_cos2`` are sin(gamma/2) and cos^2(gamma/2).
+    """
+    c = 0.5 * root * radius_ratio  # k cos(phi_gamma)
+    k = math.hypot(half_sine, c)
+    if k == 0.0:  # sin(gamma/2) underflowed and c = 0: phi_gamma = pi/2, as at R/L = 0
+        return root - _carlson_rf(0.0, half_cos2, 1.0)
+    return root - half_sine / k * _carlson_rf((c / k) ** 2, half_cos2, 1.0)
 
 
 def _agm(m: float) -> tuple[float, list[float]]:
@@ -212,15 +229,15 @@ def solve_alpha_for_angle(
 ) -> AlphaResult:
     """Normalized load alpha whose solved tip angle equals ``surface_angle``.
 
-    Brackets alpha by doubling (up to ``config.alpha_bracket_max``) and
-    finds the root of the first-integral excess by Brent's method; each
+    Finds the root of the first-integral excess in sqrt(alpha) by Brent's
+    method on [0, K(sin(gamma/2))], which holds it for every R/L; each
     evaluation counts as an outer iteration. The closed form then gives the
     shape's tip, whose slope and angle must match within
     ``config.boundary_tolerance`` and ``config.angle_tolerance``. Zero
     angle is the zero load and the straight stalk.
 
     Raises UnreachableAngleError when the target exceeds the tip angle
-    attainable within the bracket bound, or when the shape misses it,
+    attainable at ``config.alpha_bracket_max``, or when the shape misses it,
     NoSolutionError when its tip slope misses, and ValueError for angles
     outside [0, pi/2).
     """
@@ -228,31 +245,36 @@ def solve_alpha_for_angle(
     if surface_angle == 0.0:
         return AlphaResult(0.0, 0.0, 0.0, 0, 0.0, 0.0, config.grid_points)
 
+    half_sine = math.sin(0.5 * surface_angle)
+    half_cos2 = math.cos(0.5 * surface_angle) ** 2
     ratio = geometry.radius_ratio
     evals = 0
 
-    def excess(a: float) -> float:
+    def excess(root: float) -> float:
         nonlocal evals
         evals += 1
-        return _excess(a, surface_angle, ratio)
+        return _excess(root, half_sine, half_cos2, ratio)
 
-    hi = min(0.5, config.alpha_bracket_max)
-    while (f_hi := excess(hi)) < 0.0:
-        if hi >= config.alpha_bracket_max:
-            tip_hi = solve_shape_shooting(NormalizedLoad(hi), geometry, config).tip_angle
-            raise UnreachableAngleError(
-                f"tip angle {tip_hi:.6f} rad at alpha={hi:g} is below the "
-                f"requested {surface_angle:.6f} rad; raise alpha_bracket_max "
-                "if a solution is expected",
-                max_tip_angle=tip_hi,
-            )
-        hi = min(2.0 * hi, config.alpha_bracket_max)
+    # Substituting u = k sin(t) shows F(phi_gamma, k) <= K(sin(gamma/2)), with
+    # equality at R/L = 0: the excess is -K at sqrt(alpha) = 0 and >= 0 at K.
+    ceiling = _carlson_rf(0.0, half_cos2, 1.0)
+    hi = min(ceiling, math.sqrt(config.alpha_bracket_max))
+    f_hi = excess(hi)
+    if f_hi < 0.0 and hi < ceiling:
+        max_load = config.alpha_bracket_max
+        tip_hi = solve_shape_shooting(NormalizedLoad(max_load), geometry, config).tip_angle
+        raise UnreachableAngleError(
+            f"tip angle {tip_hi:.6f} rad at alpha={max_load:g} is below the "
+            f"requested {surface_angle:.6f} rad; raise alpha_bracket_max "
+            "if a solution is expected",
+            max_tip_angle=tip_hi,
+        )
 
-    alpha_star = _brentq(
-        excess, 0.0, hi, xtol=1e-12, maxiter=config.max_iterations, fb=f_hi
+    root = _brentq(
+        excess, 0.0, hi, xtol=1e-12, maxiter=config.max_iterations, fa=-ceiling, fb=f_hi
     )
-    root = math.sqrt(alpha_star)
-    k = math.hypot(math.sin(0.5 * surface_angle), 0.5 * root * ratio)
+    alpha_star = root * root
+    k = math.hypot(half_sine, 0.5 * root * ratio)
     achieved, tip_slope = _closed_form_tip(root, k)
     residual = abs(tip_slope - alpha_star * ratio)
     if residual > config.boundary_tolerance:

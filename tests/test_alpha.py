@@ -4,8 +4,9 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import stalkmech.alpha
 import stalkmech.elastica
@@ -22,11 +23,10 @@ from stalkmech import (
     solve_shape_shooting,
 )
 from stalkmech.alpha import (
-    _NODES,
-    _WEIGHTS,
     _amplitude,
     _amplitude_at,
     _brentq,
+    _carlson_rf,
     _closed_form_theta,
 )
 from stalkmech.cli import execute
@@ -57,27 +57,60 @@ class TestBrent:
             _brentq(lambda x: x**3 - 2.0, 0.0, 3.0, xtol=1e-12, maxiter=3)
 
 
-class TestQuadratureRule:
-    def test_monomials_up_to_degree_63_integrate_exactly(self):
-        moments = np.array([np.dot(_WEIGHTS, _NODES**k) for k in range(64)])
-        assert np.max(np.abs(moments - 1.0 / np.arange(1, 65))) <= 1e-14
-
-    def test_matches_the_numpy_rule(self):
-        from numpy.polynomial.legendre import leggauss
-
-        nodes, weights = leggauss(32)
-        assert np.allclose(_NODES, 0.5 * (nodes + 1.0), rtol=0.0, atol=1e-14)
-        assert np.allclose(_WEIGHTS, 0.5 * weights, rtol=0.0, atol=1e-14)
-
-
 def incomplete_f(phi, m, panels=8):
-    """F(phi | m) by the module's 32-node rule on ``panels`` equal panels.
+    """F(phi | m) by a 32-node Gauss-Legendre rule on ``panels`` equal panels.
 
-    Eight panels keep the rule exact to rounding up to m = 0.999, where the
-    integrand peaks sharply near phi = pi/2.
+    The rule comes from numpy, so it shares no code with the solver. Eight
+    panels keep it exact to rounding up to m = 0.999, where the integrand
+    peaks sharply near phi = pi/2.
     """
-    t = (np.arange(panels)[:, None] + _NODES) * (phi / panels)
-    return phi / panels * float(np.sum(_WEIGHTS / np.sqrt(1.0 - m * np.sin(t) ** 2)))
+    nodes, weights = leggauss(32)
+    t = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * (phi / panels)
+    return 0.5 * phi / panels * float(np.sum(weights / np.sqrt(1.0 - m * np.sin(t) ** 2)))
+
+
+def complete_k(half_angle):
+    """K(sin(half_angle)) = pi / (2 AGM(1, cos(half_angle))) (DLMF 19.8.5)."""
+    a, b = 1.0, math.cos(half_angle)
+    while a - b > math.ulp(a):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
+class TestCarlsonRF:
+    GAMMA_QUARTER = math.gamma(0.25) ** 2
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 7.0])
+    def test_equal_arguments(self, x):
+        assert _carlson_rf(x, x, x) == pytest.approx(x**-0.5, rel=2e-16)
+
+    @pytest.mark.parametrize("y", [0.25, 1.0, 3.0])
+    def test_two_equal_arguments_and_a_zero(self, y):
+        assert _carlson_rf(0.0, y, y) == pytest.approx(0.5 * math.pi / math.sqrt(y), rel=4e-16)
+
+    def test_lemniscate_value(self):
+        # DLMF 19.20.2: R_F(0, 1, 2) = Gamma(1/4)^2 / (4 sqrt(2 pi)).
+        expected = self.GAMMA_QUARTER / (4.0 * math.sqrt(2.0 * math.pi))
+        assert _carlson_rf(0.0, 1.0, 2.0) == pytest.approx(expected, rel=4e-16)
+
+    def test_complete_integral_at_the_right_angle(self):
+        # K(1/sqrt(2)) = R_F(0, 1/2, 1) = Gamma(1/4)^2 / (4 sqrt(pi)), at gamma = 90 degrees.
+        expected = self.GAMMA_QUARTER / (4.0 * math.sqrt(math.pi))
+        assert _carlson_rf(0.0, 0.5, 1.0) == pytest.approx(expected, rel=4e-16)
+        assert complete_k(0.25 * math.pi) == pytest.approx(expected, rel=4e-16)
+
+    # The solver's form of F(phi_gamma, k): sin(phi) = s / k, cos(phi) = c / k.
+    @given(
+        gamma=st.floats(min_value=1e-3, max_value=math.radians(89.5)),
+        c=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_incomplete_integral(self, gamma, c):
+        s = math.sin(0.5 * gamma)
+        k = math.hypot(s, c)
+        solver = s / k * _carlson_rf((c / k) ** 2, math.cos(0.5 * gamma) ** 2, 1.0)
+        reference = incomplete_f(math.atan2(s, c), k * k)
+        assert solver == pytest.approx(reference, rel=4e-15)
 
 
 def amplitude_within(seconds, u, m):
@@ -214,6 +247,19 @@ class TestSolveAlphaForAngle:
         linear = linearized_alpha(gamma, half_ratio_geometry)
         assert abs(nonlinear - linear) / linear <= rel_tol
 
+    # An absolute tolerance on alpha itself left these loads far off: 4.3e-3
+    # relative at 1e-10 rad and R/L = 3.
+    @given(
+        gamma=st.floats(min_value=-10.0, max_value=-4.0).map(lambda e: 10.0**e),
+        ratio=st.floats(min_value=0.05, max_value=3.0),
+    )
+    @example(gamma=1e-10, ratio=3.0)
+    @settings(max_examples=100, deadline=None)
+    def test_tiny_angles_match_the_closed_form(self, gamma, ratio):
+        geometry = BeamGeometry.from_ratio(ratio)
+        nonlinear = solve_alpha_for_angle(gamma, geometry).alpha
+        assert nonlinear == pytest.approx(linearized_alpha(gamma, geometry), rel=1e-6)
+
     @pytest.mark.parametrize("gamma_deg", [30.0, 45.0, 60.0, 75.0])
     def test_geometric_stiffening_beyond_the_linear_model(
         self, half_ratio_geometry, config, gamma_deg
@@ -263,7 +309,8 @@ class TestSolveAlphaForAngle:
     def test_each_quadrature_is_evaluated_once(
         self, half_ratio_geometry, config, monkeypatch, gamma_deg
     ):
-        # The doubling loop's last f(hi) is handed to Brent, not recomputed.
+        # Brent is handed both ends of the bracket: f(0) = -K is known
+        # without an evaluation and f(K) is not recomputed.
         loads = []
         excess = stalkmech.alpha._excess
 
@@ -275,6 +322,7 @@ class TestSolveAlphaForAngle:
         result = solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry, config)
         assert len(loads) == result.outer_iterations
         assert len(set(loads)) == len(loads)
+        assert 0.0 not in loads
 
     def test_shape_is_built_once_on_first_access(self, half_ratio_geometry, config):
         result = solve_alpha_for_angle(math.radians(45.0), half_ratio_geometry, config)
@@ -387,11 +435,25 @@ def check_round_trip(gamma, ratio):
     if ratio >= 0.05:
         cold = solve_shape_shooting(load, geometry, config)
         assert abs(cold.tip_angle - gamma) <= 1e-6
+    # The root search's bracket: alpha <= K(sin(gamma / 2))^2, reached in
+    # one evaluation at R/L = 0. The solver's R_F and this AGM each hold K
+    # within about 3 and 1.5 eps, hence the slack.
+    ceiling = complete_k(0.5 * gamma) ** 2
+    assert row.alpha <= ceiling * (1.0 + 2e-15)
+    if ratio == 0.0:
+        assert result.outer_iterations == 1
+        assert row.alpha == pytest.approx(ceiling, rel=2e-15)
     return result
 
 
 class TestWholeDomain:
+    # At these angles sin(gamma / 2)^2 underflows to 0 (at 5e-324 so does
+    # sin(gamma / 2) itself).
     @given(gamma=ANGLES, ratio=RATIOS)
+    @example(gamma=5e-324, ratio=0.0)
+    @example(gamma=5e-324, ratio=1.0)
+    @example(gamma=1.27e-207, ratio=0.0)
+    @example(gamma=1.27e-207, ratio=1.0)
     @settings(max_examples=60, deadline=None)
     def test_every_angle_solves_and_round_trips(self, gamma, ratio):
         check_round_trip(gamma, ratio)
