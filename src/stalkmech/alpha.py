@@ -23,12 +23,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .elastica import ElasticaSolution, solve_shape_shooting
 from .errors import NoSolutionError, SolverError, UnreachableAngleError, OracleRangeError
 from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,7 @@ def _agm(m: float) -> tuple[float, list[float]]:
 
 def _amplitude(u: np.ndarray, m: float) -> np.ndarray:
     """Jacobi amplitude am(u | m), 0 <= m <= 1: the AGM on m, then the descent on all of u."""
+    import numpy as np
     if m == 1.0:  # the AGM never converges here; am(u | 1) = gd(u)
         return np.arctan(np.sinh(u))
     scale, ratios = _agm(m)
@@ -209,6 +212,7 @@ def _closed_form_tip(root: float, k: float) -> tuple[float, float]:
 
 def _closed_form_theta(root: float, k: float, grid_points: int) -> np.ndarray:
     """theta on ``grid_points`` equispaced nodes of [0, 1], by the same closed form."""
+    import numpy as np
     s = np.linspace(0.0, 1.0, grid_points)
     if k < 1.0:
         return 2.0 * np.arcsin(k * np.sin(_amplitude(root * s, k * k)))

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import IntegrationDivergedError, NoSolutionError
 from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Abort integration beyond this angle: the stalk coiling several full turns
 # has no physical meaning and signals a runaway trajectory.
@@ -47,6 +49,7 @@ class ElasticaSolution:
     boundary_residual: float
 
     def __post_init__(self):
+        import numpy as np
         samples = np.asarray(self.theta_samples, dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "theta_samples", samples)
@@ -58,6 +61,7 @@ class ElasticaSolution:
     @property
     def grid(self) -> np.ndarray:
         """The normalized arc-length nodes the samples live on."""
+        import numpy as np
         return np.linspace(0.0, 1.0, len(self.theta_samples))
 
 
@@ -105,6 +109,7 @@ def integrate_elastica_ivp(
 
     Returns the tangent angle at each of ``grid_points`` equispaced nodes.
     """
+    import numpy as np
     if grid_points < 16:
         raise ValueError(f"grid_points must be >= 16, got {grid_points}")
     if not math.isfinite(initial_slope):
@@ -120,7 +125,7 @@ def integrate_elastica_ivp(
 def _zero_solution(alpha: float, grid_points: int) -> ElasticaSolution:
     return ElasticaSolution(
         alpha=alpha,
-        theta_samples=np.zeros(grid_points),
+        theta_samples=[0.0] * grid_points,
         tip_angle=0.0,
         initial_slope=0.0,
         boundary_residual=0.0,
@@ -217,7 +222,6 @@ def solve_shape_shooting(
     if last[0] != c_star:
         residual(c_star)
     _, samples, om = last
-    theta = np.asarray(samples)
     achieved = abs(om - target)
     if achieved > config.boundary_tolerance:
         raise NoSolutionError(
@@ -226,8 +230,8 @@ def solve_shape_shooting(
         )
     return ElasticaSolution(
         alpha=alpha,
-        theta_samples=theta,
-        tip_angle=float(theta[-1]),
+        theta_samples=samples,
+        tip_angle=samples[-1],
         initial_slope=c_star,
         boundary_residual=achieved,
     )
@@ -235,6 +239,7 @@ def solve_shape_shooting(
 
 def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Thomas sweep, no pivoting: lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]."""
+    import numpy as np
     lo, d, up, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
     n = len(d)
     for i in range(1, n):
@@ -249,6 +254,7 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 
 def _relaxation_guess(alpha: float, tip_slope: float, s: np.ndarray) -> np.ndarray:
     """Starting profile for Newton: the linearized shape where valid, else a ramp."""
+    import numpy as np
     u = math.sqrt(alpha)
     if u < 0.5 * math.pi - 0.1:
         amplitude = tip_slope / (u * math.cos(u))
@@ -273,6 +279,7 @@ def solve_shape_oracle(
     This route shares no code path with the shooting solver and serves as
     its independent cross-check.
     """
+    import numpy as np
     alpha = load.alpha
     if alpha == 0.0:
         return _zero_solution(alpha, config.grid_points)
@@ -362,6 +369,7 @@ def centerline(solution: ElasticaSolution) -> np.ndarray:
     1 by construction (inextensible beam). Returns an (n, 2) array of
     (x, y) points starting at the clamped base.
     """
+    import numpy as np
     theta = solution.theta_samples
     n = theta.shape[0]
     h = 1.0 / (n - 1)

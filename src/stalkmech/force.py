@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-import numpy as np
-
 from .alpha import generate_alpha_table
 from .errors import CalibrationError, TrialParseError
 from .geometry import DEFAULT_CONFIG, BeamGeometry, SolverConfig
@@ -99,21 +97,28 @@ def calibrate_ei(
     beyond ``SMALL_DEFLECTION_LIMIT`` of the stalk length trigger a
     warning, since the linear relation is marginal there.
     """
-    data = np.asarray(list(samples), dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
+    pairs = []
+    for sample in samples:
+        try:
+            deflection, force = sample
+            pairs.append((float(deflection), float(force)))
+        except (TypeError, ValueError):
+            raise CalibrationError("samples must be (deflection, force) pairs") from None
+    if not pairs:
         raise CalibrationError("samples must be (deflection, force) pairs")
-    deflection = data[:, 0]
-    force = data[:, 1]
-    if data.shape[0] < 2:
+    if not all(math.isfinite(d) and math.isfinite(f) for d, f in pairs):
+        raise CalibrationError("deflections and forces must be finite")
+    if len(pairs) < 2:
         raise CalibrationError("need at least two bending samples")
-    if np.any(deflection < 0.0):
+    deflections = [d for d, _ in pairs]
+    if min(deflections) < 0.0:
         raise CalibrationError("deflections must be non-negative")
-    positive = deflection[deflection > 0.0]
-    if positive.size < 2 or positive.min() == positive.max():
+    if len({d for d in deflections if d > 0.0}) < 2:
         raise CalibrationError("need at least two distinct positive deflections")
 
     L = geometry.stalk_length
-    max_ratio = float(np.max(deflection)) / L
+    top = max(deflections)
+    max_ratio = top / L
     if max_ratio > SMALL_DEFLECTION_LIMIT:
         warnings.warn(
             f"max deflection is {max_ratio:.2f} of the stalk length; the linear "
@@ -121,12 +126,14 @@ def calibrate_ei(
             stacklevel=2,
         )
 
-    slope = float(np.dot(force, deflection) / np.dot(deflection, deflection))
+    # In units of the largest deflection the sum of squares is at least 1, so it cannot underflow.
+    scaled = [(d / top, f) for d, f in pairs]
+    slope = sum(f * x for x, f in scaled) / sum(x * x for x, _ in scaled) / top
     if slope <= 0.0:
         raise CalibrationError(f"non-positive stiffness slope {slope:g}")
 
-    ss_res = float(np.sum((force - slope * deflection) ** 2))
-    ss_tot = float(np.sum(force**2))
+    ss_res = sum((f - slope * d) ** 2 for d, f in pairs)
+    ss_tot = sum(f * f for _, f in pairs)
     fit_quality = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
 
     return StiffnessCalibration(

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
 from .errors import TrialParseError, TrialValidationError
 from .units import m_to_mm_text, mm_cell_to_m
 
@@ -27,39 +25,49 @@ MANIFEST_HEADER = "file,scenario,angle_deg"
 DEFAULT_ATTACH_THRESHOLD_KPA = -50.0
 
 
+def _channel(name: str, values) -> tuple[float, ...]:
+    """One channel as a tuple of floats, from a flat list, tuple or array of numbers."""
+    if not isinstance(values, str) and getattr(values, "ndim", 1) == 1:
+        try:
+            return tuple(map(float, values))
+        except (TypeError, ValueError):
+            pass
+    raise TrialValidationError(f"channel {name} must be a flat sequence of numbers")
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One time series of a physical test, the unit of ingestion.
 
-    Channels are parallel arrays ordered by time. ``surface_angle`` is in
-    radians and optional (bending trials have none).
+    Channels are parallel tuples of floats ordered by time; any flat
+    sequence of numbers is accepted and stored as a tuple. ``surface_angle``
+    is in radians and optional (bending trials have none).
     """
 
     scenario: str
     surface_angle: float | None
-    time: np.ndarray
-    force: np.ndarray
-    displacement: np.ndarray
-    pressure: np.ndarray
+    time: tuple[float, ...]
+    force: tuple[float, ...]
+    displacement: tuple[float, ...]
+    pressure: tuple[float, ...]
 
     def __post_init__(self):
-        arrays = {}
+        channels = {}
         for name in ("time", "force", "displacement", "pressure"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-            arrays[name] = arr
-        n = arrays["time"].shape[0]
+            channel = _channel(name, getattr(self, name))
+            object.__setattr__(self, name, channel)
+            channels[name] = channel
+        n = len(self.time)
         if n < 1:
             raise TrialValidationError("a trial needs at least one sample")
-        for name, arr in arrays.items():
-            if arr.ndim != 1 or arr.shape[0] != n:
+        for name, channel in channels.items():
+            if len(channel) != n:
                 raise TrialValidationError(f"channel {name} has mismatched length")
-            if not np.all(np.isfinite(arr)):
+            if not all(map(math.isfinite, channel)):
                 raise TrialValidationError(f"channel {name} contains non-finite values")
-        if n > 1 and not np.all(np.diff(arrays["time"]) > 0.0):
+        if not all(a < b for a, b in zip(self.time, self.time[1:])):
             raise TrialValidationError("time must be strictly increasing")
-        if np.any(arrays["pressure"] > 0.0):
+        if any(p > 0.0 for p in self.pressure):
             raise TrialValidationError(
                 "positive pressure sample: trials use relative vacuum (<= 0 kPa)"
             )
@@ -68,7 +76,7 @@ class TrialRecord:
 
     @property
     def n_samples(self) -> int:
-        return self.time.shape[0]
+        return len(self.time)
 
 
 @dataclass(frozen=True)
@@ -146,10 +154,10 @@ def parse_trial(
     return TrialRecord(
         scenario=scenario,
         surface_angle=surface_angle,
-        time=np.asarray(time),
-        force=np.asarray(force),
-        displacement=np.asarray(displacement),
-        pressure=np.asarray(pressure),
+        time=time,
+        force=force,
+        displacement=displacement,
+        pressure=pressure,
     )
 
 
@@ -172,9 +180,7 @@ def serialize_trial(record: TrialRecord) -> str:
     """
     out = [TRIAL_HEADER]
     for t, f, d, p in zip(record.time, record.force, record.displacement, record.pressure):
-        out.append(
-            f"{float(t)!r},{float(f)!r},{m_to_mm_text(float(d))},{float(p)!r}"
-        )
+        out.append(f"{t!r},{f!r},{m_to_mm_text(d)},{p!r}")
     return "\n".join(out) + "\n"
 
 
@@ -187,15 +193,10 @@ def detect_attachment(
     """
     if not (threshold < 0.0):
         raise ValueError(f"threshold must be negative (vacuum), got {threshold}")
-    hits = np.nonzero(record.pressure <= threshold)[0]
-    if hits.size == 0:
-        return None
-    index = int(hits[0])
-    return AttachmentEvent(
-        sample_index=index,
-        time=float(record.time[index]),
-        pressure=float(record.pressure[index]),
-    )
+    for index, pressure in enumerate(record.pressure):
+        if pressure <= threshold:
+            return AttachmentEvent(index, record.time[index], pressure)
+    return None
 
 
 def adaptation_force(record: TrialRecord, event: AttachmentEvent) -> float:
@@ -208,7 +209,7 @@ def adaptation_force(record: TrialRecord, event: AttachmentEvent) -> float:
         raise ValueError(
             f"event index {event.sample_index} outside record of {record.n_samples} samples"
         )
-    return float(np.max(record.force[: event.sample_index + 1]))
+    return max(record.force[: event.sample_index + 1])
 
 
 def stiffness_at_deflection(record: TrialRecord, deflection: float) -> float:
@@ -221,20 +222,16 @@ def stiffness_at_deflection(record: TrialRecord, deflection: float) -> float:
     """
     d = record.displacement
     f = record.force
-    exact = np.nonzero(d == deflection)[0]
-    if exact.size:
-        return float(f[exact[0]])
-    below = d < deflection
-    above = d > deflection
-    crossing = np.nonzero(below[:-1] & above[1:] | above[:-1] & below[1:])[0]
-    if crossing.size == 0:
-        raise ValueError(
-            f"deflection {deflection:g} m outside the recorded range "
-            f"[{d.min():g}, {d.max():g}] m"
-        )
-    i = int(crossing[0])
-    frac = (deflection - d[i]) / (d[i + 1] - d[i])
-    return float(f[i] + frac * (f[i + 1] - f[i]))
+    if deflection in d:
+        return f[d.index(deflection)]
+    for i in range(len(d) - 1):
+        if d[i] < deflection < d[i + 1] or d[i] > deflection > d[i + 1]:
+            frac = (deflection - d[i]) / (d[i + 1] - d[i])
+            return f[i] + frac * (f[i + 1] - f[i])
+    raise ValueError(
+        f"deflection {deflection:g} m outside the recorded range "
+        f"[{min(d):g}, {max(d):g}] m"
+    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pytest
 
 import stalkmech
 from stalkmech.cli import execute, parse_angles_spec
+from test_golden import CASES, REPO
 
 
 def run(argv):
@@ -393,18 +394,47 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [expected]
 
-    def test_predict_force_leaves_numpy_ma_unloaded(self):
-        # numpy.ma costs about 15 ms to import, more than the solve itself.
-        bending = Path(__file__).resolve().parents[1] / "fixtures" / "bending" / "granular_20mm.csv"
-        proc = self.child(
-            "import io, stalkmech.cli\n"
-            "argv = ['predict-force', '--angles', '15:85:5', '--length-mm', '20',\n"
-            f"        '--pad-radius-mm', '10', '--bending-input', {str(bending)!r}]\n"
-            "assert stalkmech.cli.execute(argv, io.StringIO()) == 0\n"
-            "print('numpy.ma' in sys.modules)\n"
-        )
+    # numpy's import is about 40% of a command's wall time, so it loads only where
+    # an array is built: the shape, the oracle, and the shooting solve that the
+    # unreachable-angle message still runs (the two "alpha-max" cases).
+    NUMPY_FREE = [
+        "alpha-table", "alpha-table-json", "alpha-table-zero-radius", "solve", "calibrate",
+        "predict-force", "predict-force-json", "analyze", "analyze-per-angle", "compare",
+    ]
+
+    @pytest.mark.parametrize(
+        "code, loaded",
+        [
+            ("import stalkmech\nprint('numpy' in sys.modules)\n", ["False"]),
+            (
+                "import io, stalkmech.cli\n"
+                f"for argv in {[CASES[name] for name in NUMPY_FREE]!r}:\n"
+                "    assert stalkmech.cli.execute(argv, io.StringIO()) == 0\n"
+                "    print('numpy' in sys.modules)\n",
+                ["False"] * len(NUMPY_FREE),
+            ),
+            (
+                "import io, stalkmech.cli\n"
+                f"assert stalkmech.cli.execute({CASES['shape']!r}, io.StringIO()) == 0\n"
+                "print('numpy' in sys.modules)\n",
+                ["True"],
+            ),
+            (
+                "import math, stalkmech\n"
+                "geometry = stalkmech.BeamGeometry.from_ratio(0.5)\n"
+                "result = stalkmech.solve_alpha_for_angle(math.radians(45.0), geometry)\n"
+                "print('numpy' in sys.modules)\n"
+                "result.inner_solution\n"
+                "print('numpy' in sys.modules)\n",
+                ["False", "True"],
+            ),
+        ],
+        ids=["import", "converted-commands", "shape", "inner-solution"],
+    )
+    def test_numpy_loads_only_where_an_array_is_built(self, code, loaded):
+        proc = self.child(f"import os\nos.chdir({str(REPO)!r})\n" + code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
+        assert proc.stdout.split() == loaded
 
     def test_solvers_run_with_other_packages_blocked(self):
         proc = self.child(

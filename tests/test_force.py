@@ -84,6 +84,12 @@ class TestCalibration:
             cal.linear_slope * cal.stalk_length**3 / 3.0
         )
 
+    def test_deflections_whose_squares_underflow(self):
+        # d^2 underflows to 0 below about 1e-162 m; the fit must not divide by it.
+        samples = [(mm * 1e-170, 204.0 * mm * 1e-170) for mm in range(1, 6)]
+        cal = calibrate_ei(samples, GEOM_20MM)
+        assert cal.linear_slope == pytest.approx(204.0, rel=1e-12)
+
     def test_two_point_line_through_the_10mm_anchor(self):
         # 2.74 N at 5 mm on the 10 mm stalk: EI = 548 * 0.01^3 / 3.
         geom = BeamGeometry.from_millimeters(10.0, 10.0)
@@ -136,6 +142,25 @@ class TestCalibration:
     def test_repeated_single_deflection_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_ei([(0.004, 0.8), (0.004, 0.81)], GEOM_20MM)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[], [(0.001,), (0.002,)], [(0.001, 0.2, 0.0), (0.002, 0.4, 0.0)], [0.001, 0.002],
+         [(0.001, 0.2), (0.002,)], [(0.001, 0.2), ("x", 0.4)]],
+        ids=["empty", "1-tuples", "3-tuples", "bare-numbers", "ragged", "non-numeric"],
+    )
+    def test_samples_that_are_not_pairs(self, samples):
+        with pytest.raises(CalibrationError, match=r"^samples must be \(deflection, force\) pairs$"):
+            calibrate_ei(samples, GEOM_20MM)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_samples_rejected(self, bad, column, recwarn):
+        samples = [[0.001, 0.2], [0.002, 0.4], [0.003, 0.6]]
+        samples[1][column] = bad
+        with pytest.raises(CalibrationError, match="must be finite"):
+            calibrate_ei(samples, GEOM_20MM)
+        assert not recwarn.list
 
     def test_negative_deflection_rejected(self):
         with pytest.raises(CalibrationError):

@@ -67,12 +67,57 @@ class TestParse:
         with pytest.raises(TrialValidationError):
             parse_trial(content, "demo")
 
+    def test_two_loads_of_one_file_are_equal_and_hash_equal(self, fixtures_dir):
+        path = fixtures_dir / "trials" / "granular_20mm" / "angle85_rep1.csv"
+        first, second = load_trial(path), load_trial(path)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
     def test_comments_and_blank_lines_ignored(self):
         content = (
             "# preamble\n\ntime_s,force_N,displacement_mm,pressure_kPa\n"
             "# mid comment\n0,0,0,-8\n\n"
         )
         assert parse_trial(content, "demo").n_samples == 1
+
+
+GOOD_CHANNELS = {
+    "time": [0.0, 1.0],
+    "force": [0.1, 0.2],
+    "displacement": [0.0, 0.001],
+    "pressure": [-8.0, -55.0],
+}
+
+
+class TestChannelValidation:
+    @pytest.mark.parametrize(
+        "channel, values, message",
+        [
+            ("force", [[0.1], [0.2]], "channel force must be a flat sequence"),
+            ("force", np.zeros((2, 1)), "channel force must be a flat sequence"),
+            ("displacement", [0.0], "channel displacement has mismatched length"),
+            ("force", [0.1, math.nan], "channel force contains non-finite values"),
+            ("pressure", [-8.0, -math.inf], "channel pressure contains non-finite values"),
+            ("time", [1.0, 1.0], "time must be strictly increasing"),
+            ("pressure", [-8.0, 5.0], "positive pressure sample"),
+            ("time", 0.0, "channel time must be a flat sequence"),
+            ("force", 0.3, "channel force must be a flat sequence"),
+            ("time", None, "channel time must be a flat sequence"),
+            ("pressure", None, "channel pressure must be a flat sequence"),
+            ("force", ["a", "b"], "channel force must be a flat sequence"),
+            ("force", "12", "channel force must be a flat sequence"),
+        ],
+    )
+    def test_malformed_channel_is_a_validation_error(self, channel, values, message):
+        with pytest.raises(TrialValidationError, match=message):
+            TrialRecord("bad", None, **{**GOOD_CHANNELS, channel: values})
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.asarray])
+    def test_channels_are_stored_as_tuples_of_floats(self, kind):
+        rec = TrialRecord("ok", None, **{k: kind(v) for k, v in GOOD_CHANNELS.items()})
+        assert rec.force == (0.1, 0.2)
+        assert all(type(x) is float for x in rec.time + rec.pressure)
 
 
 class TestRoundTrip:
