@@ -5,6 +5,9 @@ compliant stalk conforms to an angled surface, converts the dimensionless
 load to physical adaptation force via calibrated bending stiffness, and
 reduces raw adaptation/bending test logs into scenario summaries and
 theory-vs-measurement reports.
+
+The public names load lazily (PEP 562): ``import stalkmech`` imports no
+submodule, and reading a name imports only the submodule that defines it.
 """
 
 import os
@@ -12,117 +15,57 @@ import os
 # Numpy's OpenBLAS worker pool would only spin beside this package's tiny linear algebra.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .alpha import (
-    AlphaResult,
-    AlphaTableRow,
-    generate_alpha_table,
-    linearized_alpha,
-    solve_alpha_for_angle,
-)
-from .analysis import (
-    AdaptationSummary,
-    AngleOutcome,
-    ComparisonRow,
-    TheoryComparison,
-    compare_theory,
-    summarize_scenario,
-)
-from .elastica import (
-    ElasticaSolution,
-    centerline,
-    integrate_elastica_ivp,
-    solve_shape_oracle,
-    solve_shape_shooting,
-)
-from .errors import (
-    CalibrationError,
-    CoverageError,
-    DataError,
-    IntegrationDivergedError,
-    NoSolutionError,
-    OracleRangeError,
-    SolverError,
-    StalkmechError,
-    TrialParseError,
-    TrialValidationError,
-    UnreachableAngleError,
-)
-from .force import (
-    AdaptationPrediction,
-    StiffnessCalibration,
-    alpha_to_force,
-    calibrate_ei,
-    force_to_alpha,
-    predict_force_curve,
-    read_bending_samples,
-)
-from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
-from .trials import (
-    DEFAULT_ATTACH_THRESHOLD_KPA,
-    AttachmentEvent,
-    ManifestEntry,
-    TrialRecord,
-    adaptation_force,
-    detect_attachment,
-    load_manifest_trials,
-    load_trial,
-    parse_trial,
-    read_manifest,
-    serialize_trial,
-    stiffness_at_deflection,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptationPrediction",
-    "AdaptationSummary",
-    "AlphaResult",
-    "AlphaTableRow",
-    "AngleOutcome",
-    "AttachmentEvent",
-    "BeamGeometry",
-    "CalibrationError",
-    "ComparisonRow",
-    "CoverageError",
-    "DataError",
-    "DEFAULT_ATTACH_THRESHOLD_KPA",
-    "DEFAULT_CONFIG",
-    "ElasticaSolution",
-    "IntegrationDivergedError",
-    "ManifestEntry",
-    "NoSolutionError",
-    "NormalizedLoad",
-    "OracleRangeError",
-    "SolverConfig",
-    "SolverError",
-    "StalkmechError",
-    "StiffnessCalibration",
-    "TheoryComparison",
-    "TrialParseError",
-    "TrialRecord",
-    "TrialValidationError",
-    "UnreachableAngleError",
-    "adaptation_force",
-    "alpha_to_force",
-    "calibrate_ei",
-    "centerline",
-    "compare_theory",
-    "detect_attachment",
-    "force_to_alpha",
-    "generate_alpha_table",
-    "integrate_elastica_ivp",
-    "linearized_alpha",
-    "load_manifest_trials",
-    "load_trial",
-    "parse_trial",
-    "predict_force_curve",
-    "read_bending_samples",
-    "read_manifest",
-    "serialize_trial",
-    "solve_alpha_for_angle",
-    "solve_shape_oracle",
-    "solve_shape_shooting",
-    "stiffness_at_deflection",
-    "summarize_scenario",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "alpha": (
+        "AlphaResult", "AlphaTableRow", "generate_alpha_table", "linearized_alpha",
+        "solve_alpha_for_angle",
+    ),
+    "analysis": (
+        "AdaptationSummary", "AngleOutcome", "ComparisonRow", "TheoryComparison",
+        "compare_theory", "summarize_scenario",
+    ),
+    "cli": (),
+    "elastica": (
+        "ElasticaSolution", "centerline", "integrate_elastica_ivp", "solve_shape_oracle",
+        "solve_shape_shooting",
+    ),
+    "errors": (
+        "CalibrationError", "CoverageError", "DataError", "IntegrationDivergedError",
+        "NoSolutionError", "OracleRangeError", "SolverError", "StalkmechError",
+        "TrialParseError", "TrialValidationError", "UnreachableAngleError",
+    ),
+    "force": (
+        "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
+        "force_to_alpha", "predict_force_curve", "read_bending_samples",
+    ),
+    "geometry": ("DEFAULT_CONFIG", "BeamGeometry", "NormalizedLoad", "SolverConfig"),
+    "trials": (
+        "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
+        "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
+        "parse_trial", "read_manifest", "serialize_trial", "stiffness_at_deflection",
+    ),
+    "units": (),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name``, or the submodule ``name`` itself."""
+    if name in _ORIGIN:
+        value = getattr(import_module(f".{_ORIGIN[name]}", __name__), name)
+        globals()[name] = value  # later reads skip this hook
+        return value
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)  # the import binds it here
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORIGIN, *_EXPORTS})

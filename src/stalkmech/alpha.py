@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .elastica import ElasticaSolution, solve_shape_shooting
 from .errors import NoSolutionError, SolverError, UnreachableAngleError, OracleRangeError
-from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
+from .geometry import DEFAULT_CONFIG, BeamGeometry, SolverConfig
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .elastica import ElasticaSolution
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,7 @@ class AlphaResult:
     @cached_property
     def inner_solution(self) -> ElasticaSolution:
         """The closed-form shape on ``grid_points`` nodes, its last node the solved tip."""
+        from .elastica import ElasticaSolution
         root = math.sqrt(self.alpha)
         theta = _closed_form_theta(root, self.modulus, self.grid_points)
         theta[-1] = self.tip_angle_achieved
@@ -219,6 +221,25 @@ def _closed_form_theta(root: float, k: float, grid_points: int) -> np.ndarray:
     return 2.0 * _amplitude(k * root * s, 1.0 / (k * k))
 
 
+def _tip_angle_at(
+    root: float, ratio: float, gamma: float, f_gamma: float, maxiter: int
+) -> float:
+    """Tip angle in [0, ``gamma``) that the load sqrt(alpha) = ``root`` reaches.
+
+    At a fixed load the excess decreases strictly in the angle; ``f_gamma`` < 0
+    is its value at ``gamma``. At angle 0 it is ``root`` for R/L > 0 and
+    root - pi/2 at R/L = 0, where a load below pi^2/4 leaves the stalk straight.
+    """
+
+    def excess(angle: float) -> float:
+        return _excess(root, math.sin(0.5 * angle), math.cos(0.5 * angle) ** 2, ratio)
+
+    f_zero = excess(0.0)
+    if f_zero <= 0.0:
+        return 0.0
+    return _brentq(excess, 0.0, gamma, xtol=1e-12, maxiter=maxiter, fa=f_zero, fb=f_gamma)
+
+
 def _validate_angle(surface_angle: float) -> None:
     if not (0.0 <= surface_angle < 0.5 * math.pi):
         raise ValueError(
@@ -265,10 +286,9 @@ def solve_alpha_for_angle(
     hi = min(ceiling, math.sqrt(config.alpha_bracket_max))
     f_hi = excess(hi)
     if f_hi < 0.0 and hi < ceiling:
-        max_load = config.alpha_bracket_max
-        tip_hi = solve_shape_shooting(NormalizedLoad(max_load), geometry, config).tip_angle
+        tip_hi = _tip_angle_at(hi, ratio, surface_angle, f_hi, config.max_iterations)
         raise UnreachableAngleError(
-            f"tip angle {tip_hi:.6f} rad at alpha={max_load:g} is below the "
+            f"tip angle {tip_hi:.6f} rad at alpha={config.alpha_bracket_max:g} is below the "
             f"requested {surface_angle:.6f} rad; raise alpha_bracket_max "
             "if a solution is expected",
             max_tip_angle=tip_hi,

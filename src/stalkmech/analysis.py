@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import CoverageError, TrialValidationError
-from .force import AdaptationPrediction
 from .trials import (
     DEFAULT_ATTACH_THRESHOLD_KPA,
     TrialRecord,
     adaptation_force,
     detect_attachment,
 )
+
+if TYPE_CHECKING:
+    from .force import AdaptationPrediction
 
 
 @dataclass(frozen=True)

@@ -290,7 +290,7 @@ class TestSolveAlphaForAngle:
             return wrapper
 
         monkeypatch.setattr(
-            stalkmech.alpha, "solve_shape_shooting", counted(solve_shape_shooting, "solves")
+            stalkmech.elastica, "solve_shape_shooting", counted(solve_shape_shooting, "solves")
         )
         monkeypatch.setattr(
             stalkmech.elastica, "_rk4_tip", counted(stalkmech.elastica._rk4_tip, "passes")
@@ -366,6 +366,27 @@ class TestSolveAlphaForAngle:
             solve_alpha_for_angle(math.radians(60.0), half_ratio_geometry, config)
         assert excinfo.value.max_tip_angle is not None
         assert 0.0 < excinfo.value.max_tip_angle < math.radians(60.0)
+
+    # R/L = 0 on both sides of the buckling load pi^2 / 4: below it the stalk stays straight.
+    @pytest.mark.parametrize(
+        "ratio, alpha_max, gamma_deg",
+        [
+            (0.0, 2.0, 30.0),
+            (0.0, 3.0, 80.0),
+            (1e-3, 0.05, 10.0),
+            (0.5, 0.5, 60.0),
+            (0.5, 1.0, 80.0),
+            (3.0, 0.01, 5.0),
+            (3.0, 0.1, 60.0),
+        ],
+    )
+    def test_unreachable_tip_matches_cold_shooting(self, ratio, alpha_max, gamma_deg):
+        geometry = BeamGeometry.from_ratio(ratio)
+        config = SolverConfig(alpha_bracket_max=alpha_max)
+        with pytest.raises(UnreachableAngleError) as excinfo:
+            solve_alpha_for_angle(math.radians(gamma_deg), geometry, config)
+        shot = solve_shape_shooting(NormalizedLoad(alpha_max), geometry, config).tip_angle
+        assert abs(excinfo.value.max_tip_angle - shot) <= 1e-10
 
     @pytest.mark.parametrize("gamma", [-0.01, math.pi / 2, 2.0])
     def test_angle_domain(self, half_ratio_geometry, config, gamma):

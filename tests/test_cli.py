@@ -395,11 +395,12 @@ class TestNumpyOnlyRuntime:
         assert proc.stdout.split() == [expected]
 
     # numpy's import is about 40% of a command's wall time, so it loads only where
-    # an array is built: the shape, the oracle, and the shooting solve that the
-    # unreachable-angle message still runs (the two "alpha-max" cases).
+    # an array is built: the shape and the oracle. Every golden command but
+    # `shape` runs without it, the unreachable-angle messages included.
     NUMPY_FREE = [
-        "alpha-table", "alpha-table-json", "alpha-table-zero-radius", "solve", "calibrate",
-        "predict-force", "predict-force-json", "analyze", "analyze-per-angle", "compare",
+        "alpha-table", "alpha-table-json", "alpha-table-unreachable", "alpha-table-zero-radius",
+        "solve", "calibrate", "predict-force", "predict-force-json", "predict-force-alpha-max",
+        "analyze", "analyze-per-angle", "compare",
     ]
 
     @pytest.mark.parametrize(
@@ -451,3 +452,119 @@ class TestNumpyOnlyRuntime:
             "stalkmech.linearized_alpha(math.radians(15.0), geometry)\n"
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestLazyNamespace:
+    """``import stalkmech`` loads no submodule; a name loads only the one defining it."""
+
+    child = TestNumpyOnlyRuntime.child
+    PRELUDE = TestNumpyOnlyRuntime.PRELUDE + (
+        "def loaded():\n"
+        "    return sorted(n.partition('.')[2] for n in sys.modules if n.startswith('stalkmech.'))\n"
+    )
+
+    # The public names, by the submodule that defines each.
+    EXPORTS = {
+        "alpha": [
+            "AlphaResult", "AlphaTableRow", "generate_alpha_table", "linearized_alpha",
+            "solve_alpha_for_angle",
+        ],
+        "analysis": [
+            "AdaptationSummary", "AngleOutcome", "ComparisonRow", "TheoryComparison",
+            "compare_theory", "summarize_scenario",
+        ],
+        "elastica": [
+            "ElasticaSolution", "centerline", "integrate_elastica_ivp", "solve_shape_oracle",
+            "solve_shape_shooting",
+        ],
+        "errors": [
+            "CalibrationError", "CoverageError", "DataError", "IntegrationDivergedError",
+            "NoSolutionError", "OracleRangeError", "SolverError", "StalkmechError",
+            "TrialParseError", "TrialValidationError", "UnreachableAngleError",
+        ],
+        "force": [
+            "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
+            "force_to_alpha", "predict_force_curve", "read_bending_samples",
+        ],
+        "geometry": ["DEFAULT_CONFIG", "BeamGeometry", "NormalizedLoad", "SolverConfig"],
+        "trials": [
+            "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
+            "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
+            "parse_trial", "read_manifest", "serialize_trial", "stiffness_at_deflection",
+        ],
+    }
+    NAMES = sorted(name for names in EXPORTS.values() for name in names)
+    SUBMODULES = sorted([*EXPORTS, "cli", "units"])
+
+    def run_child(self, code):
+        proc = self.child(f"import os\nos.chdir({str(REPO)!r})\n" + code)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_all_lists_the_fifty_names(self):
+        assert len(set(self.NAMES)) == 50
+        assert sorted(stalkmech.__all__) == self.NAMES
+
+    def test_names_resolve_to_their_defining_module(self):
+        lines = self.run_child(
+            "import importlib, stalkmech\n"
+            f"for module, names in {self.EXPORTS!r}.items():\n"
+            "    for name in names:\n"
+            "        value = getattr(stalkmech, name)\n"
+            "        assert value is vars(importlib.import_module('stalkmech.' + module))[name]\n"
+            "print('ok')\n"
+        )
+        assert lines == ["ok"]
+
+    def test_submodules_resolve_as_attributes(self):
+        lines = self.run_child(
+            "import stalkmech\n"
+            f"for module in {self.SUBMODULES!r}:\n"
+            "    print(getattr(stalkmech, module) is sys.modules['stalkmech.' + module])\n"
+        )
+        assert lines == ["True"] * len(self.SUBMODULES)
+
+    def test_star_import_and_dir_list_every_name(self):
+        lines = self.run_child(
+            "import stalkmech\n"
+            "print(sorted(set(dir(stalkmech)) & set(stalkmech.__all__)))\n"
+            "namespace = {}\n"
+            "exec('from stalkmech import *', namespace)\n"
+            "print(sorted(set(namespace) - {'__builtins__'}))\n"
+        )
+        assert lines == [str(self.NAMES)] * 2
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            stalkmech.no_such_name
+        with pytest.raises(ImportError, match="'no_such_name'"):
+            from stalkmech import no_such_name  # noqa: F401
+
+    # The CLI loads every submodule on purpose: the benchmark's tracer binds its
+    # spans on the names that stalkmech.cli imports.
+    @pytest.mark.parametrize(
+        "code, loaded",
+        [
+            ("import stalkmech\nprint(loaded())\n", [[]]),
+            (
+                "import math, stalkmech\n"
+                "geometry = stalkmech.BeamGeometry.from_ratio(0.5)\n"
+                "result = stalkmech.solve_alpha_for_angle(math.radians(45.0), geometry)\n"
+                "print(loaded())\n"
+                "result.inner_solution\n"
+                "print(loaded())\n",
+                [["alpha", "errors", "geometry"], ["alpha", "elastica", "errors", "geometry"]],
+            ),
+            (
+                "from stalkmech import load_manifest_trials, summarize_scenario\n"
+                "trials = load_manifest_trials('fixtures/trials/manifest.csv')\n"
+                "summarize_scenario([t for t in trials if t.scenario == '20mm Granular'])\n"
+                "print(loaded())\n",
+                [["analysis", "errors", "trials", "units"]],
+            ),
+            ("import stalkmech.cli\nprint(loaded())\n", [SUBMODULES]),
+        ],
+        ids=["import", "solve", "summarize", "cli"],
+    )
+    def test_each_entry_point_loads_only_the_submodules_it_reaches(self, code, loaded):
+        assert self.run_child(code) == [str(modules) for modules in loaded]
