@@ -2,8 +2,10 @@
 
 Each case runs through ``stalkmech.cli.execute`` from the repository root
 and must reproduce its file under ``tests/golden/`` byte for byte: the
-first line holds the exit status, the rest is stdout. A change that moves
-any printed digit, column or parameter echo fails here.
+first line holds the exit status, the rest is stdout, followed by a
+``stderr:`` section when the command writes to standard error. A change
+that moves any printed digit, column, parameter echo or error message
+fails here.
 
 Regenerate every file from the current code with
 
@@ -12,6 +14,7 @@ Regenerate every file from the current code with
 and review the diff before committing it.
 """
 
+import contextlib
 import io
 import os
 from pathlib import Path
@@ -37,6 +40,9 @@ CASES = {
     "alpha-table-zero-radius": ["alpha-table", "--angles", "0:75:15", "--radius-ratio", "0"],
     "solve": ["solve", "--gamma-deg", "45"],
     "shape": ["shape", "--alpha", "1.03"],
+    "shape-rotating": ["shape", "--alpha", "4", "--radius-ratio", "1"],
+    "shape-zero-radius": ["shape", "--alpha", "3", "--radius-ratio", "0"],
+    "shape-coil": ["shape", "--alpha", "8", "--radius-ratio", "2"],
     "calibrate": ["calibrate", "--input", BENDING, "--length-mm", "20"],
     "predict-force": PREDICT,
     "predict-force-json": [*PREDICT, "--format", "json"],
@@ -51,10 +57,14 @@ CASES = {
 
 
 def render(argv: list[str]) -> str:
-    """Exit status line followed by stdout, run from the repository root."""
-    stream = io.StringIO()
-    status = execute(argv, stream)
-    return f"exit {status}\n{stream.getvalue()}"
+    """Exit status line, stdout, then stderr if any; run from the repository root."""
+    stream, errors = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(errors):
+        status = execute(argv, stream)
+    text = f"exit {status}\n{stream.getvalue()}"
+    if errors.getvalue():
+        text += f"stderr:\n{errors.getvalue()}"
+    return text
 
 
 def golden_path(name: str) -> Path:
