@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .alpha import _brentq
 from .errors import IntegrationDivergedError, NoSolutionError
 from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
 
@@ -28,7 +29,7 @@ if TYPE_CHECKING:
 # has no physical meaning and signals a runaway trajectory.
 MAX_ANGLE = 4.0 * math.pi
 
-# Width below which bisection hands the bracket to the secant polish.
+# Width below which bisection off a divergent or straight bracket end stops.
 _BISECTION_WIDTH = 1e-6
 
 
@@ -139,11 +140,13 @@ def solve_shape_shooting(
 ) -> ElasticaSolution:
     """Solve the two-point boundary-value problem by shooting on theta'(0).
 
-    The unknown base slope is found by bracketed bisection on the residual
-    r(c) = theta'(1) - alpha R / L, followed by a secant polish down to
-    ``config.boundary_tolerance``. A diverging trajectory counts as an
-    arbitrarily large positive residual during the search, so the bracket
-    contracts back into the physical branch.
+    The unknown base slope is the root of the residual r(c) = theta'(1) -
+    alpha R / L, bracketed by doubling from c = 0. A diverging trajectory
+    counts as an infinite positive residual, so bisection first contracts
+    the bracket back into the physical branch; at R/L = 0 it also moves the
+    lower end off the straight stalk. Brent's method then runs to machine
+    precision, and the achieved residual must be within
+    ``config.boundary_tolerance``.
     """
     alpha = load.alpha
     if alpha == 0.0:
@@ -164,7 +167,7 @@ def solve_shape_shooting(
         last = (c, samples, om)
         return om - target
 
-    # Bracket the root, bisect, then polish with secant.
+    # Bracket the root, bisect off the divergent and straight ends, then Brent.
     lo, r_lo = 0.0, -target  # c = 0 keeps the beam straight: theta'(1) = 0
     hi = alpha * (geometry.radius_ratio + 1.0)
     r_hi = residual(hi)
@@ -178,46 +181,27 @@ def solve_shape_shooting(
         hi *= 2.0
         r_hi = residual(hi)
 
-    if r_hi == 0.0:
-        c_star = hi
-    else:
-        while hi - lo > _BISECTION_WIDTH:
-            mid = 0.5 * (lo + hi)
-            r_mid = residual(mid)
-            if r_mid < 0.0:
-                lo, r_lo = mid, r_mid
-            else:
-                hi, r_hi = mid, r_mid
-        if math.isinf(r_hi) and r_lo < 0.0:
-            # Every slope that could raise theta'(1) to the tip moment coils
-            # the stalk past MAX_ANGLE first.
-            raise NoSolutionError(
-                f"no shape within |theta| < 4 pi at alpha={alpha}: base slopes "
-                f"above {lo:.6g} coil past it, and theta'(1) = {r_lo + target:.4g} "
-                f"there stays below the tip moment {target:.4g}",
-                last_residual=r_lo,
-            )
-        # Secant polish from the bracket endpoints.
-        a, r_a = lo, r_lo
-        b, r_b = hi, r_hi
-        if math.isinf(r_b):
-            b, r_b = 0.5 * (lo + hi), residual(0.5 * (lo + hi))
-        iterations = 0
-        while abs(r_b) > config.boundary_tolerance:
-            iterations += 1
-            if iterations > config.max_iterations:
-                raise NoSolutionError(
-                    f"secant polish stalled at alpha={alpha}", last_residual=r_b
-                )
-            if r_b == r_a:
-                c_next = 0.5 * (a + b)
-            else:
-                c_next = b - r_b * (b - a) / (r_b - r_a)
-                if not (lo <= c_next <= hi):
-                    c_next = 0.5 * (a + b)
-            a, r_a = b, r_b
-            b, r_b = c_next, residual(c_next)
-        c_star = b
+    # Brent cannot interpolate through an infinite residual, and at R/L = 0 it
+    # would return the straight stalk's root c = 0 at once.
+    while (math.isinf(r_hi) or r_lo == 0.0) and hi - lo > _BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        r_mid = residual(mid)
+        if r_mid < 0.0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+    if math.isinf(r_hi) and r_lo < 0.0:
+        # Every slope that could raise theta'(1) to the tip moment coils
+        # the stalk past MAX_ANGLE first.
+        raise NoSolutionError(
+            f"no shape within |theta| < 4 pi at alpha={alpha}: base slopes "
+            f"above {lo:.6g} coil past it, and theta'(1) = {r_lo + target:.4g} "
+            f"there stays below the tip moment {target:.4g}",
+            last_residual=r_lo,
+        )
+    c_star = _brentq(
+        residual, lo, hi, xtol=0.0, maxiter=config.max_iterations, fa=r_lo, fb=r_hi
+    )
 
     if last[0] != c_star:
         residual(c_star)

@@ -88,8 +88,9 @@ class TestShooting:
         ]
         assert all(b > a for a, b in zip(tips, tips[1:]))
 
-    def test_coiled_stalk_names_the_coil_limit(self, config, monkeypatch):
-        # At alpha 8, R/L 2 the tip would sit near 937 degrees, past MAX_ANGLE.
+    @pytest.fixture
+    def slopes(self, monkeypatch):
+        """The base slope of every RK4 pass that shooting makes."""
         slopes = []
         rk4 = stalkmech.elastica._rk4_tip
 
@@ -98,13 +99,23 @@ class TestShooting:
             return rk4(alpha, initial_slope, *args)
 
         monkeypatch.setattr(stalkmech.elastica, "_rk4_tip", counted)
+        return slopes
+
+    def test_cold_solve_takes_few_integrations(self, half_ratio_geometry, config, slopes):
+        # One pass at the first bracket end, alpha (R/L + 1) = 1.545, which
+        # already brackets the root, then Brent's steps to machine precision.
+        solve_shape_shooting(NormalizedLoad(1.03), half_ratio_geometry, config)
+        assert len(slopes) <= 10
+
+    def test_coiled_stalk_names_the_coil_limit(self, config, slopes):
+        # At alpha 8, R/L 2 the tip would sit near 937 degrees, past MAX_ANGLE.
         with pytest.raises(NoSolutionError) as excinfo:
             solve_shape_shooting(NormalizedLoad(8.0), BeamGeometry.from_ratio(2.0), config)
         message = str(excinfo.value)
         assert message.startswith("no shape within |theta| < 4 pi at alpha=8.0:")
         assert "theta'(1) = 13.21 there stays below the tip moment 16" in message
         # One pass at the first bracket end, alpha (R/L + 1) = 24, then one per
-        # bisection down to the width; no secant polish.
+        # bisection down to the width; the error comes before any Brent step.
         assert len(slopes) == 1 + math.ceil(math.log2(24.0 / _BISECTION_WIDTH))
 
     def test_grid_convergence_is_fourth_order(self, half_ratio_geometry):
