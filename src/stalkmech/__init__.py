@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "force": (
         "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
-        "force_to_alpha", "predict_force_curve", "read_bending_samples",
+        "predict_force_curve", "read_bending_samples",
     ),
     "geometry": ("DEFAULT_CONFIG", "BeamGeometry", "NormalizedLoad", "SolverConfig"),
     "trials": (

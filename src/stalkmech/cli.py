@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .alpha import AlphaResult, generate_alpha_table, solve_alpha_for_angle
 from .analysis import compare_theory, summarize_scenario
@@ -126,7 +126,11 @@ def parse_angles_spec(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"angle range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        bounds = [float(p) for p in parts]
+        for name, value in zip(("start", "stop", "step"), bounds):
+            if not math.isfinite(value):
+                raise ValueError(f"angle range {name} must be finite, got {value}")
+        start, stop, step = bounds
         if step <= 0:
             raise ValueError("angle step must be positive")
         if stop < start:
@@ -173,16 +177,6 @@ def _geometry_parameters(geometry: BeamGeometry) -> dict:
         "stalk_length_mm": geometry.stalk_length * 1e3,
         "pad_radius_mm": geometry.pad_radius * 1e3,
         "radius_ratio": geometry.radius_ratio,
-    }
-
-
-def _config_parameters(config: SolverConfig) -> dict:
-    return {
-        "grid_points": config.grid_points,
-        "boundary_tolerance": config.boundary_tolerance,
-        "max_iterations": config.max_iterations,
-        "alpha_bracket_max": config.alpha_bracket_max,
-        "angle_tolerance": config.angle_tolerance,
     }
 
 
@@ -251,7 +245,7 @@ def cmd_alpha_table(args) -> OutputDocument:
     parameters = {
         "angles_deg": angles_deg,
         **_geometry_parameters(geometry),
-        **_config_parameters(config),
+        **asdict(config),
     }
     return OutputDocument("alpha-table", parameters, ALPHA_COLUMNS, rows)
 
@@ -264,7 +258,7 @@ def cmd_solve(args) -> OutputDocument:
     parameters = {
         "gamma_deg": args.gamma_deg,
         **_geometry_parameters(geometry),
-        **_config_parameters(config),
+        **asdict(config),
     }
     return OutputDocument("solve", parameters, ALPHA_COLUMNS, rows)
 
@@ -290,7 +284,7 @@ def cmd_shape(args) -> OutputDocument:
         "alpha": args.alpha,
         "tip_angle_deg": math.degrees(solution.tip_angle),
         **_geometry_parameters(geometry),
-        **_config_parameters(config),
+        **asdict(config),
     }
     return OutputDocument("shape", parameters, ["s", "theta_rad", "x", "y"], rows)
 
@@ -346,7 +340,7 @@ def cmd_predict_force(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **_config_parameters(config),
+        **asdict(config),
     }
     return OutputDocument(
         "predict-force",
@@ -475,7 +469,7 @@ def cmd_compare(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **_config_parameters(config),
+        **asdict(config),
     }
     aggregates = {"mean_abs_relative_error": comparison.mean_abs_relative_error}
     return OutputDocument(

@@ -45,8 +45,8 @@ class StiffnessCalibration:
     stalk_length: float
 
     def __post_init__(self):
-        if not (self.flexural_rigidity > 0.0):
-            raise ValueError("flexural_rigidity must be positive")
+        if not (0.0 < self.flexural_rigidity < math.inf):
+            raise ValueError("flexural_rigidity must be positive and finite")
         if not (0.0 <= self.fit_quality <= 1.0):
             raise ValueError("fit_quality must be within [0, 1]")
 
@@ -73,15 +73,6 @@ def alpha_to_force(
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     return alpha * calibration.flexural_rigidity / geometry.stalk_length**2
-
-
-def force_to_alpha(
-    force: float, calibration: StiffnessCalibration, geometry: BeamGeometry
-) -> float:
-    """Inverse of :func:`alpha_to_force`: alpha = F L^2 / EI."""
-    if force < 0.0:
-        raise ValueError(f"force must be >= 0, got {force}")
-    return force * geometry.stalk_length**2 / calibration.flexural_rigidity
 
 
 def calibrate_ei(

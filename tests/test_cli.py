@@ -41,6 +41,19 @@ class TestAngleSpec:
         with pytest.raises(ValueError):
             parse_angles_spec("10:0:5")
 
+    @pytest.mark.parametrize(
+        "spec, name",
+        [("0:inf:1", "stop"), ("0:1:inf", "step"), ("nan:1:1", "start")],
+    )
+    def test_non_finite_range_bound_is_named(self, spec, name):
+        with pytest.raises(ValueError, match=f"angle range {name} must be finite"):
+            parse_angles_spec(spec)
+
+    def test_non_finite_range_is_a_domain_error(self, capsys):
+        status, out = run(["alpha-table", "--angles", "0:inf:1"])
+        assert (status, out) == (1, "")
+        assert "angle range stop must be finite, got inf" in capsys.readouterr().err
+
 
 class TestAlphaTableCommand:
     def test_reference_column(self):
@@ -191,6 +204,12 @@ class TestPredictForceCommand:
         forces = [float(r["force_N"]) for r in rows]
         assert forces[2] == pytest.approx(1.40, rel=0.03)
         assert forces == sorted(forces)
+
+    def test_infinite_ei_is_rejected(self, capsys):
+        argv = ["predict-force", "--angles", "45", "--length-mm", "20", "--ei-nm2", "inf"]
+        status, out = run(argv)
+        assert (status, out) == (1, "")
+        assert "flexural_rigidity must be positive and finite" in capsys.readouterr().err
 
     def test_bending_input_equivalent(self, fixtures_dir):
         argv_common = [
@@ -484,7 +503,7 @@ class TestLazyNamespace:
         ],
         "force": [
             "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
-            "force_to_alpha", "predict_force_curve", "read_bending_samples",
+            "predict_force_curve", "read_bending_samples",
         ],
         "geometry": ["DEFAULT_CONFIG", "BeamGeometry", "NormalizedLoad", "SolverConfig"],
         "trials": [
@@ -501,8 +520,8 @@ class TestLazyNamespace:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    def test_all_lists_the_fifty_names(self):
-        assert len(set(self.NAMES)) == 50
+    def test_all_lists_the_forty_nine_names(self):
+        assert len(set(self.NAMES)) == 49
         assert sorted(stalkmech.__all__) == self.NAMES
 
     def test_names_resolve_to_their_defining_module(self):
