@@ -29,8 +29,6 @@ from .errors import NoSolutionError, SolverError, UnreachableAngleError, OracleR
 from .geometry import DEFAULT_CONFIG, BeamGeometry, SolverConfig
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .elastica import ElasticaSolution
 
 
@@ -56,12 +54,9 @@ class AlphaResult:
         """The closed-form shape on ``grid_points`` nodes, its last node the solved tip."""
         from .elastica import ElasticaSolution
         root = math.sqrt(self.alpha)
-        theta = _closed_form_theta(root, self.modulus, self.grid_points)
-        theta[-1] = self.tip_angle_achieved
         return ElasticaSolution(
             self.alpha,
-            theta,
-            self.tip_angle_achieved,
+            _closed_form_theta(root, self.modulus, self.grid_points),
             2.0 * root * self.modulus,
             self.boundary_residual,
         )
@@ -179,46 +174,45 @@ def _agm(m: float) -> tuple[float, list[float]]:
     return 2.0 ** len(ratios) * a, ratios
 
 
-def _amplitude(u: np.ndarray, m: float) -> np.ndarray:
-    """Jacobi amplitude am(u | m), 0 <= m <= 1: the AGM on m, then the descent on all of u."""
-    import numpy as np
+def _amplitude(u: list[float], m: float) -> list[float]:
+    """Jacobi amplitude am(u | m) at each point of ``u``, 0 <= m <= 1.
+
+    The AGM on m runs once per call, the descent once per point.
+    """
     if m == 1.0:  # the AGM never converges here; am(u | 1) = gd(u)
-        return np.arctan(np.sinh(u))
+        return [math.atan(math.sinh(x)) for x in u]
     scale, ratios = _agm(m)
-    phi = scale * u
-    for ratio in reversed(ratios):
-        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
-    return phi
-
-
-def _amplitude_at(u: float, m: float) -> float:
-    """:func:`_amplitude` at one point, in scalar arithmetic."""
-    if m == 1.0:
-        return math.atan(math.sinh(u))
-    scale, ratios = _agm(m)
-    phi = scale * u
-    for ratio in reversed(ratios):
-        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
-    return phi
+    ratios.reverse()
+    out = []
+    for x in u:
+        phi = scale * x
+        for ratio in ratios:
+            phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
+        out.append(phi)
+    return out
 
 
 def _closed_form_tip(root: float, k: float) -> tuple[float, float]:
     """theta(1) and theta'(1) of the closed-form shape for sqrt(alpha) = ``root``."""
     if k < 1.0:  # theta' = 2 sqrt(alpha) k cn(sqrt(alpha) s | k^2)
-        phi = _amplitude_at(root, k * k)
+        [phi] = _amplitude([root], k * k)
         return 2.0 * math.asin(k * math.sin(phi)), 2.0 * root * k * math.cos(phi)
     # reciprocal modulus: theta / 2 = am(k sqrt(alpha) s | 1 / k^2), theta' ~ dn
-    phi = _amplitude_at(k * root, 1.0 / (k * k))
+    [phi] = _amplitude([k * root], 1.0 / (k * k))
     return 2.0 * phi, 2.0 * root * k * math.sqrt(1.0 - (math.sin(phi) / k) ** 2)
 
 
-def _closed_form_theta(root: float, k: float, grid_points: int) -> np.ndarray:
-    """theta on ``grid_points`` equispaced nodes of [0, 1], by the same closed form."""
-    import numpy as np
-    s = np.linspace(0.0, 1.0, grid_points)
+def _closed_form_theta(root: float, k: float, grid_points: int) -> list[float]:
+    """theta on ``grid_points`` equispaced nodes of [0, 1], by the same closed form.
+
+    The last node is s = 1 exactly, so its angle is :func:`_closed_form_tip`'s.
+    """
+    h = 1.0 / (grid_points - 1)
+    s = [i * h for i in range(grid_points - 1)] + [1.0]
     if k < 1.0:
-        return 2.0 * np.arcsin(k * np.sin(_amplitude(root * s, k * k)))
-    return 2.0 * _amplitude(k * root * s, 1.0 / (k * k))
+        phis = _amplitude([root * x for x in s], k * k)
+        return [2.0 * math.asin(k * math.sin(phi)) for phi in phis]
+    return [2.0 * phi for phi in _amplitude([k * root * x for x in s], 1.0 / (k * k))]
 
 
 def _tip_angle_at(

@@ -9,7 +9,10 @@ with the surface-pushing force angle phi = pi, which folds the right-hand
 side to -alpha * sin(theta) (pendulum form). Two independent routes are
 provided: an initial-value shooting solver built on a fixed-step classical
 fourth-order integrator, and a finite-difference relaxation solver using
-damped Newton iteration on the discretized system.
+damped Newton iteration on the discretized system. The shape at a given
+surface angle, in closed form, is built in :mod:`stalkmech.alpha`. Every
+solver returns an :class:`ElasticaSolution`, whose ``tip_angle`` is its
+last sample.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class ElasticaSolution:
 
     alpha: float
     theta_samples: np.ndarray
-    tip_angle: float
     initial_slope: float
     boundary_residual: float
 
@@ -56,8 +58,11 @@ class ElasticaSolution:
         object.__setattr__(self, "theta_samples", samples)
         if samples[0] != 0.0:
             raise ValueError("theta_samples[0] must be 0 (clamped base)")
-        if samples[-1] != self.tip_angle:
-            raise ValueError("tip_angle must equal the last theta sample")
+
+    @property
+    def tip_angle(self) -> float:
+        """The tangent angle theta(1), the last sample."""
+        return float(self.theta_samples[-1])
 
     @property
     def grid(self) -> np.ndarray:
@@ -127,7 +132,6 @@ def _zero_solution(alpha: float, grid_points: int) -> ElasticaSolution:
     return ElasticaSolution(
         alpha=alpha,
         theta_samples=[0.0] * grid_points,
-        tip_angle=0.0,
         initial_slope=0.0,
         boundary_residual=0.0,
     )
@@ -215,7 +219,6 @@ def solve_shape_shooting(
     return ElasticaSolution(
         alpha=alpha,
         theta_samples=samples,
-        tip_angle=samples[-1],
         initial_slope=c_star,
         boundary_residual=achieved,
     )
@@ -339,7 +342,6 @@ def solve_shape_oracle(
     return ElasticaSolution(
         alpha=alpha,
         theta_samples=theta,
-        tip_angle=float(theta[-1]),
         initial_slope=initial_slope,
         boundary_residual=achieved,
     )

@@ -33,9 +33,11 @@ class BeamGeometry:
 
     def __post_init__(self):
         if not (self.stalk_length > 0.0) or not math.isfinite(self.stalk_length):
-            raise ValueError(f"stalk_length must be positive, got {self.stalk_length}")
+            raise ValueError(
+                f"stalk_length must be positive and finite, got {self.stalk_length}"
+            )
         if self.pad_radius < 0.0 or not math.isfinite(self.pad_radius):
-            raise ValueError(f"pad_radius must be >= 0, got {self.pad_radius}")
+            raise ValueError(f"pad_radius must be finite and >= 0, got {self.pad_radius}")
         object.__setattr__(self, "radius_ratio", self.pad_radius / self.stalk_length)
 
     @classmethod
@@ -61,7 +63,7 @@ class NormalizedLoad:
 
     def __post_init__(self):
         if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     def tip_moment(self, geometry: BeamGeometry) -> float:
         """Normalized tip moment alpha * R / L (the tip slope boundary value)."""

@@ -22,13 +22,7 @@ from stalkmech import (
     solve_shape_oracle,
     solve_shape_shooting,
 )
-from stalkmech.alpha import (
-    _amplitude,
-    _amplitude_at,
-    _brentq,
-    _carlson_rf,
-    _closed_form_theta,
-)
+from stalkmech.alpha import _amplitude, _brentq, _carlson_rf
 from stalkmech.cli import execute
 from stalkmech.geometry import NormalizedLoad
 
@@ -122,19 +116,22 @@ def amplitude_within(seconds, u, m):
     return out[0] if out else None
 
 
+def max_gap(a, b):
+    return max(abs(x - y) for x, y in zip(a, b, strict=True))
+
+
 class TestAmplitude:
-    U = np.linspace(0.0, 3.0, 61)
+    U = np.linspace(0.0, 3.0, 61).tolist()
 
     def test_zero_parameter_returns_the_argument(self):
-        assert np.array_equal(_amplitude(self.U, 0.0), self.U)
+        assert _amplitude(self.U, 0.0) == self.U
 
     def test_unit_parameter_is_the_gudermannian_and_terminates(self):
         am = amplitude_within(10.0, self.U, 1.0)
         assert am is not None, "am(u | 1) did not return"
-        assert np.array_equal(am, np.arctan(np.sinh(self.U)))
+        assert am == [math.atan(math.sinh(u)) for u in self.U]
         # The AGM path meets the special case as m approaches 1.
-        near = _amplitude(self.U, 1.0 - 1e-12)
-        assert np.max(np.abs(near - am)) <= 1e-11
+        assert max_gap(_amplitude(self.U, 1.0 - 1e-12), am) <= 1e-11
 
     @pytest.mark.parametrize("m", [0.9531293398277989, 0.9999004793626809])
     def test_agm_stops_when_its_means_settle_one_ulp_apart(self, m):
@@ -144,35 +141,9 @@ class TestAmplitude:
 
     @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.999])
     def test_inverts_the_incomplete_integral(self, m):
-        phi = np.linspace(0.0, 0.5 * math.pi, 41)[1:-1]
-        u = np.array([incomplete_f(p, m) for p in phi])
-        assert np.max(np.abs(_amplitude(u, m) - phi)) <= 1e-13
-
-    # The scalar and array forms run the same AGM and descent; only numpy's
-    # and the math module's sin and arcsin, each correct to an ulp, differ.
-    # The descent carries that to at most 2 ulps while m <= 0.99. Nearer 1
-    # it feeds arcsin arguments close to 1, which magnify it (up to 4 ulps
-    # at u <= 3 in 100,000 draws with 1 - m log-uniform); there the solver's
-    # own use is held by check_round_trip's tip check.
-    @staticmethod
-    def assert_scalar_matches_array(u, m):
-        nodes = _amplitude(u, m)
-        for x, node in zip(u.tolist(), nodes.tolist()):
-            assert abs(_amplitude_at(x, m) - node) <= 2.0 * math.ulp(node)
-
-    @pytest.mark.parametrize(
-        "m", [0.0, 1.0, 0.9531293398277989, 0.9999004793626809]
-    )
-    def test_scalar_form_matches_the_array_form(self, m):
-        self.assert_scalar_matches_array(self.U, m)
-
-    @given(
-        u=st.floats(min_value=0.0, max_value=3.2),
-        m=st.floats(min_value=0.0, max_value=0.99),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_scalar_form_matches_the_array_form_anywhere(self, u, m):
-        self.assert_scalar_matches_array(np.array([u]), m)
+        phi = np.linspace(0.0, 0.5 * math.pi, 41)[1:-1].tolist()
+        u = [incomplete_f(p, m) for p in phi]
+        assert max_gap(_amplitude(u, m), phi) <= 1e-13
 
 
 class TestLinearizedOracle:
@@ -335,7 +306,9 @@ class TestSolveAlphaForAngle:
         self, half_ratio_geometry, config, fixtures_dir, monkeypatch
     ):
         calls = []
-        monkeypatch.setattr(stalkmech.alpha, "_amplitude", lambda *args: calls.append(args))
+        monkeypatch.setattr(
+            stalkmech.alpha, "_closed_form_theta", lambda *args: calls.append(args)
+        )
         angles = [math.radians(d) for d in (0.0, 15.0, 45.0, 85.0)]
         assert all(row.error is None for row in generate_alpha_table(angles, half_ratio_geometry))
         bending = str(fixtures_dir / "bending" / "granular_20mm.csv")
@@ -349,6 +322,25 @@ class TestSolveAlphaForAngle:
         for argv in commands:
             assert execute(argv, io.StringIO()) == 0
         assert calls == []
+
+    # R/L = 3 puts 89.5 degrees on the rotating branch (k >= 1), whose
+    # reciprocal parameter runs the AGM as well.
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 3.0])
+    def test_one_agm_per_solved_angle_and_one_per_shape(self, config, monkeypatch, ratio):
+        calls = []
+        agm = stalkmech.alpha._agm
+
+        def counted(m):
+            calls.append(m)
+            return agm(m)
+
+        monkeypatch.setattr(stalkmech.alpha, "_agm", counted)
+        angles = [math.radians(d) for d in (15.0, 45.0, 89.5)]
+        rows = generate_alpha_table(angles, BeamGeometry.from_ratio(ratio), config)
+        assert all(row.error is None for row in rows)
+        assert len(calls) == len(angles)
+        rows[-1].result.inner_solution
+        assert len(calls) == len(angles) + 1
 
     def test_pure_tip_force_takes_the_buckled_branch(self, config):
         # At R/L = 0 the straight beam solves every load; the bent branch
@@ -443,11 +435,9 @@ def check_round_trip(gamma, ratio):
     assert row.error is None
     result = row.result
     assert abs(result.tip_angle_achieved - gamma) <= config.angle_tolerance
-    # The grid's own closed-form value at s = 1, before the tip is placed on
-    # it, agrees with the scalar tip the solver checked.
-    grid = _closed_form_theta(math.sqrt(row.alpha), result.modulus, config.grid_points)
-    assert abs(grid[-1] - result.tip_angle_achieved) <= 1e-15
+    # The profile's last node, at s = 1, is the tip the solver checked.
     shape = result.inner_solution
+    assert shape.theta_samples[-1] == result.tip_angle_achieved
     assert shape.boundary_residual <= 1e-10
     # Integrating from the closed-form base slope reproduces the closed-form profile.
     load = NormalizedLoad(row.alpha)

@@ -144,6 +144,21 @@ class TestShapeCommand:
         assert float(rows[-1]["s"]) == 1.0
         assert 0.0 < float(rows[-1]["y"]) < 1.0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--alpha inf", "alpha must be finite and >= 0, got inf"),
+            ("--alpha nan", "alpha must be finite and >= 0, got nan"),
+            ("--alpha 1 --radius-ratio inf", "pad_radius must be finite and >= 0, got inf"),
+            ("--alpha 1 --radius-ratio nan", "pad_radius must be finite and >= 0, got nan"),
+            ("--alpha 1 --length-mm inf", "stalk_length must be positive and finite, got inf"),
+        ],
+    )
+    def test_non_finite_input_is_a_domain_error(self, capsys, flags, message):
+        status, out = run(["shape", *flags.split()])
+        assert (status, out) == (1, "")
+        assert message in capsys.readouterr().err
+
 
 class TestCalibrateCommand:
     def test_jammed_20mm_fixture(self, fixtures_dir):
