@@ -42,6 +42,7 @@ CASES = {
     "shape": ["shape", "--alpha", "1.03"],
     "shape-rotating": ["shape", "--alpha", "4", "--radius-ratio", "1"],
     "shape-zero-radius": ["shape", "--alpha", "3", "--radius-ratio", "0"],
+    "shape-zero-radius-straight": ["shape", "--alpha", "2", "--radius-ratio", "0"],
     "shape-coil": ["shape", "--alpha", "8", "--radius-ratio", "2"],
     "calibrate": ["calibrate", "--input", BENDING, "--length-mm", "20"],
     "predict-force": PREDICT,
