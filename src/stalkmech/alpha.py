@@ -67,9 +67,13 @@ class AlphaTableRow:
     """One row of a load table; ``error`` is set when the angle failed."""
 
     surface_angle: float
-    alpha: float | None
     result: AlphaResult | None
     error: str | None = None
+
+    @property
+    def alpha(self) -> float | None:
+        """The solved load, None when the angle failed."""
+        return None if self.result is None else self.result.alpha
 
 
 def _brentq(
@@ -326,9 +330,9 @@ def generate_alpha_table(
         try:
             result = solve_alpha_for_angle(angle, geometry, config)
         except (SolverError, ValueError) as exc:
-            rows.append(AlphaTableRow(angle, None, None, str(exc)))
+            rows.append(AlphaTableRow(angle, None, str(exc)))
         else:
-            rows.append(AlphaTableRow(angle, result.alpha, result))
+            rows.append(AlphaTableRow(angle, result))
     return rows
 
 

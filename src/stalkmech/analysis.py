@@ -35,9 +35,17 @@ class AngleOutcome:
     """
 
     surface_angle: float
-    attached: bool
-    adaptation_force: float | None
     rep_forces: tuple[float, ...]
+
+    @property
+    def attached(self) -> bool:
+        return bool(self.rep_forces)
+
+    @property
+    def adaptation_force(self) -> float | None:
+        if not self.rep_forces:
+            return None
+        return math.fsum(self.rep_forces) / len(self.rep_forces)
 
 
 @dataclass(frozen=True)
@@ -49,13 +57,21 @@ class AdaptationSummary:
     """
 
     scenario: str
-    ultimate_angle: float | None
-    force_at_ultimate: float | None
     angles: tuple[AngleOutcome, ...]
 
     @property
     def attached_angles(self) -> tuple[AngleOutcome, ...]:
         return tuple(row for row in self.angles if row.attached)
+
+    @property
+    def ultimate_angle(self) -> float | None:
+        attached = self.attached_angles
+        return attached[-1].surface_angle if attached else None
+
+    @property
+    def force_at_ultimate(self) -> float | None:
+        attached = self.attached_angles
+        return attached[-1].adaptation_force if attached else None
 
 
 @dataclass(frozen=True)
@@ -65,8 +81,16 @@ class ComparisonRow:
     surface_angle: float
     measured: float
     predicted: float
-    residual: float
-    relative_residual: float
+
+    @property
+    def residual(self) -> float:
+        return self.predicted - self.measured
+
+    @property
+    def relative_residual(self) -> float:
+        if self.measured != 0.0:
+            return self.residual / self.measured
+        return 0.0 if self.residual == 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -74,7 +98,12 @@ class TheoryComparison:
     """Per-angle residual report with the aggregate mean absolute relative error."""
 
     rows: tuple[ComparisonRow, ...]
-    mean_abs_relative_error: float | None
+
+    @property
+    def mean_abs_relative_error(self) -> float | None:
+        if not self.rows:
+            return None
+        return math.fsum(abs(r.relative_residual) for r in self.rows) / len(self.rows)
 
 
 def summarize_scenario(
@@ -105,20 +134,11 @@ def summarize_scenario(
         force = adaptation_force(trial, event) if event is not None else None
         by_angle.setdefault(trial.surface_angle, []).append(force)
 
-    outcomes = []
-    for angle in sorted(by_angle):
-        attached_forces = sorted(f for f in by_angle[angle] if f is not None)
-        if attached_forces:
-            mean = math.fsum(attached_forces) / len(attached_forces)
-            outcomes.append(AngleOutcome(angle, True, mean, tuple(attached_forces)))
-        else:
-            outcomes.append(AngleOutcome(angle, False, None, ()))
-
-    attached = [row for row in outcomes if row.attached]
-    if attached:
-        ultimate = attached[-1]
-        return AdaptationSummary(scenario, ultimate.surface_angle, ultimate.adaptation_force, tuple(outcomes))
-    return AdaptationSummary(scenario, None, None, tuple(outcomes))
+    outcomes = tuple(
+        AngleOutcome(angle, tuple(sorted(f for f in by_angle[angle] if f is not None)))
+        for angle in sorted(by_angle)
+    )
+    return AdaptationSummary(scenario, outcomes)
 
 
 def compare_theory(
@@ -147,21 +167,13 @@ def compare_theory(
             f"predictions do not cover measured angles: {degrees} deg", missing_angles=missing
         )
 
-    rows = []
-    for outcome in summary.attached_angles:
-        measured = outcome.adaptation_force
-        predicted = predicted_by_angle[outcome.surface_angle].force
-        residual = predicted - measured
-        if measured != 0.0:
-            relative = residual / measured
-        else:
-            relative = 0.0 if residual == 0.0 else math.inf
-        rows.append(
-            ComparisonRow(outcome.surface_angle, measured, predicted, residual, relative)
+    return TheoryComparison(
+        tuple(
+            ComparisonRow(
+                outcome.surface_angle,
+                outcome.adaptation_force,
+                predicted_by_angle[outcome.surface_angle].force,
+            )
+            for outcome in summary.attached_angles
         )
-
-    if rows:
-        mare = math.fsum(abs(r.relative_residual) for r in rows) / len(rows)
-    else:
-        mare = None
-    return TheoryComparison(tuple(rows), mare)
+    )

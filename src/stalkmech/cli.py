@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .alpha import AlphaResult, generate_alpha_table, solve_alpha_for_angle
 from .analysis import compare_theory, summarize_scenario
@@ -49,7 +49,6 @@ class OutputDocument:
     rows: list[dict]
     warnings: list[str] = field(default_factory=list)
     aggregates: dict | None = None
-    schema_version: str = SCHEMA_VERSION
 
 
 def _fmt(value) -> str:
@@ -80,7 +79,7 @@ def _jsonable(value):
 
 def _emit_csv(doc: OutputDocument, stream) -> None:
     stream.write(f"# stalkmech {doc.command}\n")
-    stream.write(f"# schema_version={doc.schema_version}\n")
+    stream.write(f"# schema_version={SCHEMA_VERSION}\n")
     for key in sorted(doc.parameters):
         stream.write(f"# parameter {key}={_fmt(doc.parameters[key])}\n")
     for text in doc.warnings:
@@ -96,7 +95,7 @@ def _emit_csv(doc: OutputDocument, stream) -> None:
 
 def _emit_json(doc: OutputDocument, stream) -> None:
     payload = {
-        "schema_version": doc.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "command": doc.command,
         "parameters": _jsonable(doc.parameters),
         "rows": [_jsonable(row) for row in doc.rows],
@@ -172,6 +171,16 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+def _solver_parameters(config: SolverConfig) -> dict:
+    return {
+        "grid_points": config.grid_points,
+        "boundary_tolerance": config.boundary_tolerance,
+        "max_iterations": config.max_iterations,
+        "alpha_bracket_max": config.alpha_bracket_max,
+        "angle_tolerance": config.angle_tolerance,
+    }
+
+
 def _geometry_parameters(geometry: BeamGeometry) -> dict:
     return {
         "stalk_length_mm": geometry.stalk_length * 1e3,
@@ -245,7 +254,7 @@ def cmd_alpha_table(args) -> OutputDocument:
     parameters = {
         "angles_deg": angles_deg,
         **_geometry_parameters(geometry),
-        **asdict(config),
+        **_solver_parameters(config),
     }
     return OutputDocument("alpha-table", parameters, ALPHA_COLUMNS, rows)
 
@@ -258,7 +267,7 @@ def cmd_solve(args) -> OutputDocument:
     parameters = {
         "gamma_deg": args.gamma_deg,
         **_geometry_parameters(geometry),
-        **asdict(config),
+        **_solver_parameters(config),
     }
     return OutputDocument("solve", parameters, ALPHA_COLUMNS, rows)
 
@@ -284,7 +293,7 @@ def cmd_shape(args) -> OutputDocument:
         "alpha": args.alpha,
         "tip_angle_deg": math.degrees(solution.tip_angle),
         **_geometry_parameters(geometry),
-        **asdict(config),
+        **_solver_parameters(config),
     }
     return OutputDocument("shape", parameters, ["s", "theta_rad", "x", "y"], rows)
 
@@ -340,7 +349,7 @@ def cmd_predict_force(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **asdict(config),
+        **_solver_parameters(config),
     }
     return OutputDocument(
         "predict-force",
@@ -469,7 +478,7 @@ def cmd_compare(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **asdict(config),
+        **_solver_parameters(config),
     }
     aggregates = {"mean_abs_relative_error": comparison.mean_abs_relative_error}
     return OutputDocument(

@@ -150,10 +150,12 @@ def solve_shape_shooting(
     the bracket back into the physical branch; at R/L = 0 it also moves the
     lower end off the straight stalk. Brent's method then runs to machine
     precision, and the achieved residual must be within
-    ``config.boundary_tolerance``.
+    ``config.boundary_tolerance``. At R/L = 0 and alpha <= pi^2/4 the
+    stalk stays straight, and that shape is returned without a search.
     """
     alpha = load.alpha
-    if alpha == 0.0:
+    if alpha == 0.0 or (geometry.radius_ratio == 0.0 and alpha <= math.pi**2 / 4.0):
+        # Below the Euler load a pure tip force has no buckled branch.
         return _zero_solution(alpha, config.grid_points)
 
     target = load.tip_moment(geometry)

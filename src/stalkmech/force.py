@@ -16,7 +16,7 @@ from typing import Iterable, TextIO
 
 from .alpha import generate_alpha_table
 from .errors import CalibrationError, TrialParseError
-from .geometry import DEFAULT_CONFIG, BeamGeometry, SolverConfig
+from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
 from .trials import iter_csv_rows
 from .units import mm_cell_to_m
 
@@ -70,8 +70,7 @@ def alpha_to_force(
     alpha: float, calibration: StiffnessCalibration, geometry: BeamGeometry
 ) -> float:
     """Physical force in newtons for a normalized load: F = alpha EI / L^2."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    NormalizedLoad(alpha)  # rejects a negative or non-finite load
     return alpha * calibration.flexural_rigidity / geometry.stalk_length**2
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,9 @@ class BeamGeometry:
         object.__setattr__(self, "radius_ratio", self.pad_radius / self.stalk_length)
 
     @classmethod
-    def from_ratio(cls, radius_ratio: float, stalk_length: float = 1.0) -> "BeamGeometry":
-        """Geometry with a given R/L; convenient when only the ratio matters."""
-        return cls(stalk_length=stalk_length, pad_radius=radius_ratio * stalk_length)
+    def from_ratio(cls, radius_ratio: float) -> "BeamGeometry":
+        """Unit-length geometry with a given R/L; convenient when only the ratio matters."""
+        return cls(stalk_length=1.0, pad_radius=radius_ratio)
 
     @classmethod
     def from_millimeters(cls, stalk_length_mm: float, pad_radius_mm: float) -> "BeamGeometry":
@@ -72,29 +73,25 @@ class NormalizedLoad:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and iteration settings shared by the solvers.
+    """Discretization and search settings shared by the solvers.
 
     ``grid_points`` counts samples of the normalized arc length on [0, 1],
-    so the fixed integration step is 1/(grid_points - 1).
+    so the fixed integration step is 1/(grid_points - 1). The tolerances
+    and the iteration cap are fixed bounds of the solvers, not settings.
     """
 
     grid_points: int = 1024
-    boundary_tolerance: float = 1e-10
-    max_iterations: int = 100
     alpha_bracket_max: float = 10.0
-    angle_tolerance: float = 1e-6
+
+    boundary_tolerance: ClassVar[float] = 1e-10
+    max_iterations: ClassVar[int] = 100
+    angle_tolerance: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.grid_points < 16:
             raise ValueError(f"grid_points must be >= 16, got {self.grid_points}")
-        if not (self.boundary_tolerance > 0.0):
-            raise ValueError("boundary_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
         if not (self.alpha_bracket_max > 0.0):
             raise ValueError("alpha_bracket_max must be positive")
-        if not (self.angle_tolerance > 0.0):
-            raise ValueError("angle_tolerance must be positive")
 
 
 DEFAULT_CONFIG = SolverConfig()

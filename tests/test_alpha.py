@@ -410,9 +410,11 @@ class TestAlphaTable:
         assert rows[1].error is not None and rows[1].alpha is None
         assert rows[2].error is None
 
-    def test_outer_search_out_of_iterations_is_an_error_row(self, half_ratio_geometry):
-        config = SolverConfig(max_iterations=5)
-        rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry, config)
+    def test_outer_search_out_of_iterations_is_an_error_row(
+        self, half_ratio_geometry, monkeypatch
+    ):
+        monkeypatch.setattr(SolverConfig, "max_iterations", 5)
+        rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry, SolverConfig())
         assert rows[0].alpha is None and rows[0].result is None
         assert "after 5 iterations" in rows[0].error
 

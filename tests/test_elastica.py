@@ -74,10 +74,13 @@ class TestShooting:
 
     @pytest.mark.parametrize("alpha", TABLE_ALPHAS)
     def test_boundary_satisfaction(self, half_ratio_geometry, config, alpha):
-        sol = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry, config)
+        load = NormalizedLoad(alpha)
+        sol = solve_shape_shooting(load, half_ratio_geometry, config)
         assert sol.theta_samples[0] == 0.0
         assert sol.boundary_residual <= config.boundary_tolerance
-        assert sol.tip_angle == sol.theta_samples[-1]
+        # The samples are the pass from the returned base slope, not a stale one.
+        replay = integrate_elastica_ivp(load, sol.initial_slope, config.grid_points)
+        assert np.array_equal(replay, sol.theta_samples)
 
     def test_monotone_tip_response(self, half_ratio_geometry, config):
         # Strictly increasing tip angle over alpha in [0, 1.5], 0.05 steps.
@@ -107,6 +110,15 @@ class TestShooting:
         solve_shape_shooting(NormalizedLoad(1.03), half_ratio_geometry, config)
         assert len(slopes) <= 10
 
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.0, 2.4, math.pi**2 / 4])
+    def test_pure_tip_force_below_euler_load_is_straight_without_a_pass(
+        self, config, slopes, alpha
+    ):
+        sol = solve_shape_shooting(NormalizedLoad(alpha), BeamGeometry.from_ratio(0.0), config)
+        assert slopes == []
+        assert np.all(sol.theta_samples == 0.0) and len(sol.theta_samples) == config.grid_points
+        assert sol.initial_slope == 0.0 and sol.boundary_residual == 0.0
+
     def test_coiled_stalk_names_the_coil_limit(self, config, slopes):
         # At alpha 8, R/L 2 the tip would sit near 937 degrees, past MAX_ANGLE.
         with pytest.raises(NoSolutionError) as excinfo:
@@ -120,15 +132,14 @@ class TestShooting:
 
     def test_grid_convergence_is_fourth_order(self, half_ratio_geometry):
         # Successive tip-angle differences shrink ~16x per grid doubling.
-        tight = {"boundary_tolerance": 1e-13}
-        tips = {
+        solutions = {
             n: solve_shape_shooting(
-                NormalizedLoad(1.467),
-                half_ratio_geometry,
-                SolverConfig(grid_points=n, **tight),
-            ).tip_angle
+                NormalizedLoad(1.467), half_ratio_geometry, SolverConfig(grid_points=n)
+            )
             for n in (128, 256, 512)
         }
+        assert all(sol.boundary_residual <= 1e-13 for sol in solutions.values())
+        tips = {n: sol.tip_angle for n, sol in solutions.items()}
         ratio = (tips[128] - tips[256]) / (tips[256] - tips[512])
         assert 16.0 * 0.7 <= abs(ratio) <= 16.0 * 1.3
 

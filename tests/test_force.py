@@ -48,6 +48,11 @@ class TestForceConversion:
         with pytest.raises(ValueError):
             alpha_to_force(-1.0, CAL_20MM, GEOM_20MM)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+    def test_load_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite and >= 0, got {alpha}"):
+            alpha_to_force(alpha, CAL_20MM, GEOM_20MM)
+
     @pytest.mark.parametrize("ei", [0.0, -1.0, math.inf, math.nan])
     def test_rigidity_must_be_positive_and_finite(self, ei):
         with pytest.raises(ValueError, match="flexural_rigidity must be positive and finite"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -49,17 +50,28 @@ class TestSolverConfig:
         assert config.grid_points == 1024
         assert config.boundary_tolerance == 1e-10
         assert config.angle_tolerance == 1e-6
+        assert config.max_iterations == 100
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "grid_points",
+            "alpha_bracket_max",
+        ]
 
+    # Explicit ids keep each case's name when other cases are removed.
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"grid_points": 15},
-            {"boundary_tolerance": 0.0},
-            {"max_iterations": 0},
-            {"alpha_bracket_max": 0.0},
-            {"angle_tolerance": -1e-9},
+            pytest.param({"grid_points": 15}, id="kwargs0"),
+            pytest.param({"alpha_bracket_max": 0.0}, id="kwargs3"),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("boundary_tolerance", 1e-13), ("max_iterations", 5), ("angle_tolerance", 1e-9)],
+    )
+    def test_fixed_bounds_are_not_constructor_arguments(self, name, value):
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: value})
