@@ -43,7 +43,7 @@ _EXPORTS = {
         "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
         "predict_force_curve", "read_bending_samples",
     ),
-    "geometry": ("DEFAULT_CONFIG", "BeamGeometry", "NormalizedLoad", "SolverConfig"),
+    "geometry": ("BeamGeometry", "NormalizedLoad"),
     "trials": (
         "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
         "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",

@@ -26,7 +26,10 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import NoSolutionError, SolverError, UnreachableAngleError, OracleRangeError
-from .geometry import DEFAULT_CONFIG, BeamGeometry, SolverConfig
+from .geometry import (
+    ALPHA_BRACKET_MAX, ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS,
+    BeamGeometry,
+)
 
 if TYPE_CHECKING:
     from .elastica import ElasticaSolution
@@ -38,7 +41,7 @@ class AlphaResult:
 
     ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|. The
     sampled shape, ``inner_solution``, is built on first access from the
-    modulus k and the grid size, which are kept for it alone.
+    modulus k, which is kept for it alone.
     """
 
     surface_angle: float
@@ -47,16 +50,15 @@ class AlphaResult:
     outer_iterations: int  # excess evaluations of the root search, K(s) not counted
     boundary_residual: float
     modulus: float = field(repr=False, compare=False)
-    grid_points: int = field(repr=False, compare=False)
 
     @cached_property
     def inner_solution(self) -> ElasticaSolution:
-        """The closed-form shape on ``grid_points`` nodes, its last node the solved tip."""
+        """The closed-form shape on ``GRID_POINTS`` nodes, its last node the solved tip."""
         from .elastica import ElasticaSolution
         root = math.sqrt(self.alpha)
         return ElasticaSolution(
             self.alpha,
-            _closed_form_theta(root, self.modulus, self.grid_points),
+            _closed_form_theta(root, self.modulus),
             2.0 * root * self.modulus,
             self.boundary_residual,
         )
@@ -206,22 +208,20 @@ def _closed_form_tip(root: float, k: float) -> tuple[float, float]:
     return 2.0 * phi, 2.0 * root * k * math.sqrt(1.0 - (math.sin(phi) / k) ** 2)
 
 
-def _closed_form_theta(root: float, k: float, grid_points: int) -> list[float]:
-    """theta on ``grid_points`` equispaced nodes of [0, 1], by the same closed form.
+def _closed_form_theta(root: float, k: float) -> list[float]:
+    """theta on ``GRID_POINTS`` equispaced nodes of [0, 1], by the same closed form.
 
     The last node is s = 1 exactly, so its angle is :func:`_closed_form_tip`'s.
     """
-    h = 1.0 / (grid_points - 1)
-    s = [i * h for i in range(grid_points - 1)] + [1.0]
+    h = 1.0 / (GRID_POINTS - 1)
+    s = [i * h for i in range(GRID_POINTS - 1)] + [1.0]
     if k < 1.0:
         phis = _amplitude([root * x for x in s], k * k)
         return [2.0 * math.asin(k * math.sin(phi)) for phi in phis]
     return [2.0 * phi for phi in _amplitude([k * root * x for x in s], 1.0 / (k * k))]
 
 
-def _tip_angle_at(
-    root: float, ratio: float, gamma: float, f_gamma: float, maxiter: int
-) -> float:
+def _tip_angle_at(root: float, ratio: float, gamma: float, f_gamma: float) -> float:
     """Tip angle in [0, ``gamma``) that the load sqrt(alpha) = ``root`` reaches.
 
     At a fixed load the excess decreases strictly in the angle; ``f_gamma`` < 0
@@ -235,7 +235,12 @@ def _tip_angle_at(
     f_zero = excess(0.0)
     if f_zero <= 0.0:
         return 0.0
-    return _brentq(excess, 0.0, gamma, xtol=1e-12, maxiter=maxiter, fa=f_zero, fb=f_gamma)
+    return _brentq(excess, 0.0, gamma, xtol=1e-12, maxiter=MAX_ITERATIONS, fa=f_zero, fb=f_gamma)
+
+
+def _validate_ceiling(alpha_bracket_max: float) -> None:
+    if not (alpha_bracket_max > 0.0):
+        raise ValueError("alpha_bracket_max must be positive")
 
 
 def _validate_angle(surface_angle: float) -> None:
@@ -246,9 +251,7 @@ def _validate_angle(surface_angle: float) -> None:
 
 
 def solve_alpha_for_angle(
-    surface_angle: float,
-    geometry: BeamGeometry,
-    config: SolverConfig = DEFAULT_CONFIG,
+    surface_angle: float, geometry: BeamGeometry, *, alpha_bracket_max: float = ALPHA_BRACKET_MAX
 ) -> AlphaResult:
     """Normalized load alpha whose solved tip angle equals ``surface_angle``.
 
@@ -256,17 +259,18 @@ def solve_alpha_for_angle(
     method on [0, K(sin(gamma/2))], which holds it for every R/L; each
     evaluation counts as an outer iteration. The closed form then gives the
     shape's tip, whose slope and angle must match within
-    ``config.boundary_tolerance`` and ``config.angle_tolerance``. Zero
-    angle is the zero load and the straight stalk.
+    ``BOUNDARY_TOLERANCE`` and ``ANGLE_TOLERANCE``. Zero angle is the zero
+    load and the straight stalk.
 
     Raises UnreachableAngleError when the target exceeds the tip angle
-    attainable at ``config.alpha_bracket_max``, or when the shape misses it,
-    NoSolutionError when its tip slope misses, and ValueError for angles
-    outside [0, pi/2).
+    attainable at ``alpha_bracket_max``, or when the shape misses it,
+    NoSolutionError when its tip slope misses, and ValueError for a
+    non-positive ``alpha_bracket_max`` or an angle outside [0, pi/2).
     """
+    _validate_ceiling(alpha_bracket_max)
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
-        return AlphaResult(0.0, 0.0, 0.0, 0, 0.0, 0.0, config.grid_points)
+        return AlphaResult(0.0, 0.0, 0.0, 0, 0.0, 0.0)
 
     half_sine = math.sin(0.5 * surface_angle)
     half_cos2 = math.cos(0.5 * surface_angle) ** 2
@@ -281,54 +285,50 @@ def solve_alpha_for_angle(
     # Substituting u = k sin(t) shows F(phi_gamma, k) <= K(sin(gamma/2)), with
     # equality at R/L = 0: the excess is -K at sqrt(alpha) = 0 and >= 0 at K.
     ceiling = _carlson_rf(0.0, half_cos2, 1.0)
-    hi = min(ceiling, math.sqrt(config.alpha_bracket_max))
+    hi = min(ceiling, math.sqrt(alpha_bracket_max))
     f_hi = excess(hi)
     if f_hi < 0.0 and hi < ceiling:
-        tip_hi = _tip_angle_at(hi, ratio, surface_angle, f_hi, config.max_iterations)
+        tip_hi = _tip_angle_at(hi, ratio, surface_angle, f_hi)
         raise UnreachableAngleError(
-            f"tip angle {tip_hi:.6f} rad at alpha={config.alpha_bracket_max:g} is below the "
+            f"tip angle {tip_hi:.6f} rad at alpha={alpha_bracket_max:g} is below the "
             f"requested {surface_angle:.6f} rad; raise alpha_bracket_max "
             "if a solution is expected",
             max_tip_angle=tip_hi,
         )
 
-    root = _brentq(
-        excess, 0.0, hi, xtol=1e-12, maxiter=config.max_iterations, fa=-ceiling, fb=f_hi
-    )
+    root = _brentq(excess, 0.0, hi, xtol=1e-12, maxiter=MAX_ITERATIONS, fa=-ceiling, fb=f_hi)
     alpha_star = root * root
     k = math.hypot(half_sine, 0.5 * root * ratio)
     achieved, tip_slope = _closed_form_tip(root, k)
     residual = abs(tip_slope - alpha_star * ratio)
-    if residual > config.boundary_tolerance:
+    if residual > BOUNDARY_TOLERANCE:
         raise NoSolutionError(
             f"boundary residual {residual:.3e} exceeds tolerance at alpha={alpha_star}",
             last_residual=residual,
         )
-    if abs(achieved - surface_angle) > config.angle_tolerance:
+    if abs(achieved - surface_angle) > ANGLE_TOLERANCE:
         raise UnreachableAngleError(
             f"root search left tip angle {achieved:.8f} rad off target "
             f"{surface_angle:.8f} rad",
             max_tip_angle=achieved,
         )
-    return AlphaResult(
-        surface_angle, alpha_star, achieved, evals, residual, k, config.grid_points
-    )
+    return AlphaResult(surface_angle, alpha_star, achieved, evals, residual, k)
 
 
 def generate_alpha_table(
-    angles: list[float],
-    geometry: BeamGeometry,
-    config: SolverConfig = DEFAULT_CONFIG,
+    angles: list[float], geometry: BeamGeometry, *, alpha_bracket_max: float = ALPHA_BRACKET_MAX
 ) -> list[AlphaTableRow]:
     """Solve :func:`solve_alpha_for_angle` for each angle, order preserved.
 
     Angles are computed independently; a failing angle yields a row with
-    its error message instead of aborting the whole table.
+    its error message instead of aborting the whole table. A non-positive
+    ``alpha_bracket_max`` fails the whole table with ValueError.
     """
+    _validate_ceiling(alpha_bracket_max)
     rows = []
     for angle in angles:
         try:
-            result = solve_alpha_for_angle(angle, geometry, config)
+            result = solve_alpha_for_angle(angle, geometry, alpha_bracket_max=alpha_bracket_max)
         except (SolverError, ValueError) as exc:
             rows.append(AlphaTableRow(angle, None, str(exc)))
         else:

@@ -1,8 +1,9 @@
 """Command-line front end: batch solving, calibration, prediction, analysis.
 
 Every command prints one machine-readable document to standard output,
-as CSV (default) or JSON. Documents echo all resolved parameters,
-including defaults, so a run can be reproduced from its output alone;
+as CSV (default) or JSON. Documents echo every parameter the command
+reads, defaults and fixed solver bounds included, and no other, so a run
+can be reproduced from its output alone;
 repeated identical invocations produce byte-identical output. Angles are
 accepted in degrees and lengths in millimeters at the flag boundary;
 everything is SI internally.
@@ -28,7 +29,10 @@ from .force import (
     predict_force_curve,
     read_bending_samples,
 )
-from .geometry import BeamGeometry, NormalizedLoad, SolverConfig
+from .geometry import (
+    ALPHA_BRACKET_MAX, ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS,
+    BeamGeometry, NormalizedLoad,
+)
 from .trials import (
     DEFAULT_ATTACH_THRESHOLD_KPA,
     load_manifest_trials,
@@ -164,20 +168,13 @@ def _resolve_geometry(args, require_length: bool) -> BeamGeometry:
     return BeamGeometry.from_ratio(ratio)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        grid_points=args.grid_points,
-        alpha_bracket_max=args.alpha_max,
-    )
-
-
-def _solver_parameters(config: SolverConfig) -> dict:
+def _load_search_parameters(args) -> dict:
+    """The load solve's ceiling and its fixed bounds."""
     return {
-        "grid_points": config.grid_points,
-        "boundary_tolerance": config.boundary_tolerance,
-        "max_iterations": config.max_iterations,
-        "alpha_bracket_max": config.alpha_bracket_max,
-        "angle_tolerance": config.angle_tolerance,
+        "boundary_tolerance": BOUNDARY_TOLERANCE,
+        "max_iterations": MAX_ITERATIONS,
+        "alpha_bracket_max": args.alpha_max,
+        "angle_tolerance": ANGLE_TOLERANCE,
     }
 
 
@@ -248,26 +245,28 @@ def _alpha_row(angle_deg: float, result: AlphaResult | None, error: str | None =
 def cmd_alpha_table(args) -> OutputDocument:
     angles_deg = parse_angles_spec(args.angles)
     geometry = _resolve_geometry(args, require_length=False)
-    config = _solver_config(args)
-    table = generate_alpha_table([math.radians(a) for a in angles_deg], geometry, config)
+    table = generate_alpha_table(
+        [math.radians(a) for a in angles_deg], geometry, alpha_bracket_max=args.alpha_max
+    )
     rows = [_alpha_row(deg, row.result, row.error) for deg, row in zip(angles_deg, table)]
     parameters = {
         "angles_deg": angles_deg,
         **_geometry_parameters(geometry),
-        **_solver_parameters(config),
+        **_load_search_parameters(args),
     }
     return OutputDocument("alpha-table", parameters, ALPHA_COLUMNS, rows)
 
 
 def cmd_solve(args) -> OutputDocument:
     geometry = _resolve_geometry(args, require_length=False)
-    config = _solver_config(args)
-    result = solve_alpha_for_angle(math.radians(args.gamma_deg), geometry, config)
+    result = solve_alpha_for_angle(
+        math.radians(args.gamma_deg), geometry, alpha_bracket_max=args.alpha_max
+    )
     rows = [_alpha_row(args.gamma_deg, result)]
     parameters = {
         "gamma_deg": args.gamma_deg,
         **_geometry_parameters(geometry),
-        **_solver_parameters(config),
+        **_load_search_parameters(args),
     }
     return OutputDocument("solve", parameters, ALPHA_COLUMNS, rows)
 
@@ -276,8 +275,9 @@ def cmd_shape(args) -> OutputDocument:
     if args.alpha < 0:
         raise ValueError(f"--alpha must be >= 0, got {args.alpha}")
     geometry = _resolve_geometry(args, require_length=False)
-    config = _solver_config(args)
-    solution = solve_shape_shooting(NormalizedLoad(args.alpha), geometry, config)
+    solution = solve_shape_shooting(
+        NormalizedLoad(args.alpha), geometry, grid_points=args.grid_points
+    )
     points = centerline(solution)
     grid = solution.grid
     rows = [
@@ -293,7 +293,9 @@ def cmd_shape(args) -> OutputDocument:
         "alpha": args.alpha,
         "tip_angle_deg": math.degrees(solution.tip_angle),
         **_geometry_parameters(geometry),
-        **_solver_parameters(config),
+        "grid_points": args.grid_points,
+        "boundary_tolerance": BOUNDARY_TOLERANCE,
+        "max_iterations": MAX_ITERATIONS,
     }
     return OutputDocument("shape", parameters, ["s", "theta_rad", "x", "y"], rows)
 
@@ -330,10 +332,10 @@ def cmd_calibrate(args) -> OutputDocument:
 def cmd_predict_force(args) -> OutputDocument:
     angles_deg = parse_angles_spec(args.angles)
     geometry = _resolve_geometry(args, require_length=True)
-    config = _solver_config(args)
     calibration = _resolve_calibration(args, geometry)
     predictions = predict_force_curve(
-        [math.radians(a) for a in angles_deg], calibration, geometry, config
+        [math.radians(a) for a in angles_deg], calibration, geometry,
+        alpha_bracket_max=args.alpha_max,
     )
     rows = [
         {
@@ -349,7 +351,7 @@ def cmd_predict_force(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **_solver_parameters(config),
+        **_load_search_parameters(args),
     }
     return OutputDocument(
         "predict-force",
@@ -452,11 +454,12 @@ def cmd_compare(args) -> OutputDocument:
         raise ValueError(f"manifest has several scenarios ({known}); pick one with --scenario")
 
     geometry = _resolve_geometry(args, require_length=True)
-    config = _solver_config(args)
     calibration = _resolve_calibration(args, geometry)
     summary = summarize_scenario(groups[selected], args.threshold_kpa)
     measured_angles = [row.surface_angle for row in summary.attached_angles]
-    predictions = predict_force_curve(measured_angles, calibration, geometry, config)
+    predictions = predict_force_curve(
+        measured_angles, calibration, geometry, alpha_bracket_max=args.alpha_max
+    )
     comparison = compare_theory(summary, predictions)
 
     alpha_by_angle = {p.surface_angle: p.alpha for p in predictions}
@@ -478,7 +481,7 @@ def cmd_compare(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **_solver_parameters(config),
+        **_load_search_parameters(args),
     }
     aggregates = {"mean_abs_relative_error": comparison.mean_abs_relative_error}
     return OutputDocument(
@@ -520,12 +523,9 @@ def _add_geometry_flags(sub) -> None:
     )
 
 
-def _add_solver_flags(sub) -> None:
+def _add_load_search_flag(sub) -> None:
     sub.add_argument(
-        "--grid-points", type=int, default=1024, help="arc-length samples on [0, 1]"
-    )
-    sub.add_argument(
-        "--alpha-max", type=float, default=10.0, help="upper bound of the load search"
+        "--alpha-max", type=float, default=ALPHA_BRACKET_MAX, help="upper bound of the load search"
     )
 
 
@@ -559,21 +559,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha-table", help="normalized load for a range of surface angles")
     p.add_argument("--angles", required=True, help="degrees, start:stop:step or a,b,c")
     _add_geometry_flags(p)
-    _add_solver_flags(p)
+    _add_load_search_flag(p)
     _add_format_flag(p)
     p.set_defaults(handler=cmd_alpha_table)
 
     p = sub.add_parser("solve", help="normalized load for one surface angle")
     p.add_argument("--gamma-deg", type=float, required=True, help="surface angle in degrees")
     _add_geometry_flags(p)
-    _add_solver_flags(p)
+    _add_load_search_flag(p)
     _add_format_flag(p)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("shape", help="deformed centerline for a given load")
     p.add_argument("--alpha", type=float, required=True, help="normalized load")
     _add_geometry_flags(p)
-    _add_solver_flags(p)
+    p.add_argument(
+        "--grid-points", type=int, default=GRID_POINTS, help="arc-length samples on [0, 1]"
+    )
     _add_format_flag(p)
     p.set_defaults(handler=cmd_shape)
 
@@ -587,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict-force", help="theory adaptation-force curve")
     p.add_argument("--angles", required=True, help="degrees, start:stop:step or a,b,c")
     _add_geometry_flags(p)
-    _add_solver_flags(p)
+    _add_load_search_flag(p)
     _add_calibration_flags(p)
     _add_format_flag(p)
     p.set_defaults(handler=cmd_predict_force)
@@ -607,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None, help="scenario to compare")
     _add_threshold_flag(p)
     _add_geometry_flags(p)
-    _add_solver_flags(p)
+    _add_load_search_flag(p)
     _add_calibration_flags(p)
     _add_format_flag(p)
     p.set_defaults(handler=cmd_compare)

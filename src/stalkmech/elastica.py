@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .alpha import _brentq
 from .errors import IntegrationDivergedError, NoSolutionError
-from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
+from .geometry import BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS, BeamGeometry, NormalizedLoad
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,6 +104,11 @@ def _rk4_tip(
     return th, om
 
 
+def _validate_grid(grid_points: int) -> None:
+    if grid_points < 16:
+        raise ValueError(f"grid_points must be >= 16, got {grid_points}")
+
+
 def integrate_elastica_ivp(
     load: NormalizedLoad, initial_slope: float, grid_points: int
 ) -> np.ndarray:
@@ -116,8 +121,7 @@ def integrate_elastica_ivp(
     Returns the tangent angle at each of ``grid_points`` equispaced nodes.
     """
     import numpy as np
-    if grid_points < 16:
-        raise ValueError(f"grid_points must be >= 16, got {grid_points}")
+    _validate_grid(grid_points)
     if not math.isfinite(initial_slope):
         raise ValueError("initial_slope must be finite")
     if load.alpha == 0.0:
@@ -138,9 +142,7 @@ def _zero_solution(alpha: float, grid_points: int) -> ElasticaSolution:
 
 
 def solve_shape_shooting(
-    load: NormalizedLoad,
-    geometry: BeamGeometry,
-    config: SolverConfig = DEFAULT_CONFIG,
+    load: NormalizedLoad, geometry: BeamGeometry, *, grid_points: int = GRID_POINTS
 ) -> ElasticaSolution:
     """Solve the two-point boundary-value problem by shooting on theta'(0).
 
@@ -150,16 +152,18 @@ def solve_shape_shooting(
     the bracket back into the physical branch; at R/L = 0 it also moves the
     lower end off the straight stalk. Brent's method then runs to machine
     precision, and the achieved residual must be within
-    ``config.boundary_tolerance``. At R/L = 0 and alpha <= pi^2/4 the
-    stalk stays straight, and that shape is returned without a search.
+    ``BOUNDARY_TOLERANCE``. At R/L = 0 and alpha <= pi^2/4 the stalk stays
+    straight, and that shape is returned without a search. The solution
+    has ``grid_points`` samples, at least 16.
     """
+    _validate_grid(grid_points)
     alpha = load.alpha
     if alpha == 0.0 or (geometry.radius_ratio == 0.0 and alpha <= math.pi**2 / 4.0):
         # Below the Euler load a pure tip force has no buckled branch.
-        return _zero_solution(alpha, config.grid_points)
+        return _zero_solution(alpha, grid_points)
 
     target = load.tip_moment(geometry)
-    n_steps = config.grid_points - 1
+    n_steps = grid_points - 1
 
     last = (math.nan, [], math.nan)  # slope, samples and theta'(1) of the last pass
 
@@ -180,7 +184,7 @@ def solve_shape_shooting(
     expansions = 0
     while r_hi < 0.0:
         expansions += 1
-        if expansions > config.max_iterations:
+        if expansions > MAX_ITERATIONS:
             raise NoSolutionError(
                 f"no bracket for the base slope at alpha={alpha}", last_residual=r_hi
             )
@@ -205,15 +209,13 @@ def solve_shape_shooting(
             f"there stays below the tip moment {target:.4g}",
             last_residual=r_lo,
         )
-    c_star = _brentq(
-        residual, lo, hi, xtol=0.0, maxiter=config.max_iterations, fa=r_lo, fb=r_hi
-    )
+    c_star = _brentq(residual, lo, hi, xtol=0.0, maxiter=MAX_ITERATIONS, fa=r_lo, fb=r_hi)
 
     if last[0] != c_star:
         residual(c_star)
     _, samples, om = last
     achieved = abs(om - target)
-    if achieved > config.boundary_tolerance:
+    if achieved > BOUNDARY_TOLERANCE:
         raise NoSolutionError(
             f"boundary residual {achieved:.3e} exceeds tolerance at alpha={alpha}",
             last_residual=achieved,
@@ -251,19 +253,15 @@ def _relaxation_guess(alpha: float, tip_slope: float, s: np.ndarray) -> np.ndarr
     return tip_slope * s
 
 
-def solve_shape_oracle(
-    load: NormalizedLoad,
-    geometry: BeamGeometry,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> ElasticaSolution:
+def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> ElasticaSolution:
     """Solve the same boundary-value problem by finite-difference relaxation.
 
     The equation is discretized with second-order central differences on an
-    internally refined mesh (an integer multiple of the requested grid, at
-    least 4096 intervals), the tip slope condition is imposed through a ghost
-    node, and the resulting nonlinear system is solved by damped Newton
+    internally refined mesh (an integer multiple of the ``GRID_POINTS`` grid,
+    at least 4096 intervals), the tip slope condition is imposed through a
+    ghost node, and the resulting nonlinear system is solved by damped Newton
     iteration with a tridiagonal Jacobian. The refined solution is then
-    restricted to the requested grid.
+    restricted to the ``GRID_POINTS`` grid.
 
     This route shares no code path with the shooting solver and serves as
     its independent cross-check.
@@ -271,9 +269,9 @@ def solve_shape_oracle(
     import numpy as np
     alpha = load.alpha
     if alpha == 0.0:
-        return _zero_solution(alpha, config.grid_points)
+        return _zero_solution(alpha, GRID_POINTS)
 
-    coarse_intervals = config.grid_points - 1
+    coarse_intervals = GRID_POINTS - 1
     refine = max(4, -(-4096 // coarse_intervals))
     m = coarse_intervals * refine
     h = 1.0 / m
@@ -296,7 +294,7 @@ def solve_shape_oracle(
         lower = np.full(m - 1, inv_h2)
         lower[-1] = 2.0 * inv_h2  # ghost elimination doubles the tip subdiagonal
         f = system_residual(t, a, bc)
-        for _ in range(config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             diag = -2.0 * inv_h2 + a * np.cos(t)
             step = _solve_tridiagonal(lower, diag, upper, -f)
             norm_f = np.linalg.norm(f)
@@ -329,7 +327,7 @@ def solve_shape_oracle(
     ghost = 2.0 * t[-1] - t[-2] - h * h * alpha * math.sin(t[-1])
     tip_slope = (ghost - t[-2]) / (2.0 * h)
     achieved = abs(tip_slope - tip_moment)
-    if achieved > config.boundary_tolerance:
+    if achieved > BOUNDARY_TOLERANCE:
         raise NoSolutionError(
             f"relaxation boundary residual {achieved:.3e} exceeds tolerance",
             last_residual=achieved,

@@ -16,7 +16,7 @@ from typing import Iterable, TextIO
 
 from .alpha import generate_alpha_table
 from .errors import CalibrationError, TrialParseError
-from .geometry import DEFAULT_CONFIG, BeamGeometry, NormalizedLoad, SolverConfig
+from .geometry import ALPHA_BRACKET_MAX, BeamGeometry, NormalizedLoad
 from .trials import iter_csv_rows
 from .units import mm_cell_to_m
 
@@ -136,10 +136,8 @@ def calibrate_ei(
 
 
 def predict_force_curve(
-    angles: list[float],
-    calibration: StiffnessCalibration,
-    geometry: BeamGeometry,
-    config: SolverConfig = DEFAULT_CONFIG,
+    angles: list[float], calibration: StiffnessCalibration, geometry: BeamGeometry,
+    *, alpha_bracket_max: float = ALPHA_BRACKET_MAX,
 ) -> list[AdaptationPrediction]:
     """Theory force curve: solve alpha per angle and convert to newtons.
 
@@ -148,7 +146,7 @@ def predict_force_curve(
     message instead of being dropped.
     """
     predictions = []
-    for row in generate_alpha_table(angles, geometry, config):
+    for row in generate_alpha_table(angles, geometry, alpha_bracket_max=alpha_bracket_max):
         if row.error is not None:
             predictions.append(AdaptationPrediction(row.surface_angle, None, None, row.error))
         else:

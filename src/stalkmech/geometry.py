@@ -1,6 +1,6 @@
-"""Core value types: beam geometry, normalized load, and solver settings.
+"""Core value types, beam geometry and normalized load, and the solver constants.
 
-All types are frozen dataclasses validated at construction; instances are
+Both types are frozen dataclasses validated at construction; instances are
 safe to share between threads.
 """
 
@@ -8,7 +8,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+
+# Fixed bounds of the solvers: the largest accepted |theta'(1) - alpha R / L|,
+# the step cap of every root search and Newton loop, and the largest accepted
+# miss of a solved tip angle, in radians.
+BOUNDARY_TOLERANCE = 1e-10
+MAX_ITERATIONS = 100
+ANGLE_TOLERANCE = 1e-6
+
+# Defaults of the two settings: the ceiling of the load search, and the samples
+# of the normalized arc length on [0, 1], whose step is 1 / (GRID_POINTS - 1).
+ALPHA_BRACKET_MAX = 10.0
+GRID_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -69,29 +80,3 @@ class NormalizedLoad:
     def tip_moment(self, geometry: BeamGeometry) -> float:
         """Normalized tip moment alpha * R / L (the tip slope boundary value)."""
         return self.alpha * geometry.radius_ratio
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Discretization and search settings shared by the solvers.
-
-    ``grid_points`` counts samples of the normalized arc length on [0, 1],
-    so the fixed integration step is 1/(grid_points - 1). The tolerances
-    and the iteration cap are fixed bounds of the solvers, not settings.
-    """
-
-    grid_points: int = 1024
-    alpha_bracket_max: float = 10.0
-
-    boundary_tolerance: ClassVar[float] = 1e-10
-    max_iterations: ClassVar[int] = 100
-    angle_tolerance: ClassVar[float] = 1e-6
-
-    def __post_init__(self):
-        if self.grid_points < 16:
-            raise ValueError(f"grid_points must be >= 16, got {self.grid_points}")
-        if not (self.alpha_bracket_max > 0.0):
-            raise ValueError("alpha_bracket_max must be positive")
-
-
-DEFAULT_CONFIG = SolverConfig()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from stalkmech import BeamGeometry, SolverConfig
+from stalkmech import BeamGeometry
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -17,11 +17,6 @@ def fixtures_dir() -> Path:
 def half_ratio_geometry() -> BeamGeometry:
     """The reference moment-arm ratio: 10 mm pad radius on a 20 mm stalk."""
     return BeamGeometry.from_ratio(0.5)
-
-
-@pytest.fixture(scope="session")
-def config() -> SolverConfig:
-    return SolverConfig()
 
 
 def deg(value: float) -> float:

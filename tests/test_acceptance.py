@@ -17,7 +17,6 @@ import pytest
 from stalkmech import (
     BeamGeometry,
     NormalizedLoad,
-    SolverConfig,
     calibrate_ei,
     linearized_alpha,
     load_manifest_trials,
@@ -33,7 +32,6 @@ from stalkmech.cli import execute
 from stalkmech.elastica import _rk4_tip
 
 GEOMETRY = BeamGeometry.from_ratio(0.5)
-CONFIG = SolverConfig()
 
 # Reference required-load column at R/L = 0.5 (0 through 75 deg in 15 deg
 # steps) and the scenario digest encoded by the vendored trial fixtures.
@@ -85,7 +83,7 @@ def test_criterion_2_linearized_oracle_agreement():
     details = []
     for gamma_deg, rel_tol in ((1.0, 1e-3), (5.0, 1e-2)):
         gamma = math.radians(gamma_deg)
-        nonlinear = solve_alpha_for_angle(gamma, GEOMETRY, CONFIG).alpha
+        nonlinear = solve_alpha_for_angle(gamma, GEOMETRY).alpha
         closed_form = linearized_alpha(gamma, GEOMETRY)
         rel = abs(nonlinear - closed_form) / closed_form
         assert rel <= rel_tol, f"{gamma_deg} deg: {rel:.2e} > {rel_tol}"
@@ -98,8 +96,8 @@ def test_criterion_3_cross_solver_agreement():
     worst_residual = 0.0
     for alpha in (0.445, 0.772, 1.03, 1.254, 1.467):
         load = NormalizedLoad(alpha)
-        shoot = solve_shape_shooting(load, GEOMETRY, CONFIG)
-        mesh = solve_shape_oracle(load, GEOMETRY, CONFIG)
+        shoot = solve_shape_shooting(load, GEOMETRY)
+        mesh = solve_shape_oracle(load, GEOMETRY)
         sup = float(np.max(np.abs(shoot.theta_samples - mesh.theta_samples)))
         worst_sup = max(worst_sup, sup)
         worst_residual = max(worst_residual, shoot.boundary_residual, mesh.boundary_residual)
@@ -211,13 +209,13 @@ def test_criterion_8_property_suites(fixtures_dir):
     # re-exercises one representative from each family so the acceptance
     # run documents them even in isolation.
     alphas = [
-        solve_alpha_for_angle(math.radians(d), GEOMETRY, CONFIG).alpha
+        solve_alpha_for_angle(math.radians(d), GEOMETRY).alpha
         for d in (10.0, 30.0, 50.0, 70.0)
     ]
     assert all(b > a for a, b in zip(alphas, alphas[1:])), "alpha(gamma) monotone"
 
-    a_small = solve_alpha_for_angle(math.radians(30.0), BeamGeometry.from_ratio(0.25), CONFIG)
-    a_large = solve_alpha_for_angle(math.radians(30.0), BeamGeometry.from_ratio(1.0), CONFIG)
+    a_small = solve_alpha_for_angle(math.radians(30.0), BeamGeometry.from_ratio(0.25))
+    a_large = solve_alpha_for_angle(math.radians(30.0), BeamGeometry.from_ratio(1.0))
     assert a_large.alpha < a_small.alpha, "larger moment arm lowers the load"
 
     trial_path = fixtures_dir / "trials" / "granular_20mm" / "angle45_rep1.csv"

@@ -13,21 +13,25 @@ import stalkmech.elastica
 from stalkmech import (
     BeamGeometry,
     NoSolutionError,
-    SolverConfig,
+    StiffnessCalibration,
     UnreachableAngleError,
     generate_alpha_table,
     integrate_elastica_ivp,
     linearized_alpha,
+    predict_force_curve,
     solve_alpha_for_angle,
     solve_shape_oracle,
     solve_shape_shooting,
 )
 from stalkmech.alpha import _amplitude, _brentq, _carlson_rf
 from stalkmech.cli import execute
-from stalkmech.geometry import NormalizedLoad
+from stalkmech.geometry import ANGLE_TOLERANCE, GRID_POINTS, NormalizedLoad
 
 # Reference required-load column at R/L = 0.5 for 15..75 degrees.
 TABLE = {15.0: 0.445, 30.0: 0.772, 45.0: 1.03, 60.0: 1.254, 75.0: 1.467}
+
+# The jammed 20 mm stalk's fitted rigidity, for the force-curve entry point.
+CALIBRATION = StiffnessCalibration(5.44e-4, 204.0, 1.0, "direct", 0.02)
 
 
 class TestBrent:
@@ -184,37 +188,35 @@ class TestLinearizedOracle:
 
 
 class TestSolveAlphaForAngle:
-    def test_zero_angle_maps_to_zero_load(self, half_ratio_geometry, config):
-        result = solve_alpha_for_angle(0.0, half_ratio_geometry, config)
+    def test_zero_angle_maps_to_zero_load(self, half_ratio_geometry):
+        result = solve_alpha_for_angle(0.0, half_ratio_geometry)
         assert result.alpha == 0.0
         assert result.tip_angle_achieved == 0.0
 
     @pytest.mark.parametrize("gamma_deg, expected", sorted(TABLE.items()))
-    def test_reference_table_values(self, half_ratio_geometry, config, gamma_deg, expected):
-        result = solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry, config)
+    def test_reference_table_values(self, half_ratio_geometry, gamma_deg, expected):
+        result = solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry)
         assert result.alpha == pytest.approx(expected, rel=0.03)
 
-    def test_round_trip_through_the_shape_solver(self, half_ratio_geometry, config):
+    def test_round_trip_through_the_shape_solver(self, half_ratio_geometry):
         gamma = math.radians(37.5)
-        result = solve_alpha_for_angle(gamma, half_ratio_geometry, config)
-        sol = solve_shape_shooting(
-            NormalizedLoad(result.alpha), half_ratio_geometry, config
-        )
+        result = solve_alpha_for_angle(gamma, half_ratio_geometry)
+        sol = solve_shape_shooting(NormalizedLoad(result.alpha), half_ratio_geometry)
         assert abs(sol.tip_angle - gamma) <= 1e-6
 
-    def test_monotone_in_angle(self, half_ratio_geometry, config):
+    def test_monotone_in_angle(self, half_ratio_geometry):
         alphas = [
-            solve_alpha_for_angle(math.radians(d), half_ratio_geometry, config).alpha
+            solve_alpha_for_angle(math.radians(d), half_ratio_geometry).alpha
             for d in range(5, 90, 5)
         ]
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
 
     @pytest.mark.parametrize("gamma_deg, rel_tol", [(1.0, 1e-3), (5.0, 1e-2)])
     def test_small_angle_agreement_with_closed_form(
-        self, half_ratio_geometry, config, gamma_deg, rel_tol
+        self, half_ratio_geometry, gamma_deg, rel_tol
     ):
         gamma = math.radians(gamma_deg)
-        nonlinear = solve_alpha_for_angle(gamma, half_ratio_geometry, config).alpha
+        nonlinear = solve_alpha_for_angle(gamma, half_ratio_geometry).alpha
         linear = linearized_alpha(gamma, half_ratio_geometry)
         assert abs(nonlinear - linear) / linear <= rel_tol
 
@@ -233,23 +235,23 @@ class TestSolveAlphaForAngle:
 
     @pytest.mark.parametrize("gamma_deg", [30.0, 45.0, 60.0, 75.0])
     def test_geometric_stiffening_beyond_the_linear_model(
-        self, half_ratio_geometry, config, gamma_deg
+        self, half_ratio_geometry, gamma_deg
     ):
         gamma = math.radians(gamma_deg)
-        nonlinear = solve_alpha_for_angle(gamma, half_ratio_geometry, config).alpha
+        nonlinear = solve_alpha_for_angle(gamma, half_ratio_geometry).alpha
         assert nonlinear >= linearized_alpha(gamma, half_ratio_geometry)
 
-    def test_larger_moment_arm_needs_less_load(self, config):
+    def test_larger_moment_arm_needs_less_load(self):
         gamma = math.radians(30.0)
         alphas = [
-            solve_alpha_for_angle(gamma, BeamGeometry.from_ratio(r), config).alpha
+            solve_alpha_for_angle(gamma, BeamGeometry.from_ratio(r)).alpha
             for r in (0.1, 0.25, 0.5, 1.0)
         ]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
 
     @pytest.mark.parametrize("gamma_deg", [0.0, 45.0])
     def test_no_shooting_or_integration_per_solved_angle(
-        self, half_ratio_geometry, config, monkeypatch, gamma_deg
+        self, half_ratio_geometry, monkeypatch, gamma_deg
     ):
         counts = {"solves": 0, "passes": 0}
 
@@ -266,19 +268,19 @@ class TestSolveAlphaForAngle:
         monkeypatch.setattr(
             stalkmech.elastica, "_rk4_tip", counted(stalkmech.elastica._rk4_tip, "passes")
         )
-        solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry, config)
+        solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry)
         assert counts == {"solves": 0, "passes": 0}
 
-    def test_zero_angle_is_the_straight_stalk(self, half_ratio_geometry, config):
-        result = solve_alpha_for_angle(0.0, half_ratio_geometry, config)
+    def test_zero_angle_is_the_straight_stalk(self, half_ratio_geometry):
+        result = solve_alpha_for_angle(0.0, half_ratio_geometry)
         assert (result.outer_iterations, result.boundary_residual) == (0, 0.0)
         shape = result.inner_solution
-        assert np.array_equal(shape.theta_samples, np.zeros(config.grid_points))
+        assert np.array_equal(shape.theta_samples, np.zeros(GRID_POINTS))
         assert (shape.initial_slope, shape.boundary_residual) == (0.0, 0.0)
 
     @pytest.mark.parametrize("gamma_deg", [15.0, 45.0, 75.0])
     def test_each_quadrature_is_evaluated_once(
-        self, half_ratio_geometry, config, monkeypatch, gamma_deg
+        self, half_ratio_geometry, monkeypatch, gamma_deg
     ):
         # Brent is handed both ends of the bracket: f(0) = -K is known
         # without an evaluation and f(K) is not recomputed.
@@ -290,20 +292,20 @@ class TestSolveAlphaForAngle:
             return excess(alpha, *args)
 
         monkeypatch.setattr(stalkmech.alpha, "_excess", counted)
-        result = solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry, config)
+        result = solve_alpha_for_angle(math.radians(gamma_deg), half_ratio_geometry)
         assert len(loads) == result.outer_iterations
         assert len(set(loads)) == len(loads)
         assert 0.0 not in loads
 
-    def test_shape_is_built_once_on_first_access(self, half_ratio_geometry, config):
-        result = solve_alpha_for_angle(math.radians(45.0), half_ratio_geometry, config)
+    def test_shape_is_built_once_on_first_access(self, half_ratio_geometry):
+        result = solve_alpha_for_angle(math.radians(45.0), half_ratio_geometry)
         assert "inner_solution" not in vars(result)
         assert result.inner_solution is result.inner_solution
         assert result.boundary_residual == result.inner_solution.boundary_residual
         assert result.inner_solution.tip_angle == result.tip_angle_achieved
 
     def test_load_tables_never_build_the_shape(
-        self, half_ratio_geometry, config, fixtures_dir, monkeypatch
+        self, half_ratio_geometry, fixtures_dir, monkeypatch
     ):
         calls = []
         monkeypatch.setattr(
@@ -326,7 +328,7 @@ class TestSolveAlphaForAngle:
     # R/L = 3 puts 89.5 degrees on the rotating branch (k >= 1), whose
     # reciprocal parameter runs the AGM as well.
     @pytest.mark.parametrize("ratio", [0.0, 0.5, 3.0])
-    def test_one_agm_per_solved_angle_and_one_per_shape(self, config, monkeypatch, ratio):
+    def test_one_agm_per_solved_angle_and_one_per_shape(self, monkeypatch, ratio):
         calls = []
         agm = stalkmech.alpha._agm
 
@@ -336,26 +338,27 @@ class TestSolveAlphaForAngle:
 
         monkeypatch.setattr(stalkmech.alpha, "_agm", counted)
         angles = [math.radians(d) for d in (15.0, 45.0, 89.5)]
-        rows = generate_alpha_table(angles, BeamGeometry.from_ratio(ratio), config)
+        rows = generate_alpha_table(angles, BeamGeometry.from_ratio(ratio))
         assert all(row.error is None for row in rows)
         assert len(calls) == len(angles)
         rows[-1].result.inner_solution
         assert len(calls) == len(angles) + 1
 
-    def test_pure_tip_force_takes_the_buckled_branch(self, config):
+    def test_pure_tip_force_takes_the_buckled_branch(self):
         # At R/L = 0 the straight beam solves every load; the bent branch
         # starts at the Euler buckling load pi^2 / 4.
         geometry = BeamGeometry.from_ratio(0.0)
-        result = solve_alpha_for_angle(math.radians(15.0), geometry, config)
+        result = solve_alpha_for_angle(math.radians(15.0), geometry)
         assert result.alpha == pytest.approx(2.48867, abs=5e-6)
-        assert abs(result.tip_angle_achieved - math.radians(15.0)) <= config.angle_tolerance
-        onset = solve_alpha_for_angle(math.radians(0.1), geometry, config).alpha
+        assert abs(result.tip_angle_achieved - math.radians(15.0)) <= ANGLE_TOLERANCE
+        onset = solve_alpha_for_angle(math.radians(0.1), geometry).alpha
         assert 0.0 < onset - math.pi**2 / 4.0 < 1e-5
 
     def test_unreachable_angle_reports_the_ceiling(self, half_ratio_geometry):
-        config = SolverConfig(alpha_bracket_max=0.5)
         with pytest.raises(UnreachableAngleError) as excinfo:
-            solve_alpha_for_angle(math.radians(60.0), half_ratio_geometry, config)
+            solve_alpha_for_angle(
+                math.radians(60.0), half_ratio_geometry, alpha_bracket_max=0.5
+            )
         assert excinfo.value.max_tip_angle is not None
         assert 0.0 < excinfo.value.max_tip_angle < math.radians(60.0)
 
@@ -374,38 +377,36 @@ class TestSolveAlphaForAngle:
     )
     def test_unreachable_tip_matches_cold_shooting(self, ratio, alpha_max, gamma_deg):
         geometry = BeamGeometry.from_ratio(ratio)
-        config = SolverConfig(alpha_bracket_max=alpha_max)
         with pytest.raises(UnreachableAngleError) as excinfo:
-            solve_alpha_for_angle(math.radians(gamma_deg), geometry, config)
-        shot = solve_shape_shooting(NormalizedLoad(alpha_max), geometry, config).tip_angle
+            solve_alpha_for_angle(math.radians(gamma_deg), geometry, alpha_bracket_max=alpha_max)
+        shot = solve_shape_shooting(NormalizedLoad(alpha_max), geometry).tip_angle
         assert abs(excinfo.value.max_tip_angle - shot) <= 1e-10
 
     @pytest.mark.parametrize("gamma", [-0.01, math.pi / 2, 2.0])
-    def test_angle_domain(self, half_ratio_geometry, config, gamma):
+    def test_angle_domain(self, half_ratio_geometry, gamma):
         with pytest.raises(ValueError):
-            solve_alpha_for_angle(gamma, half_ratio_geometry, config)
+            solve_alpha_for_angle(gamma, half_ratio_geometry)
 
 
 class TestAlphaTable:
-    def test_empty_input(self, half_ratio_geometry, config):
-        assert generate_alpha_table([], half_ratio_geometry, config) == []
+    def test_empty_input(self, half_ratio_geometry):
+        assert generate_alpha_table([], half_ratio_geometry) == []
 
-    def test_zero_angle_row(self, half_ratio_geometry, config):
-        rows = generate_alpha_table([0.0], half_ratio_geometry, config)
+    def test_zero_angle_row(self, half_ratio_geometry):
+        rows = generate_alpha_table([0.0], half_ratio_geometry)
         assert len(rows) == 1
         assert rows[0].alpha == 0.0
         assert rows[0].error is None
 
-    def test_order_preserved(self, half_ratio_geometry, config):
+    def test_order_preserved(self, half_ratio_geometry):
         angles = [math.radians(d) for d in (45.0, 15.0, 30.0)]
-        rows = generate_alpha_table(angles, half_ratio_geometry, config)
+        rows = generate_alpha_table(angles, half_ratio_geometry)
         assert [r.surface_angle for r in rows] == angles
         assert rows[0].alpha > rows[2].alpha > rows[1].alpha
 
     def test_failed_rows_are_marked_not_fatal(self, half_ratio_geometry):
-        config = SolverConfig(alpha_bracket_max=1.0)
         angles = [math.radians(d) for d in (15.0, 80.0, 30.0)]
-        rows = generate_alpha_table(angles, half_ratio_geometry, config)
+        rows = generate_alpha_table(angles, half_ratio_geometry, alpha_bracket_max=1.0)
         assert rows[0].error is None
         assert rows[1].error is not None and rows[1].alpha is None
         assert rows[2].error is None
@@ -413,10 +414,45 @@ class TestAlphaTable:
     def test_outer_search_out_of_iterations_is_an_error_row(
         self, half_ratio_geometry, monkeypatch
     ):
-        monkeypatch.setattr(SolverConfig, "max_iterations", 5)
-        rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry, SolverConfig())
+        monkeypatch.setattr(stalkmech.alpha, "MAX_ITERATIONS", 5)
+        rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry)
         assert rows[0].alpha is None and rows[0].result is None
         assert "after 5 iterations" in rows[0].error
+
+    # The check runs before any angle, so a bad ceiling never becomes one
+    # error row per angle, and an empty table is no exception.
+    @pytest.mark.parametrize("alpha_bracket_max", [0.0, -1.0, math.nan])
+    def test_non_positive_ceiling_fails_the_whole_table(
+        self, half_ratio_geometry, alpha_bracket_max
+    ):
+        bound = {"alpha_bracket_max": alpha_bracket_max}
+        message = "^alpha_bracket_max must be positive$"
+        for angles in ([], [0.0, math.radians(45.0)]):
+            with pytest.raises(ValueError, match=message):
+                generate_alpha_table(angles, half_ratio_geometry, **bound)
+            with pytest.raises(ValueError, match=message):
+                predict_force_curve(angles, CALIBRATION, half_ratio_geometry, **bound)
+        for angle in (0.0, math.radians(45.0)):
+            with pytest.raises(ValueError, match=message):
+                solve_alpha_for_angle(angle, half_ratio_geometry, **bound)
+
+
+# A caller that still passes a settings object positionally fails loudly
+# instead of having it read as a bound.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: solve_alpha_for_angle(0.5, g, 10.0),
+        lambda g: generate_alpha_table([0.5], g, 10.0),
+        lambda g: solve_shape_shooting(NormalizedLoad(1.0), g, 1024),
+        lambda g: predict_force_curve([0.5], CALIBRATION, g, 10.0),
+    ],
+    ids=["solve_alpha_for_angle", "generate_alpha_table", "solve_shape_shooting",
+         "predict_force_curve"],
+)
+def test_solver_settings_are_keyword_only(half_ratio_geometry, call):
+    with pytest.raises(TypeError, match="positional argument"):
+        call(half_ratio_geometry)
 
 
 # R/L draws: the pure tip force, small pads (where the first integral's
@@ -431,22 +467,21 @@ ANGLES = st.floats(min_value=0.0, max_value=math.radians(89.5), exclude_min=True
 
 def check_round_trip(gamma, ratio):
     """Solve one angle; check it against the target, cold shooting and RK4."""
-    config = SolverConfig()
     geometry = BeamGeometry.from_ratio(ratio)
-    [row] = generate_alpha_table([gamma], geometry, config)
+    [row] = generate_alpha_table([gamma], geometry)
     assert row.error is None
     result = row.result
-    assert abs(result.tip_angle_achieved - gamma) <= config.angle_tolerance
+    assert abs(result.tip_angle_achieved - gamma) <= ANGLE_TOLERANCE
     # The profile's last node, at s = 1, is the tip the solver checked.
     shape = result.inner_solution
     assert shape.theta_samples[-1] == result.tip_angle_achieved
     assert shape.boundary_residual <= 1e-10
     # Integrating from the closed-form base slope reproduces the closed-form profile.
     load = NormalizedLoad(row.alpha)
-    theta = integrate_elastica_ivp(load, shape.initial_slope, config.grid_points)
+    theta = integrate_elastica_ivp(load, shape.initial_slope, GRID_POINTS)
     assert np.max(np.abs(theta - shape.theta_samples)) <= 1e-12
     if ratio >= 0.05:
-        cold = solve_shape_shooting(load, geometry, config)
+        cold = solve_shape_shooting(load, geometry)
         assert abs(cold.tip_angle - gamma) <= 1e-6
     # The root search's bracket: alpha <= K(sin(gamma / 2))^2, reached in
     # one evaluation at R/L = 0. The solver's R_F and this AGM each hold K

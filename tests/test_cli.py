@@ -76,12 +76,11 @@ class TestAlphaTableCommand:
     def test_parameters_are_echoed(self):
         _, out = run(["alpha-table", "--angles", "15", "--radius-ratio", "0.25"])
         assert "# parameter radius_ratio=0.25\n" in out
-        assert "# parameter grid_points=1024\n" in out
         assert "# parameter alpha_bracket_max=10\n" in out
+        assert "grid_points" not in out
 
-    def test_coarse_grid_solves_every_row(self):
-        # The shape is exact at the nodes, so even 16 points meet the tip angle.
-        argv = ["alpha-table", "--angles", "15,45,85", "--radius-ratio", "0", "--grid-points", "16"]
+    def test_zero_radius_solves_every_row_on_the_buckled_branch(self):
+        argv = ["alpha-table", "--angles", "15,45,85", "--radius-ratio", "0"]
         status, out = run(argv)
         assert status == 0
         rows = csv_rows(out)
@@ -370,6 +369,73 @@ class TestCompareCommand:
         assert status == 1
 
 
+# The geometry and load-search echoes that several commands share.
+GEOMETRY_KEYS = {"stalk_length_mm", "pad_radius_mm", "radius_ratio"}
+LOAD_SEARCH_KEYS = {"boundary_tolerance", "max_iterations", "alpha_bracket_max", "angle_tolerance"}
+LOAD_COMMANDS = ["alpha-table", "solve", "predict-force", "compare"]
+
+
+class TestParameterEcho:
+    """Each command echoes exactly the parameters it reads and takes no flag it ignores."""
+
+    ECHOED = {
+        "alpha-table": {"angles_deg", *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS},
+        "solve": {"gamma_deg", *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS},
+        "shape": {
+            "alpha", "tip_angle_deg", *GEOMETRY_KEYS,
+            "grid_points", "boundary_tolerance", "max_iterations",
+        },
+        "calibrate": {"input", "length_mm", "label"},
+        "predict-force": {
+            "angles_deg", "source_label", "flexural_rigidity_Nm2", *GEOMETRY_KEYS,
+            *LOAD_SEARCH_KEYS,
+        },
+        "analyze": {"manifest", "inputs", "scenario", "angle_deg", "threshold_kpa", "per_angle"},
+        "compare": {
+            "manifest", "scenario", "threshold_kpa", "source_label", "flexural_rigidity_Nm2",
+            *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS,
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(ECHOED))
+    def test_echoes_exactly_the_parameters_it_reads(self, monkeypatch, command):
+        monkeypatch.chdir(REPO)
+        status, out = run(CASES[command])
+        assert status == 0
+        keys = {
+            line.removeprefix("# parameter ").partition("=")[0]
+            for line in out.splitlines()
+            if line.startswith("# parameter ")
+        }
+        assert keys == self.ECHOED[command]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [*((command, "--grid-points 64") for command in LOAD_COMMANDS), ("shape", "--alpha-max 0.5")],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        self, monkeypatch, capsys, command, flag
+    ):
+        monkeypatch.chdir(REPO)
+        status, out = run([*CASES[command], *flag.split()])
+        assert (status, out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "nan"])
+    @pytest.mark.parametrize("command", LOAD_COMMANDS)
+    def test_non_positive_ceiling_is_a_domain_error(self, monkeypatch, capsys, command, value):
+        monkeypatch.chdir(REPO)
+        status, out = run([*CASES[command], "--alpha-max", value])
+        assert (status, out) == (1, "")
+        assert capsys.readouterr().err == "stalkmech: error: alpha_bracket_max must be positive\n"
+
+    def test_coarse_shape_grid_is_a_domain_error(self, monkeypatch, capsys):
+        monkeypatch.chdir(REPO)
+        status, out = run([*CASES["shape"], "--grid-points", "8"])
+        assert (status, out) == (1, "")
+        assert capsys.readouterr().err == "stalkmech: error: grid_points must be >= 16, got 8\n"
+
+
 class TestExitCodes:
     def test_unknown_command_is_a_usage_error(self, capsys):
         status, _ = run(["frobnicate"])
@@ -520,7 +586,7 @@ class TestLazyNamespace:
             "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
             "predict_force_curve", "read_bending_samples",
         ],
-        "geometry": ["DEFAULT_CONFIG", "BeamGeometry", "NormalizedLoad", "SolverConfig"],
+        "geometry": ["BeamGeometry", "NormalizedLoad"],
         "trials": [
             "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
             "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
@@ -535,8 +601,8 @@ class TestLazyNamespace:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    def test_all_lists_the_forty_nine_names(self):
-        assert len(set(self.NAMES)) == 49
+    def test_all_lists_the_forty_seven_names(self):
+        assert len(set(self.NAMES)) == 47
         assert sorted(stalkmech.__all__) == self.NAMES
 
     def test_names_resolve_to_their_defining_module(self):

@@ -9,13 +9,13 @@ from stalkmech import (
     IntegrationDivergedError,
     NoSolutionError,
     NormalizedLoad,
-    SolverConfig,
     centerline,
     integrate_elastica_ivp,
     solve_shape_oracle,
     solve_shape_shooting,
 )
 from stalkmech.elastica import _BISECTION_WIDTH, _solve_tridiagonal
+from stalkmech.geometry import BOUNDARY_TOLERANCE, GRID_POINTS
 
 # Normalized loads of the reference angle table at R/L = 0.5.
 TABLE_ALPHAS = [0.445, 0.772, 1.03, 1.254, 1.467]
@@ -54,8 +54,8 @@ class TestIntegrateIvp:
 
 
 class TestShooting:
-    def test_zero_load_solution(self, half_ratio_geometry, config):
-        sol = solve_shape_shooting(NormalizedLoad(0.0), half_ratio_geometry, config)
+    def test_zero_load_solution(self, half_ratio_geometry):
+        sol = solve_shape_shooting(NormalizedLoad(0.0), half_ratio_geometry)
         assert np.all(sol.theta_samples == 0.0)
         assert sol.tip_angle == 0.0
         assert sol.boundary_residual == 0.0
@@ -65,28 +65,28 @@ class TestShooting:
         [(1.03, 45.0), (1.467, 75.0)],
     )
     def test_table_loads_invert_to_their_angles(
-        self, half_ratio_geometry, config, alpha, tip_deg
+        self, half_ratio_geometry, alpha, tip_deg
     ):
-        sol = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry, config)
+        sol = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry)
         # The tabulated loads carry 3-4 significant digits, so the recovered
         # angle is only pinned to a few hundredths of a degree.
         assert sol.tip_angle == pytest.approx(math.radians(tip_deg), abs=5e-3)
 
     @pytest.mark.parametrize("alpha", TABLE_ALPHAS)
-    def test_boundary_satisfaction(self, half_ratio_geometry, config, alpha):
+    def test_boundary_satisfaction(self, half_ratio_geometry, alpha):
         load = NormalizedLoad(alpha)
-        sol = solve_shape_shooting(load, half_ratio_geometry, config)
+        sol = solve_shape_shooting(load, half_ratio_geometry)
         assert sol.theta_samples[0] == 0.0
-        assert sol.boundary_residual <= config.boundary_tolerance
+        assert sol.boundary_residual <= BOUNDARY_TOLERANCE
         # The samples are the pass from the returned base slope, not a stale one.
-        replay = integrate_elastica_ivp(load, sol.initial_slope, config.grid_points)
+        replay = integrate_elastica_ivp(load, sol.initial_slope, GRID_POINTS)
         assert np.array_equal(replay, sol.theta_samples)
 
-    def test_monotone_tip_response(self, half_ratio_geometry, config):
+    def test_monotone_tip_response(self, half_ratio_geometry):
         # Strictly increasing tip angle over alpha in [0, 1.5], 0.05 steps.
         alphas = [0.05 * k for k in range(31)]
         tips = [
-            solve_shape_shooting(NormalizedLoad(a), half_ratio_geometry, config).tip_angle
+            solve_shape_shooting(NormalizedLoad(a), half_ratio_geometry).tip_angle
             for a in alphas
         ]
         assert all(b > a for a, b in zip(tips, tips[1:]))
@@ -104,25 +104,25 @@ class TestShooting:
         monkeypatch.setattr(stalkmech.elastica, "_rk4_tip", counted)
         return slopes
 
-    def test_cold_solve_takes_few_integrations(self, half_ratio_geometry, config, slopes):
+    def test_cold_solve_takes_few_integrations(self, half_ratio_geometry, slopes):
         # One pass at the first bracket end, alpha (R/L + 1) = 1.545, which
         # already brackets the root, then Brent's steps to machine precision.
-        solve_shape_shooting(NormalizedLoad(1.03), half_ratio_geometry, config)
+        solve_shape_shooting(NormalizedLoad(1.03), half_ratio_geometry)
         assert len(slopes) <= 10
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.0, 2.4, math.pi**2 / 4])
     def test_pure_tip_force_below_euler_load_is_straight_without_a_pass(
-        self, config, slopes, alpha
+        self, slopes, alpha
     ):
-        sol = solve_shape_shooting(NormalizedLoad(alpha), BeamGeometry.from_ratio(0.0), config)
+        sol = solve_shape_shooting(NormalizedLoad(alpha), BeamGeometry.from_ratio(0.0))
         assert slopes == []
-        assert np.all(sol.theta_samples == 0.0) and len(sol.theta_samples) == config.grid_points
+        assert np.all(sol.theta_samples == 0.0) and len(sol.theta_samples) == GRID_POINTS
         assert sol.initial_slope == 0.0 and sol.boundary_residual == 0.0
 
-    def test_coiled_stalk_names_the_coil_limit(self, config, slopes):
+    def test_coiled_stalk_names_the_coil_limit(self, slopes):
         # At alpha 8, R/L 2 the tip would sit near 937 degrees, past MAX_ANGLE.
         with pytest.raises(NoSolutionError) as excinfo:
-            solve_shape_shooting(NormalizedLoad(8.0), BeamGeometry.from_ratio(2.0), config)
+            solve_shape_shooting(NormalizedLoad(8.0), BeamGeometry.from_ratio(2.0))
         message = str(excinfo.value)
         assert message.startswith("no shape within |theta| < 4 pi at alpha=8.0:")
         assert "theta'(1) = 13.21 there stays below the tip moment 16" in message
@@ -130,12 +130,18 @@ class TestShooting:
         # bisection down to the width; the error comes before any Brent step.
         assert len(slopes) == 1 + math.ceil(math.log2(24.0 / _BISECTION_WIDTH))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.03])
+    def test_grid_below_sixteen_points_rejected(self, half_ratio_geometry, alpha):
+        load = NormalizedLoad(alpha)
+        with pytest.raises(ValueError, match="^grid_points must be >= 16, got 15$"):
+            solve_shape_shooting(load, half_ratio_geometry, grid_points=15)
+        with pytest.raises(ValueError, match="^grid_points must be >= 16, got 15$"):
+            integrate_elastica_ivp(load, 1.0, 15)
+
     def test_grid_convergence_is_fourth_order(self, half_ratio_geometry):
         # Successive tip-angle differences shrink ~16x per grid doubling.
         solutions = {
-            n: solve_shape_shooting(
-                NormalizedLoad(1.467), half_ratio_geometry, SolverConfig(grid_points=n)
-            )
+            n: solve_shape_shooting(NormalizedLoad(1.467), half_ratio_geometry, grid_points=n)
             for n in (128, 256, 512)
         }
         assert all(sol.boundary_residual <= 1e-13 for sol in solutions.values())
@@ -145,23 +151,23 @@ class TestShooting:
 
 
 class TestOracle:
-    def test_zero_load_solution(self, half_ratio_geometry, config):
-        sol = solve_shape_oracle(NormalizedLoad(0.0), half_ratio_geometry, config)
+    def test_zero_load_solution(self, half_ratio_geometry):
+        sol = solve_shape_oracle(NormalizedLoad(0.0), half_ratio_geometry)
         assert np.all(sol.theta_samples == 0.0)
 
     @pytest.mark.parametrize("alpha", [0.445, 1.467])
-    def test_agrees_with_shooting(self, half_ratio_geometry, config, alpha):
-        shoot = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry, config)
-        mesh = solve_shape_oracle(NormalizedLoad(alpha), half_ratio_geometry, config)
+    def test_agrees_with_shooting(self, half_ratio_geometry, alpha):
+        shoot = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry)
+        mesh = solve_shape_oracle(NormalizedLoad(alpha), half_ratio_geometry)
         sup = np.max(np.abs(shoot.theta_samples - mesh.theta_samples))
         assert sup <= 1e-6
-        assert mesh.boundary_residual <= config.boundary_tolerance
+        assert mesh.boundary_residual <= BOUNDARY_TOLERANCE
 
-    def test_last_continuation_stage_lands_on_alpha(self, half_ratio_geometry, config):
+    def test_last_continuation_stage_lands_on_alpha(self, half_ratio_geometry):
         # alpha > 2 triggers load continuation; the end state must still
         # solve the requested load exactly.
-        shoot = solve_shape_shooting(NormalizedLoad(2.4), half_ratio_geometry, config)
-        mesh = solve_shape_oracle(NormalizedLoad(2.4), half_ratio_geometry, config)
+        shoot = solve_shape_shooting(NormalizedLoad(2.4), half_ratio_geometry)
+        mesh = solve_shape_oracle(NormalizedLoad(2.4), half_ratio_geometry)
         assert np.max(np.abs(shoot.theta_samples - mesh.theta_samples)) <= 1e-6
 
 
@@ -181,23 +187,21 @@ class TestOracle:
 
 
 class TestCenterline:
-    def test_straight_beam(self, half_ratio_geometry, config):
-        sol = solve_shape_shooting(NormalizedLoad(0.0), half_ratio_geometry, config)
+    def test_straight_beam(self, half_ratio_geometry):
+        sol = solve_shape_shooting(NormalizedLoad(0.0), half_ratio_geometry)
         points = centerline(sol)
-        assert np.allclose(points[:, 0], np.linspace(0.0, 1.0, config.grid_points), atol=1e-12)
+        assert np.allclose(points[:, 0], np.linspace(0.0, 1.0, GRID_POINTS), atol=1e-12)
         assert np.all(points[:, 1] == 0.0)
 
     @pytest.mark.parametrize("alpha", [0.445, 1.03, 1.467])
-    def test_unit_arc_length(self, half_ratio_geometry, config, alpha):
-        sol = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry, config)
+    def test_unit_arc_length(self, half_ratio_geometry, alpha):
+        sol = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry)
         points = centerline(sol)
         length = float(np.sum(np.hypot(*np.diff(points, axis=0).T)))
         assert abs(length - 1.0) <= 1e-6
 
     def test_final_segment_tangent_matches_tip_angle(self, half_ratio_geometry):
-        sol = solve_shape_shooting(
-            NormalizedLoad(1.03), half_ratio_geometry, SolverConfig(grid_points=4096)
-        )
+        sol = solve_shape_shooting(NormalizedLoad(1.03), half_ratio_geometry, grid_points=4096)
         points = centerline(sol)
         direction = math.atan2(
             points[-1, 1] - points[-2, 1], points[-1, 0] - points[-2, 0]

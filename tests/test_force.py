@@ -7,7 +7,6 @@ import pytest
 from stalkmech import (
     BeamGeometry,
     CalibrationError,
-    SolverConfig,
     StiffnessCalibration,
     TrialParseError,
     alpha_to_force,
@@ -168,27 +167,26 @@ class TestCalibration:
 
 
 class TestPredictForceCurve:
-    def test_zero_angle_costs_nothing(self, config):
-        rows = predict_force_curve([0.0], CAL_20MM, GEOM_20MM, config)
+    def test_zero_angle_costs_nothing(self):
+        rows = predict_force_curve([0.0], CAL_20MM, GEOM_20MM)
         assert rows[0].force == 0.0
         assert rows[0].error is None
 
-    def test_reference_composition(self, config):
-        rows = predict_force_curve([math.radians(45.0)], CAL_20MM, GEOM_20MM, config)
+    def test_reference_composition(self):
+        rows = predict_force_curve([math.radians(45.0)], CAL_20MM, GEOM_20MM)
         assert rows[0].alpha == pytest.approx(1.03, rel=0.03)
         assert rows[0].force == pytest.approx(1.40, rel=0.03)
 
-    def test_force_increases_with_angle(self, config):
+    def test_force_increases_with_angle(self):
         angles = [math.radians(d) for d in range(15, 90, 15)]
-        rows = predict_force_curve(angles, CAL_20MM, GEOM_20MM, config)
+        rows = predict_force_curve(angles, CAL_20MM, GEOM_20MM)
         forces = [r.force for r in rows]
         assert all(r.error is None for r in rows)
         assert all(b > a for a, b in zip(forces, forces[1:]))
 
     def test_failed_angles_are_marked(self):
-        config = SolverConfig(alpha_bracket_max=1.0)
         angles = [math.radians(d) for d in (15.0, 85.0)]
-        rows = predict_force_curve(angles, CAL_20MM, GEOM_20MM, config)
+        rows = predict_force_curve(angles, CAL_20MM, GEOM_20MM, alpha_bracket_max=1.0)
         assert rows[0].error is None
         assert rows[1].error is not None
         assert rows[1].force is None

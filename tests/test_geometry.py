@@ -1,9 +1,11 @@
-import dataclasses
 import math
 
 import pytest
 
-from stalkmech import BeamGeometry, NormalizedLoad, SolverConfig
+from stalkmech import BeamGeometry, NormalizedLoad
+from stalkmech.geometry import (
+    ALPHA_BRACKET_MAX, ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS,
+)
 
 
 class TestBeamGeometry:
@@ -44,34 +46,7 @@ class TestNormalizedLoad:
             NormalizedLoad(alpha)
 
 
-class TestSolverConfig:
-    def test_defaults(self):
-        config = SolverConfig()
-        assert config.grid_points == 1024
-        assert config.boundary_tolerance == 1e-10
-        assert config.angle_tolerance == 1e-6
-        assert config.max_iterations == 100
-        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "grid_points",
-            "alpha_bracket_max",
-        ]
-
-    # Explicit ids keep each case's name when other cases are removed.
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            pytest.param({"grid_points": 15}, id="kwargs0"),
-            pytest.param({"alpha_bracket_max": 0.0}, id="kwargs3"),
-        ],
-    )
-    def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [("boundary_tolerance", 1e-13), ("max_iterations", 5), ("angle_tolerance", 1e-9)],
-    )
-    def test_fixed_bounds_are_not_constructor_arguments(self, name, value):
-        with pytest.raises(TypeError):
-            SolverConfig(**{name: value})
+class TestSolverConstants:
+    def test_values(self):
+        assert (BOUNDARY_TOLERANCE, MAX_ITERATIONS, ANGLE_TOLERANCE) == (1e-10, 100, 1e-6)
+        assert (ALPHA_BRACKET_MAX, GRID_POINTS) == (10.0, 1024)
