@@ -56,9 +56,11 @@ class AlphaResult:
         """The closed-form shape on ``GRID_POINTS`` nodes, its last node the solved tip."""
         from .elastica import ElasticaSolution
         root = math.sqrt(self.alpha)
+        h = 1.0 / (GRID_POINTS - 1)
+        s = [i * h for i in range(GRID_POINTS - 1)] + [1.0]  # exactly 1: the solver's tip
         return ElasticaSolution(
             self.alpha,
-            _closed_form_theta(root, self.modulus),
+            _closed_form(root, self.modulus, s)[0],
             2.0 * root * self.modulus,
             self.boundary_residual,
         )
@@ -198,27 +200,16 @@ def _amplitude(u: list[float], m: float) -> list[float]:
     return out
 
 
-def _closed_form_tip(root: float, k: float) -> tuple[float, float]:
-    """theta(1) and theta'(1) of the closed-form shape for sqrt(alpha) = ``root``."""
-    if k < 1.0:  # theta' = 2 sqrt(alpha) k cn(sqrt(alpha) s | k^2)
-        [phi] = _amplitude([root], k * k)
-        return 2.0 * math.asin(k * math.sin(phi)), 2.0 * root * k * math.cos(phi)
-    # reciprocal modulus: theta / 2 = am(k sqrt(alpha) s | 1 / k^2), theta' ~ dn
-    [phi] = _amplitude([k * root], 1.0 / (k * k))
-    return 2.0 * phi, 2.0 * root * k * math.sqrt(1.0 - (math.sin(phi) / k) ** 2)
-
-
-def _closed_form_theta(root: float, k: float) -> list[float]:
-    """theta on ``GRID_POINTS`` equispaced nodes of [0, 1], by the same closed form.
-
-    The last node is s = 1 exactly, so its angle is :func:`_closed_form_tip`'s.
-    """
-    h = 1.0 / (GRID_POINTS - 1)
-    s = [i * h for i in range(GRID_POINTS - 1)] + [1.0]
-    if k < 1.0:
+def _closed_form(root: float, k: float, s: list[float]) -> tuple[list[float], float]:
+    """theta at each arc length in ``s``, and theta' at the last, for sqrt(alpha) = ``root``."""
+    if k < 1.0:  # sin(theta / 2) = k sn(sqrt(alpha) s | k^2), theta' = 2 sqrt(alpha) k cn
         phis = _amplitude([root * x for x in s], k * k)
-        return [2.0 * math.asin(k * math.sin(phi)) for phi in phis]
-    return [2.0 * phi for phi in _amplitude([k * root * x for x in s], 1.0 / (k * k))]
+        theta = [2.0 * math.asin(k * math.sin(phi)) for phi in phis]
+        return theta, 2.0 * root * k * math.cos(phis[-1])
+    # reciprocal modulus: theta / 2 = am(k sqrt(alpha) s | 1 / k^2), theta' ~ dn
+    phis = _amplitude([k * root * x for x in s], 1.0 / (k * k))
+    theta = [2.0 * phi for phi in phis]
+    return theta, 2.0 * root * k * math.sqrt(1.0 - (math.sin(phis[-1]) / k) ** 2)
 
 
 def _tip_angle_at(root: float, ratio: float, gamma: float, f_gamma: float) -> float:
@@ -299,7 +290,7 @@ def solve_alpha_for_angle(
     root = _brentq(excess, 0.0, hi, xtol=1e-12, maxiter=MAX_ITERATIONS, fa=-ceiling, fb=f_hi)
     alpha_star = root * root
     k = math.hypot(half_sine, 0.5 * root * ratio)
-    achieved, tip_slope = _closed_form_tip(root, k)
+    [achieved], tip_slope = _closed_form(root, k, [1.0])
     residual = abs(tip_slope - alpha_star * ratio)
     if residual > BOUNDARY_TOLERANCE:
         raise NoSolutionError(

@@ -143,6 +143,11 @@ def parse_angles_spec(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _check_length_mm(length_mm: float) -> None:
+    if not (length_mm > 0):
+        raise ValueError(f"--length-mm must be positive, got {length_mm}")
+
+
 def _resolve_geometry(args, require_length: bool) -> BeamGeometry:
     ratio = getattr(args, "radius_ratio", None)
     length_mm = getattr(args, "length_mm", None)
@@ -151,8 +156,8 @@ def _resolve_geometry(args, require_length: bool) -> BeamGeometry:
         raise ValueError("give either --radius-ratio or --pad-radius-mm, not both")
     if require_length and length_mm is None:
         raise ValueError("--length-mm is required for this command")
-    if length_mm is not None and not (length_mm > 0):
-        raise ValueError(f"--length-mm must be positive, got {length_mm}")
+    if length_mm is not None:
+        _check_length_mm(length_mm)
     if pad_mm is not None:
         if pad_mm < 0:
             raise ValueError(f"--pad-radius-mm must be >= 0, got {pad_mm}")
@@ -272,8 +277,6 @@ def cmd_solve(args) -> OutputDocument:
 
 
 def cmd_shape(args) -> OutputDocument:
-    if args.alpha < 0:
-        raise ValueError(f"--alpha must be >= 0, got {args.alpha}")
     geometry = _resolve_geometry(args, require_length=False)
     solution = solve_shape_shooting(
         NormalizedLoad(args.alpha), geometry, grid_points=args.grid_points
@@ -301,6 +304,7 @@ def cmd_shape(args) -> OutputDocument:
 
 
 def cmd_calibrate(args) -> OutputDocument:
+    _check_length_mm(args.length_mm)
     geometry = BeamGeometry.from_millimeters(args.length_mm, 0.0)
     samples = read_bending_samples(args.input)
     label = _bending_label(args.label, args.input)
@@ -370,6 +374,8 @@ def _load_analysis_trials(args) -> list:
         raise ValueError("give --manifest or at least one --input")
     if args.scenario is None or args.angle_deg is None:
         raise ValueError("--input needs --scenario and --angle-deg")
+    if not math.isfinite(args.angle_deg):  # else the trial file would be blamed for it
+        raise ValueError(f"--angle-deg must be finite, got {args.angle_deg}")
     angle = math.radians(args.angle_deg)
     return [load_trial(path, args.scenario, angle) for path in args.input]
 

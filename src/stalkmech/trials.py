@@ -164,10 +164,18 @@ def parse_trial(
 def load_trial(
     path: str | Path, scenario: str | None = None, surface_angle: float | None = None
 ) -> TrialRecord:
-    """Read a trial file from disk; the scenario defaults to the file stem."""
+    """Read a trial file from disk; the scenario defaults to the file stem.
+
+    Its parse and validation errors start with the path, to name a bad file among many.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_trial(handle, scenario or path.stem, surface_angle)
+        try:
+            return parse_trial(handle, scenario or path.stem, surface_angle)
+        except TrialParseError as exc:
+            raise TrialParseError(f"{path}: {exc}", line_number=exc.line_number) from None
+        except TrialValidationError as exc:
+            raise TrialValidationError(f"{path}: {exc}") from None
 
 
 def serialize_trial(record: TrialRecord) -> str:
@@ -256,9 +264,11 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             try:
                 angle = math.radians(float(cells[2]))
             except ValueError:
+                angle = math.nan
+            if not math.isfinite(angle):
                 raise TrialParseError(
                     f"line {line_number}: bad angle {cells[2]!r}", line_number=line_number
-                ) from None
+                )
             entries.append(ManifestEntry(base / cells[0], cells[1], angle))
     return entries
 

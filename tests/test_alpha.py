@@ -307,10 +307,15 @@ class TestSolveAlphaForAngle:
     def test_load_tables_never_build_the_shape(
         self, half_ratio_geometry, fixtures_dir, monkeypatch
     ):
-        calls = []
-        monkeypatch.setattr(
-            stalkmech.alpha, "_closed_form_theta", lambda *args: calls.append(args)
-        )
+        # The solver's tip check evaluates the closed form at s = 1 alone.
+        nodes = []
+        closed_form = stalkmech.alpha._closed_form
+
+        def counted(root, k, s):
+            nodes.append(len(s))
+            return closed_form(root, k, s)
+
+        monkeypatch.setattr(stalkmech.alpha, "_closed_form", counted)
         angles = [math.radians(d) for d in (0.0, 15.0, 45.0, 85.0)]
         assert all(row.error is None for row in generate_alpha_table(angles, half_ratio_geometry))
         bending = str(fixtures_dir / "bending" / "granular_20mm.csv")
@@ -323,7 +328,7 @@ class TestSolveAlphaForAngle:
         ]
         for argv in commands:
             assert execute(argv, io.StringIO()) == 0
-        assert calls == []
+        assert nodes and set(nodes) == {1}
 
     # R/L = 3 puts 89.5 degrees on the rotating branch (k >= 1), whose
     # reciprocal parameter runs the AGM as well.
@@ -343,6 +348,14 @@ class TestSolveAlphaForAngle:
         assert len(calls) == len(angles)
         rows[-1].result.inner_solution
         assert len(calls) == len(angles) + 1
+
+    # R/L = 3 at 89.5 degrees takes the reciprocal-modulus branch (k >= 1).
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("gamma_deg", [15.0, 45.0, 89.5])
+    def test_shape_tip_is_the_solved_tip(self, ratio, gamma_deg):
+        result = solve_alpha_for_angle(math.radians(gamma_deg), BeamGeometry.from_ratio(ratio))
+        assert (result.modulus >= 1.0) == (ratio == 3.0 and gamma_deg == 89.5)
+        assert result.inner_solution.tip_angle == result.tip_angle_achieved
 
     def test_pure_tip_force_takes_the_buckled_branch(self):
         # At R/L = 0 the straight beam solves every load; the bent branch

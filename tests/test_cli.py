@@ -158,6 +158,11 @@ class TestShapeCommand:
         assert (status, out) == (1, "")
         assert message in capsys.readouterr().err
 
+    def test_negative_alpha_is_the_library_message(self, capsys):
+        status, out = run(["shape", "--alpha", "-1"])
+        assert (status, out) == (1, "")
+        assert "alpha must be finite and >= 0, got -1.0" in capsys.readouterr().err
+
 
 class TestCalibrateCommand:
     def test_jammed_20mm_fixture(self, fixtures_dir):
@@ -196,6 +201,14 @@ class TestCalibrateCommand:
     def test_missing_file_exits_one(self):
         status, _ = run(["calibrate", "--input", "no/such/file.csv", "--length-mm", "20"])
         assert status == 1
+
+    @pytest.mark.parametrize("length", ["-20", "0", "nan"])
+    def test_bad_length_names_the_flag(self, fixtures_dir, capsys, length):
+        bending = str(fixtures_dir / "bending" / "granular_20mm.csv")
+        status, out = run(["calibrate", "--input", bending, "--length-mm", length])
+        assert (status, out) == (1, "")
+        message = f"--length-mm must be positive, got {float(length)}"
+        assert message in capsys.readouterr().err
 
 
 class TestPredictForceCommand:
@@ -312,6 +325,14 @@ class TestAnalyzeCommand:
         status, _ = run(["analyze", "--input", str(trial)])
         assert status == 1
 
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_angle_names_the_flag(self, fixtures_dir, capsys, angle):
+        trial = fixtures_dir / "trials" / "granular_20mm" / "angle30_rep1.csv"
+        argv = ["analyze", "--input", str(trial), "--scenario", "s", "--angle-deg", angle]
+        assert run(argv) == (1, "")
+        message = f"--angle-deg must be finite, got {angle}"
+        assert capsys.readouterr().err == f"stalkmech: error: {message}\n"
+
     def test_positive_threshold_rejected(self, fixtures_dir):
         status, _ = run(
             [
@@ -367,6 +388,33 @@ class TestCompareCommand:
             ]
         )
         assert status == 1
+
+
+# The two commands that load every trial a manifest lists.
+MANIFEST_COMMANDS = {
+    "analyze": ["analyze"],
+    "compare": ["compare", "--scenario", "s", "--length-mm", "20", "--ei-nm2", "1e-4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("0.5,0.06,0.5", "line 3: expected 4 fields, got 3"),
+        ("0.5,0.06,0.5,1.2", "positive pressure sample: trials use relative vacuum (<= 0 kPa)"),
+    ],
+    ids=["field-count", "positive-pressure"],
+)
+def test_bad_trial_in_a_manifest_is_named(tmp_path, capsys, command, bad_row, message):
+    header = "time_s,force_N,displacement_mm,pressure_kPa"
+    (tmp_path / "a.csv").write_text(f"{header}\n0,0,0,-8\n0.5,0.06,0.5,-8\n")
+    (tmp_path / "b.csv").write_text(f"{header}\n0,0,0,-8\n{bad_row}\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("file,scenario,angle_deg\na.csv,s,15\nb.csv,s,30\n")
+    status, out = run([*MANIFEST_COMMANDS[command], "--manifest", str(manifest)])
+    assert (status, out) == (1, "")
+    assert capsys.readouterr().err == f"stalkmech: error: {tmp_path / 'b.csv'}: {message}\n"
 
 
 # The geometry and load-search echoes that several commands share.

@@ -286,6 +286,15 @@ class TestManifest:
         with pytest.raises(TrialParseError):
             read_manifest(manifest)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_angle_cell_names_the_line(self, tmp_path, cell):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"file,scenario,angle_deg\nf.csv,s,{cell}\n")
+        with pytest.raises(TrialParseError) as excinfo:
+            read_manifest(manifest)
+        assert excinfo.value.line_number == 2
+        assert str(excinfo.value) == f"line 2: bad angle {cell!r}"
+
 
 # The three headed CSV formats: a reader taking a path and returning a
 # sized result, the header, and two valid data rows.
@@ -325,7 +334,10 @@ class TestHeadedCsvFormats:
         with pytest.raises(TrialParseError) as excinfo:
             self.read(fmt, tmp_path, lines)
         assert excinfo.value.line_number == 4
-        assert str(excinfo.value) == f"line 4: expected {n_fields} fields, got {n_fields + 1}"
+        message = f"line 4: expected {n_fields} fields, got {n_fields + 1}"
+        if fmt == "trial":  # a trial file read from disk is named before the line
+            message = f"{tmp_path / 'trial.csv'}: {message}"
+        assert str(excinfo.value) == message
 
     def test_comments_and_blank_lines_skipped(self, fmt, tmp_path):
         _, header, rows = CSV_FORMATS[fmt]
