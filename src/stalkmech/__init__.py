@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "alpha": (
-        "AlphaResult", "AlphaTableRow", "generate_alpha_table", "linearized_alpha",
-        "solve_alpha_for_angle",
+        "AlphaResult", "AlphaTableRow", "generate_alpha_table", "solve_alpha_for_angle",
     ),
     "analysis": (
         "AdaptationSummary", "AngleOutcome", "ComparisonRow", "TheoryComparison",
@@ -36,8 +35,8 @@ _EXPORTS = {
     ),
     "errors": (
         "CalibrationError", "CoverageError", "DataError", "IntegrationDivergedError",
-        "NoSolutionError", "OracleRangeError", "SolverError", "StalkmechError",
-        "TrialParseError", "TrialValidationError", "UnreachableAngleError",
+        "NoSolutionError", "SolverError", "StalkmechError", "TrialParseError",
+        "TrialValidationError", "UnreachableAngleError",
     ),
     "force": (
         "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
@@ -47,9 +46,8 @@ _EXPORTS = {
     "trials": (
         "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
         "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
-        "parse_trial", "read_manifest", "serialize_trial", "stiffness_at_deflection",
+        "parse_trial", "read_manifest", "stiffness_at_deflection",
     ),
-    "units": (),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import NoSolutionError, SolverError, UnreachableAngleError, OracleRangeError
+from .errors import NoSolutionError, SolverError, UnreachableAngleError
 from .geometry import (
     ALPHA_BRACKET_MAX, ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS,
     BeamGeometry,
@@ -325,34 +325,3 @@ def generate_alpha_table(
         else:
             rows.append(AlphaTableRow(angle, result))
     return rows
-
-
-def linearized_alpha(surface_angle: float, geometry: BeamGeometry) -> float:
-    """Small-angle closed-form load: the root of sqrt(a) tan(sqrt(a)) = gamma L / R.
-
-    Linearizing the pendulum-form beam equation gives
-    tip_angle = (R/L) sqrt(a) tan(sqrt(a)), whose inversion requires
-    sqrt(a) below the tangent singularity at pi/2. For small angles the
-    relation reduces to alpha ~= gamma L / R. Intended as an independent
-    check of the nonlinear solver at small angles, not as a production path.
-    """
-    if not (0.0 < surface_angle < 0.5 * math.pi):
-        raise ValueError(
-            f"surface angle must be in (0, pi/2), got {surface_angle!r} rad"
-        )
-    if geometry.radius_ratio <= 0.0:
-        raise ValueError("the closed form needs a positive pad radius")
-    target = surface_angle / geometry.radius_ratio
-
-    def f(u: float) -> float:
-        return u * math.tan(u) - target
-
-    lo = 1e-12
-    hi = 0.5 * math.pi * (1.0 - 1e-12)
-    f_hi = f(hi)
-    if f_hi <= 0.0:
-        raise OracleRangeError(
-            f"no root below the tangent singularity for gamma*L/R = {target:g}"
-        )
-    u = _brentq(f, lo, hi, xtol=1e-15, maxiter=100, fb=f_hi)
-    return u * u

@@ -44,6 +44,9 @@ SCHEMA_VERSION = "1"
 # Table-style output is rounded to this many significant digits.
 SIG_DIGITS = 6
 
+# The most angles a start:stop:step range may expand to.
+MAX_RANGE_ANGLES = 1_000_000
+
 
 @dataclass
 class OutputDocument:
@@ -138,7 +141,11 @@ def parse_angles_spec(text: str) -> list[float]:
             raise ValueError("angle step must be positive")
         if stop < start:
             raise ValueError("angle range must have stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        # Counted before the list is built, as a tiny step would ask for an unbounded one.
+        last = (stop - start) / step + 1e-9  # inf if the quotient overflows
+        count = math.floor(last) + 1 if math.isfinite(last) else last
+        if count > MAX_RANGE_ANGLES:
+            raise ValueError(f"angle range gives {count:.7g} angles, more than {MAX_RANGE_ANGLES}")
         return [start + i * step for i in range(count)]
     return [float(p) for p in text.split(",") if p.strip() != ""]
 

@@ -42,10 +42,6 @@ class UnreachableAngleError(SolverError):
         self.max_tip_angle = max_tip_angle
 
 
-class OracleRangeError(SolverError):
-    """The small-angle closed form has no root below its tangent singularity."""
-
-
 class DataError(StalkmechError):
     """Base class for measurement-data failures."""
 

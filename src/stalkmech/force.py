@@ -17,8 +17,7 @@ from typing import Iterable, TextIO
 from .alpha import generate_alpha_table
 from .errors import CalibrationError, TrialParseError
 from .geometry import ALPHA_BRACKET_MAX, BeamGeometry, NormalizedLoad
-from .trials import iter_csv_rows
-from .units import mm_cell_to_m
+from .trials import iter_csv_rows, mm_cell_to_m
 
 # Beyond this tip deflection (as a fraction of stalk length) the linear
 # cantilever relation behind the EI fit degrades; inputs past it are

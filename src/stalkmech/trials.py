@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .errors import TrialParseError, TrialValidationError
-from .units import m_to_mm_text, mm_cell_to_m
 
 TRIAL_HEADER = "time_s,force_N,displacement_mm,pressure_kPa"
 MANIFEST_HEADER = "file,scenario,angle_deg"
@@ -122,6 +122,22 @@ def iter_csv_rows(lines: Iterable[str], header: str) -> Iterator[tuple[int, list
         raise TrialParseError("missing header line", line_number=None)
 
 
+# Millimeters become meters by shifting the decimal exponent, which is exact,
+# so float() rounds the cell once: float(x) * 1e-3 rounds twice and misses
+# the nearest double for about a quarter of cells. The context is unbounded
+# because the default one would round cells past 28 digits before float()
+# and raise decimal.Overflow past an exponent of 999999.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def mm_cell_to_m(cell: str) -> float:
+    """Parse a millimeter text cell into meters with a single rounding."""
+    try:
+        return float(Decimal(cell).scaleb(-3, _EXACT))
+    except InvalidOperation:
+        raise ValueError(f"not a number: {cell!r}") from None
+
+
 def parse_trial(
     source: str | TextIO | Iterable[str],
     scenario: str,
@@ -176,20 +192,6 @@ def load_trial(
             raise TrialParseError(f"{path}: {exc}", line_number=exc.line_number) from None
         except TrialValidationError as exc:
             raise TrialValidationError(f"{path}: {exc}") from None
-
-
-def serialize_trial(record: TrialRecord) -> str:
-    """Render a record back to the trial file format.
-
-    Numeric content survives a parse/serialize/parse cycle bit-exactly:
-    seconds, newtons and kilopascals are written with the shortest
-    round-trip representation, and displacement is rescaled to millimeters
-    by exact decimal shifting.
-    """
-    out = [TRIAL_HEADER]
-    for t, f, d, p in zip(record.time, record.force, record.displacement, record.pressure):
-        out.append(f"{t!r},{f!r},{m_to_mm_text(d)},{p!r}")
-    return "\n".join(out) + "\n"
 
 
 def detect_attachment(

@@ -14,15 +14,14 @@ import time
 import numpy as np
 import pytest
 
+from reference import linearized_alpha, serialize_trial
 from stalkmech import (
     BeamGeometry,
     NormalizedLoad,
     calibrate_ei,
-    linearized_alpha,
     load_manifest_trials,
     parse_trial,
     read_bending_samples,
-    serialize_trial,
     solve_alpha_for_angle,
     solve_shape_oracle,
     solve_shape_shooting,

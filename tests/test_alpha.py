@@ -10,6 +10,7 @@ from numpy.polynomial.legendre import leggauss
 
 import stalkmech.alpha
 import stalkmech.elastica
+from reference import linearized_alpha
 from stalkmech import (
     BeamGeometry,
     NoSolutionError,
@@ -17,7 +18,6 @@ from stalkmech import (
     UnreachableAngleError,
     generate_alpha_table,
     integrate_elastica_ivp,
-    linearized_alpha,
     predict_force_curve,
     solve_alpha_for_angle,
     solve_shape_oracle,
@@ -185,6 +185,11 @@ class TestLinearizedOracle:
     def test_needs_positive_pad_radius(self):
         with pytest.raises(ValueError):
             linearized_alpha(0.3, BeamGeometry(stalk_length=1.0, pad_radius=0.0))
+
+    def test_no_root_below_the_tangent_singularity(self):
+        # u tan u reaches only about 1e12 at pi/2 (1 - 1e-12), where the search stops.
+        with pytest.raises(ValueError, match="no root below the tangent singularity"):
+            linearized_alpha(1.5, BeamGeometry.from_ratio(1e-13))
 
 
 class TestSolveAlphaForAngle:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import serialize_trial
 from stalkmech import (
     AttachmentEvent,
     TrialParseError,
@@ -16,9 +17,9 @@ from stalkmech import (
     parse_trial,
     read_bending_samples,
     read_manifest,
-    serialize_trial,
     stiffness_at_deflection,
 )
+from stalkmech.trials import TRIAL_HEADER, mm_cell_to_m
 
 WELL_FORMED = """\
 time_s,force_N,displacement_mm,pressure_kPa
@@ -153,6 +154,32 @@ class TestRoundTrip:
             assert np.array_equal(getattr(rec, channel), getattr(again, channel))
         # A second cycle is byte-stable.
         assert serialize_trial(again) == text
+
+
+class TestMillimeterCells:
+    # Python's float parser rounds correctly and shares no code with
+    # Decimal.scaleb, so it is the reference for a single rounding. The
+    # example is 2**60 + 128 m, halfway between two doubles, plus 1e-25 m:
+    # the default 28-digit decimal context rounded it down onto the tie.
+    @given(cell=st.from_regex(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)", fullmatch=True))
+    @example(cell="1152921504606847104000.0000000000000000000001")
+    @settings(max_examples=300, deadline=None)
+    def test_a_plain_decimal_cell_is_rounded_once(self, cell):
+        assert mm_cell_to_m(cell) == float(cell + "e-3")
+
+    @pytest.mark.parametrize(
+        "cell, error, message",
+        [
+            ("inf", TrialValidationError, "channel displacement contains non-finite values"),
+            ("nan", TrialValidationError, "channel displacement contains non-finite values"),
+            ("1e1000005", TrialValidationError, "channel displacement contains non-finite values"),
+            ("12mm", TrialParseError, "line 2: not a number: '12mm'"),
+        ],
+    )
+    def test_a_cell_that_is_no_finite_length_is_named(self, cell, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_trial(f"{TRIAL_HEADER}\n0,0,{cell},-8\n", "cells")
+        assert str(excinfo.value) == message
 
 
 def make_record(pressures, forces=None, times=None):
