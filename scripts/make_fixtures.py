@@ -21,15 +21,15 @@ TRIAL_HEADER = "time_s,force_N,displacement_mm,pressure_kPa"
 BENDING_HEADER = "deflection_mm,force_N"
 MANIFEST_HEADER = "file,scenario,angle_deg"
 
-# Bending stiffness lines: force = slope * deflection, sampled at 1..5 mm.
-# slope in N/m; pressure is the jamming state the sweep was taken at.
+# Bending stiffness lines: force = slope * deflection, sampled at 1..5 mm;
+# slope in N/m. The self-jam sweep was taken at -8 kPa, the others at -60.
 BENDING = {
-    "granular_20mm": (Decimal("204"), Decimal("-60")),
-    "granular_10mm": (Decimal("548"), Decimal("-60")),
-    "granular_5mm": (Decimal("582"), Decimal("-60")),
-    "ecoflex_0010_20mm": (Decimal("102"), Decimal("-60")),
-    "dragonskin_10_20mm": (Decimal("328"), Decimal("-60")),
-    "granular_20mm_selfjam": (Decimal("24"), Decimal("-8")),
+    "granular_20mm": Decimal("204"),
+    "granular_10mm": Decimal("548"),
+    "granular_5mm": Decimal("582"),
+    "ecoflex_0010_20mm": Decimal("102"),
+    "dragonskin_10_20mm": Decimal("328"),
+    "granular_20mm_selfjam": Decimal("24"),
 }
 
 # Adaptation scenarios: (directory slug, scenario label,
@@ -143,16 +143,6 @@ def bending_csv(slope: Decimal) -> list[str]:
     return lines
 
 
-def bending_trial(slope: Decimal, pressure: Decimal) -> list[str]:
-    # 1 mm/s ramp to 5 mm, sampled at 2 Hz, pad attached throughout.
-    lines = [TRIAL_HEADER]
-    for half_seconds in range(0, 11):
-        t = Decimal(half_seconds) / Decimal(2)
-        force = slope * t / Decimal(1000)
-        lines.append(f"{t.normalize()},{force.normalize()},{t.normalize()},{pressure}")
-    return lines
-
-
 def adaptation_trial(peak: Decimal | None, rep: int, wrinkle: bool) -> list[str]:
     profile = (WRINKLE_PROFILES if wrinkle else RAMP_PROFILES)[rep]
     jitter = SELFJAM[rep]
@@ -185,9 +175,8 @@ def adaptation_trial(peak: Decimal | None, rep: int, wrinkle: bool) -> list[str]
 
 
 def main() -> None:
-    for name, (slope, pressure) in BENDING.items():
+    for name, slope in BENDING.items():
         write(FIXTURES / "bending" / f"{name}.csv", bending_csv(slope))
-        write(FIXTURES / "bending_trials" / f"{name}.csv", bending_trial(slope, pressure))
 
     manifest = [MANIFEST_HEADER]
     for slug, label, angles in SCENARIOS:

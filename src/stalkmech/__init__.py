@@ -46,7 +46,7 @@ _EXPORTS = {
     "trials": (
         "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
         "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
-        "parse_trial", "read_manifest", "stiffness_at_deflection",
+        "parse_trial", "read_manifest",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

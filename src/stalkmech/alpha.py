@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NoSolutionError, SolverError, UnreachableAngleError
 from .geometry import (
-    ALPHA_BRACKET_MAX, ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS,
-    BeamGeometry,
+    ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS, BeamGeometry,
 )
 
 if TYPE_CHECKING:
@@ -212,28 +211,6 @@ def _closed_form(root: float, k: float, s: list[float]) -> tuple[list[float], fl
     return theta, 2.0 * root * k * math.sqrt(1.0 - (math.sin(phis[-1]) / k) ** 2)
 
 
-def _tip_angle_at(root: float, ratio: float, gamma: float, f_gamma: float) -> float:
-    """Tip angle in [0, ``gamma``) that the load sqrt(alpha) = ``root`` reaches.
-
-    At a fixed load the excess decreases strictly in the angle; ``f_gamma`` < 0
-    is its value at ``gamma``. At angle 0 it is ``root`` for R/L > 0 and
-    root - pi/2 at R/L = 0, where a load below pi^2/4 leaves the stalk straight.
-    """
-
-    def excess(angle: float) -> float:
-        return _excess(root, math.sin(0.5 * angle), math.cos(0.5 * angle) ** 2, ratio)
-
-    f_zero = excess(0.0)
-    if f_zero <= 0.0:
-        return 0.0
-    return _brentq(excess, 0.0, gamma, xtol=1e-12, maxiter=MAX_ITERATIONS, fa=f_zero, fb=f_gamma)
-
-
-def _validate_ceiling(alpha_bracket_max: float) -> None:
-    if not (alpha_bracket_max > 0.0):
-        raise ValueError("alpha_bracket_max must be positive")
-
-
 def _validate_angle(surface_angle: float) -> None:
     if not (0.0 <= surface_angle < 0.5 * math.pi):
         raise ValueError(
@@ -241,9 +218,7 @@ def _validate_angle(surface_angle: float) -> None:
         )
 
 
-def solve_alpha_for_angle(
-    surface_angle: float, geometry: BeamGeometry, *, alpha_bracket_max: float = ALPHA_BRACKET_MAX
-) -> AlphaResult:
+def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> AlphaResult:
     """Normalized load alpha whose solved tip angle equals ``surface_angle``.
 
     Finds the root of the first-integral excess in sqrt(alpha) by Brent's
@@ -253,12 +228,10 @@ def solve_alpha_for_angle(
     ``BOUNDARY_TOLERANCE`` and ``ANGLE_TOLERANCE``. Zero angle is the zero
     load and the straight stalk.
 
-    Raises UnreachableAngleError when the target exceeds the tip angle
-    attainable at ``alpha_bracket_max``, or when the shape misses it,
-    NoSolutionError when its tip slope misses, and ValueError for a
-    non-positive ``alpha_bracket_max`` or an angle outside [0, pi/2).
+    Raises UnreachableAngleError when the shape's tip misses the target,
+    NoSolutionError when its tip slope misses, and ValueError for an angle
+    outside [0, pi/2).
     """
-    _validate_ceiling(alpha_bracket_max)
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
         return AlphaResult(0.0, 0.0, 0.0, 0, 0.0, 0.0)
@@ -276,18 +249,7 @@ def solve_alpha_for_angle(
     # Substituting u = k sin(t) shows F(phi_gamma, k) <= K(sin(gamma/2)), with
     # equality at R/L = 0: the excess is -K at sqrt(alpha) = 0 and >= 0 at K.
     ceiling = _carlson_rf(0.0, half_cos2, 1.0)
-    hi = min(ceiling, math.sqrt(alpha_bracket_max))
-    f_hi = excess(hi)
-    if f_hi < 0.0 and hi < ceiling:
-        tip_hi = _tip_angle_at(hi, ratio, surface_angle, f_hi)
-        raise UnreachableAngleError(
-            f"tip angle {tip_hi:.6f} rad at alpha={alpha_bracket_max:g} is below the "
-            f"requested {surface_angle:.6f} rad; raise alpha_bracket_max "
-            "if a solution is expected",
-            max_tip_angle=tip_hi,
-        )
-
-    root = _brentq(excess, 0.0, hi, xtol=1e-12, maxiter=MAX_ITERATIONS, fa=-ceiling, fb=f_hi)
+    root = _brentq(excess, 0.0, ceiling, xtol=1e-12, maxiter=MAX_ITERATIONS, fa=-ceiling)
     alpha_star = root * root
     k = math.hypot(half_sine, 0.5 * root * ratio)
     [achieved], tip_slope = _closed_form(root, k, [1.0])
@@ -306,20 +268,16 @@ def solve_alpha_for_angle(
     return AlphaResult(surface_angle, alpha_star, achieved, evals, residual, k)
 
 
-def generate_alpha_table(
-    angles: list[float], geometry: BeamGeometry, *, alpha_bracket_max: float = ALPHA_BRACKET_MAX
-) -> list[AlphaTableRow]:
+def generate_alpha_table(angles: list[float], geometry: BeamGeometry) -> list[AlphaTableRow]:
     """Solve :func:`solve_alpha_for_angle` for each angle, order preserved.
 
     Angles are computed independently; a failing angle yields a row with
-    its error message instead of aborting the whole table. A non-positive
-    ``alpha_bracket_max`` fails the whole table with ValueError.
+    its error message instead of aborting the whole table.
     """
-    _validate_ceiling(alpha_bracket_max)
     rows = []
     for angle in angles:
         try:
-            result = solve_alpha_for_angle(angle, geometry, alpha_bracket_max=alpha_bracket_max)
+            result = solve_alpha_for_angle(angle, geometry)
         except (SolverError, ValueError) as exc:
             rows.append(AlphaTableRow(angle, None, str(exc)))
         else:

@@ -30,8 +30,8 @@ from .force import (
     read_bending_samples,
 )
 from .geometry import (
-    ALPHA_BRACKET_MAX, ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS,
-    BeamGeometry, NormalizedLoad,
+    ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS, BeamGeometry,
+    NormalizedLoad,
 )
 from .trials import (
     DEFAULT_ATTACH_THRESHOLD_KPA,
@@ -180,14 +180,12 @@ def _resolve_geometry(args, require_length: bool) -> BeamGeometry:
     return BeamGeometry.from_ratio(ratio)
 
 
-def _load_search_parameters(args) -> dict:
-    """The load solve's ceiling and its fixed bounds."""
-    return {
-        "boundary_tolerance": BOUNDARY_TOLERANCE,
-        "max_iterations": MAX_ITERATIONS,
-        "alpha_bracket_max": args.alpha_max,
-        "angle_tolerance": ANGLE_TOLERANCE,
-    }
+# The load solve's fixed bounds, echoed by every command that solves for a load.
+LOAD_SEARCH_PARAMETERS = {
+    "boundary_tolerance": BOUNDARY_TOLERANCE,
+    "max_iterations": MAX_ITERATIONS,
+    "angle_tolerance": ANGLE_TOLERANCE,
+}
 
 
 def _geometry_parameters(geometry: BeamGeometry) -> dict:
@@ -257,28 +255,24 @@ def _alpha_row(angle_deg: float, result: AlphaResult | None, error: str | None =
 def cmd_alpha_table(args) -> OutputDocument:
     angles_deg = parse_angles_spec(args.angles)
     geometry = _resolve_geometry(args, require_length=False)
-    table = generate_alpha_table(
-        [math.radians(a) for a in angles_deg], geometry, alpha_bracket_max=args.alpha_max
-    )
+    table = generate_alpha_table([math.radians(a) for a in angles_deg], geometry)
     rows = [_alpha_row(deg, row.result, row.error) for deg, row in zip(angles_deg, table)]
     parameters = {
         "angles_deg": angles_deg,
         **_geometry_parameters(geometry),
-        **_load_search_parameters(args),
+        **LOAD_SEARCH_PARAMETERS,
     }
     return OutputDocument("alpha-table", parameters, ALPHA_COLUMNS, rows)
 
 
 def cmd_solve(args) -> OutputDocument:
     geometry = _resolve_geometry(args, require_length=False)
-    result = solve_alpha_for_angle(
-        math.radians(args.gamma_deg), geometry, alpha_bracket_max=args.alpha_max
-    )
+    result = solve_alpha_for_angle(math.radians(args.gamma_deg), geometry)
     rows = [_alpha_row(args.gamma_deg, result)]
     parameters = {
         "gamma_deg": args.gamma_deg,
         **_geometry_parameters(geometry),
-        **_load_search_parameters(args),
+        **LOAD_SEARCH_PARAMETERS,
     }
     return OutputDocument("solve", parameters, ALPHA_COLUMNS, rows)
 
@@ -344,10 +338,8 @@ def cmd_predict_force(args) -> OutputDocument:
     angles_deg = parse_angles_spec(args.angles)
     geometry = _resolve_geometry(args, require_length=True)
     calibration = _resolve_calibration(args, geometry)
-    predictions = predict_force_curve(
-        [math.radians(a) for a in angles_deg], calibration, geometry,
-        alpha_bracket_max=args.alpha_max,
-    )
+    angles = [math.radians(a) for a in angles_deg]
+    predictions = predict_force_curve(angles, calibration, geometry)
     rows = [
         {
             "surface_angle_deg": deg,
@@ -362,7 +354,7 @@ def cmd_predict_force(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **_load_search_parameters(args),
+        **LOAD_SEARCH_PARAMETERS,
     }
     return OutputDocument(
         "predict-force",
@@ -376,6 +368,8 @@ def _load_analysis_trials(args) -> list:
     if args.manifest is not None:
         if args.input:
             raise ValueError("give either --manifest or --input files, not both")
+        if args.scenario is not None or args.angle_deg is not None:
+            raise ValueError("--scenario and --angle-deg are for --input files, not --manifest")
         return load_manifest_trials(args.manifest)
     if not args.input:
         raise ValueError("give --manifest or at least one --input")
@@ -470,9 +464,7 @@ def cmd_compare(args) -> OutputDocument:
     calibration = _resolve_calibration(args, geometry)
     summary = summarize_scenario(groups[selected], args.threshold_kpa)
     measured_angles = [row.surface_angle for row in summary.attached_angles]
-    predictions = predict_force_curve(
-        measured_angles, calibration, geometry, alpha_bracket_max=args.alpha_max
-    )
+    predictions = predict_force_curve(measured_angles, calibration, geometry)
     comparison = compare_theory(summary, predictions)
 
     alpha_by_angle = {p.surface_angle: p.alpha for p in predictions}
@@ -494,7 +486,7 @@ def cmd_compare(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **_load_search_parameters(args),
+        **LOAD_SEARCH_PARAMETERS,
     }
     aggregates = {"mean_abs_relative_error": comparison.mean_abs_relative_error}
     return OutputDocument(
@@ -536,12 +528,6 @@ def _add_geometry_flags(sub) -> None:
     )
 
 
-def _add_load_search_flag(sub) -> None:
-    sub.add_argument(
-        "--alpha-max", type=float, default=ALPHA_BRACKET_MAX, help="upper bound of the load search"
-    )
-
-
 def _add_calibration_flags(sub) -> None:
     sub.add_argument(
         "--bending-input", default=None, help="bending CSV (deflection_mm,force_N)"
@@ -572,14 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha-table", help="normalized load for a range of surface angles")
     p.add_argument("--angles", required=True, help="degrees, start:stop:step or a,b,c")
     _add_geometry_flags(p)
-    _add_load_search_flag(p)
     _add_format_flag(p)
     p.set_defaults(handler=cmd_alpha_table)
 
     p = sub.add_parser("solve", help="normalized load for one surface angle")
     p.add_argument("--gamma-deg", type=float, required=True, help="surface angle in degrees")
     _add_geometry_flags(p)
-    _add_load_search_flag(p)
     _add_format_flag(p)
     p.set_defaults(handler=cmd_solve)
 
@@ -602,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict-force", help="theory adaptation-force curve")
     p.add_argument("--angles", required=True, help="degrees, start:stop:step or a,b,c")
     _add_geometry_flags(p)
-    _add_load_search_flag(p)
     _add_calibration_flags(p)
     _add_format_flag(p)
     p.set_defaults(handler=cmd_predict_force)
@@ -622,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None, help="scenario to compare")
     _add_threshold_flag(p)
     _add_geometry_flags(p)
-    _add_load_search_flag(p)
     _add_calibration_flags(p)
     _add_format_flag(p)
     p.set_defaults(handler=cmd_compare)

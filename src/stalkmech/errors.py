@@ -32,9 +32,9 @@ class NoSolutionError(SolverError):
 
 
 class UnreachableAngleError(SolverError):
-    """The requested surface angle exceeds what the load search can reach.
+    """The load search's tip angle misses the requested surface angle.
 
-    ``max_tip_angle`` is the largest tip angle achieved at the search bound.
+    ``max_tip_angle`` is the tip angle the search's load reached.
     """
 
     def __init__(self, message: str, max_tip_angle: float | None = None):

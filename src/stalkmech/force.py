@@ -16,7 +16,7 @@ from typing import Iterable, TextIO
 
 from .alpha import generate_alpha_table
 from .errors import CalibrationError, TrialParseError
-from .geometry import ALPHA_BRACKET_MAX, BeamGeometry, NormalizedLoad
+from .geometry import BeamGeometry, NormalizedLoad
 from .trials import iter_csv_rows, mm_cell_to_m
 
 # Beyond this tip deflection (as a fraction of stalk length) the linear
@@ -135,8 +135,7 @@ def calibrate_ei(
 
 
 def predict_force_curve(
-    angles: list[float], calibration: StiffnessCalibration, geometry: BeamGeometry,
-    *, alpha_bracket_max: float = ALPHA_BRACKET_MAX,
+    angles: list[float], calibration: StiffnessCalibration, geometry: BeamGeometry
 ) -> list[AdaptationPrediction]:
     """Theory force curve: solve alpha per angle and convert to newtons.
 
@@ -145,7 +144,7 @@ def predict_force_curve(
     message instead of being dropped.
     """
     predictions = []
-    for row in generate_alpha_table(angles, geometry, alpha_bracket_max=alpha_bracket_max):
+    for row in generate_alpha_table(angles, geometry):
         if row.error is not None:
             predictions.append(AdaptationPrediction(row.surface_angle, None, None, row.error))
         else:

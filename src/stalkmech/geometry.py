@@ -16,9 +16,8 @@ BOUNDARY_TOLERANCE = 1e-10
 MAX_ITERATIONS = 100
 ANGLE_TOLERANCE = 1e-6
 
-# Defaults of the two settings: the ceiling of the load search, and the samples
-# of the normalized arc length on [0, 1], whose step is 1 / (GRID_POINTS - 1).
-ALPHA_BRACKET_MAX = 10.0
+# Default samples of the normalized arc length on [0, 1], whose step is
+# 1 / (GRID_POINTS - 1).
 GRID_POINTS = 1024
 
 

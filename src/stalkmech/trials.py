@@ -222,28 +222,6 @@ def adaptation_force(record: TrialRecord, event: AttachmentEvent) -> float:
     return max(record.force[: event.sample_index + 1])
 
 
-def stiffness_at_deflection(record: TrialRecord, deflection: float) -> float:
-    """Force at a requested tip deflection [m], interpolated between samples.
-
-    Picks the first pair of samples bracketing the deflection and
-    interpolates linearly; an exact sample hit returns that sample's force.
-    Raises ValueError when the recorded displacement never reaches the
-    requested deflection.
-    """
-    d = record.displacement
-    f = record.force
-    if deflection in d:
-        return f[d.index(deflection)]
-    for i in range(len(d) - 1):
-        if d[i] < deflection < d[i + 1] or d[i] > deflection > d[i + 1]:
-            frac = (deflection - d[i]) / (d[i + 1] - d[i])
-            return f[i] + frac * (f[i + 1] - f[i])
-    raise ValueError(
-        f"deflection {deflection:g} m outside the recorded range "
-        f"[{min(d):g}, {max(d):g}] m"
-    )
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     """One row of a trial manifest: file path, scenario label, surface angle."""
@@ -256,13 +234,20 @@ class ManifestEntry:
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a manifest CSV (header ``file,scenario,angle_deg``).
 
-    File paths are resolved relative to the manifest's directory.
+    File paths are resolved relative to the manifest's directory. An empty
+    file or scenario cell, or an angle that is not a finite number, raises
+    TrialParseError naming the line.
     """
     path = Path(path)
     base = path.parent
     entries: list[ManifestEntry] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, cells in iter_csv_rows(handle, MANIFEST_HEADER):
+            for name, cell in zip(("file", "scenario"), cells):
+                if not cell.strip():
+                    raise TrialParseError(
+                        f"line {line_number}: empty {name} cell", line_number=line_number
+                    )
             try:
                 angle = math.radians(float(cells[2]))
             except ValueError:

@@ -372,33 +372,14 @@ class TestSolveAlphaForAngle:
         onset = solve_alpha_for_angle(math.radians(0.1), geometry).alpha
         assert 0.0 < onset - math.pi**2 / 4.0 < 1e-5
 
-    def test_unreachable_angle_reports_the_ceiling(self, half_ratio_geometry):
-        with pytest.raises(UnreachableAngleError) as excinfo:
-            solve_alpha_for_angle(
-                math.radians(60.0), half_ratio_geometry, alpha_bracket_max=0.5
-            )
-        assert excinfo.value.max_tip_angle is not None
-        assert 0.0 < excinfo.value.max_tip_angle < math.radians(60.0)
-
-    # R/L = 0 on both sides of the buckling load pi^2 / 4: below it the stalk stays straight.
-    @pytest.mark.parametrize(
-        "ratio, alpha_max, gamma_deg",
-        [
-            (0.0, 2.0, 30.0),
-            (0.0, 3.0, 80.0),
-            (1e-3, 0.05, 10.0),
-            (0.5, 0.5, 60.0),
-            (0.5, 1.0, 80.0),
-            (3.0, 0.01, 5.0),
-            (3.0, 0.1, 60.0),
-        ],
-    )
-    def test_unreachable_tip_matches_cold_shooting(self, ratio, alpha_max, gamma_deg):
-        geometry = BeamGeometry.from_ratio(ratio)
-        with pytest.raises(UnreachableAngleError) as excinfo:
-            solve_alpha_for_angle(math.radians(gamma_deg), geometry, alpha_bracket_max=alpha_max)
-        shot = solve_shape_shooting(NormalizedLoad(alpha_max), geometry).tip_angle
-        assert abs(excinfo.value.max_tip_angle - shot) <= 1e-10
+    # The tip check is a safety net that the bracket [0, K] leaves untripped;
+    # a negative tolerance trips it.
+    def test_tip_off_target_is_an_unreachable_angle(self, half_ratio_geometry, monkeypatch):
+        monkeypatch.setattr(stalkmech.alpha, "ANGLE_TOLERANCE", -1.0)
+        gamma = math.radians(45.0)
+        with pytest.raises(UnreachableAngleError, match="off target") as excinfo:
+            solve_alpha_for_angle(gamma, half_ratio_geometry)
+        assert abs(excinfo.value.max_tip_angle - gamma) <= ANGLE_TOLERANCE
 
     @pytest.mark.parametrize("gamma", [-0.01, math.pi / 2, 2.0])
     def test_angle_domain(self, half_ratio_geometry, gamma):
@@ -423,8 +404,8 @@ class TestAlphaTable:
         assert rows[0].alpha > rows[2].alpha > rows[1].alpha
 
     def test_failed_rows_are_marked_not_fatal(self, half_ratio_geometry):
-        angles = [math.radians(d) for d in (15.0, 80.0, 30.0)]
-        rows = generate_alpha_table(angles, half_ratio_geometry, alpha_bracket_max=1.0)
+        angles = [math.radians(d) for d in (15.0, 95.0, 30.0)]
+        rows = generate_alpha_table(angles, half_ratio_geometry)
         assert rows[0].error is None
         assert rows[1].error is not None and rows[1].alpha is None
         assert rows[2].error is None
@@ -436,23 +417,6 @@ class TestAlphaTable:
         rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry)
         assert rows[0].alpha is None and rows[0].result is None
         assert "after 5 iterations" in rows[0].error
-
-    # The check runs before any angle, so a bad ceiling never becomes one
-    # error row per angle, and an empty table is no exception.
-    @pytest.mark.parametrize("alpha_bracket_max", [0.0, -1.0, math.nan])
-    def test_non_positive_ceiling_fails_the_whole_table(
-        self, half_ratio_geometry, alpha_bracket_max
-    ):
-        bound = {"alpha_bracket_max": alpha_bracket_max}
-        message = "^alpha_bracket_max must be positive$"
-        for angles in ([], [0.0, math.radians(45.0)]):
-            with pytest.raises(ValueError, match=message):
-                generate_alpha_table(angles, half_ratio_geometry, **bound)
-            with pytest.raises(ValueError, match=message):
-                predict_force_curve(angles, CALIBRATION, half_ratio_geometry, **bound)
-        for angle in (0.0, math.radians(45.0)):
-            with pytest.raises(ValueError, match=message):
-                solve_alpha_for_angle(angle, half_ratio_geometry, **bound)
 
 
 # A caller that still passes a settings object positionally fails loudly

@@ -92,7 +92,6 @@ class TestAlphaTableCommand:
     def test_parameters_are_echoed(self):
         _, out = run(["alpha-table", "--angles", "15", "--radius-ratio", "0.25"])
         assert "# parameter radius_ratio=0.25\n" in out
-        assert "# parameter alpha_bracket_max=10\n" in out
         assert "grid_points" not in out
 
     def test_zero_radius_solves_every_row_on_the_buckled_branch(self):
@@ -336,6 +335,17 @@ class TestAnalyzeCommand:
         (row,) = csv_rows(out)
         assert row["force_at_ultimate_N"] == "0.48"
 
+    # A manifest lists each trial's scenario and angle, so the flags that
+    # give them to --input files would be ignored beside it.
+    @pytest.mark.parametrize(
+        "flags", [["--scenario", "20mm Granular"], ["--angle-deg", "45"]], ids=["scenario", "angle"]
+    )
+    def test_manifest_refuses_the_input_metadata_flags(self, fixtures_dir, capsys, flags):
+        manifest = str(fixtures_dir / "trials" / "manifest.csv")
+        assert run(["analyze", "--manifest", manifest, *flags]) == (1, "")
+        message = "--scenario and --angle-deg are for --input files, not --manifest"
+        assert capsys.readouterr().err == f"stalkmech: error: {message}\n"
+
     def test_input_requires_metadata(self, fixtures_dir):
         trial = fixtures_dir / "trials" / "granular_20mm" / "angle30_rep1.csv"
         status, _ = run(["analyze", "--input", str(trial)])
@@ -435,7 +445,7 @@ def test_bad_trial_in_a_manifest_is_named(tmp_path, capsys, command, bad_row, me
 
 # The geometry and load-search echoes that several commands share.
 GEOMETRY_KEYS = {"stalk_length_mm", "pad_radius_mm", "radius_ratio"}
-LOAD_SEARCH_KEYS = {"boundary_tolerance", "max_iterations", "alpha_bracket_max", "angle_tolerance"}
+LOAD_SEARCH_KEYS = {"boundary_tolerance", "max_iterations", "angle_tolerance"}
 LOAD_COMMANDS = ["alpha-table", "solve", "predict-force", "compare"]
 
 
@@ -475,7 +485,11 @@ class TestParameterEcho:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [*((command, "--grid-points 64") for command in LOAD_COMMANDS), ("shape", "--alpha-max 0.5")],
+        [
+            *((command, flag) for command in LOAD_COMMANDS
+              for flag in ("--grid-points 64", "--alpha-max 1")),
+            ("shape", "--alpha-max 0.5"),
+        ],
     )
     def test_a_flag_the_command_does_not_read_is_a_usage_error(
         self, monkeypatch, capsys, command, flag
@@ -484,14 +498,6 @@ class TestParameterEcho:
         status, out = run([*CASES[command], *flag.split()])
         assert (status, out) == (2, "")
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0", "nan"])
-    @pytest.mark.parametrize("command", LOAD_COMMANDS)
-    def test_non_positive_ceiling_is_a_domain_error(self, monkeypatch, capsys, command, value):
-        monkeypatch.chdir(REPO)
-        status, out = run([*CASES[command], "--alpha-max", value])
-        assert (status, out) == (1, "")
-        assert capsys.readouterr().err == "stalkmech: error: alpha_bracket_max must be positive\n"
 
     def test_coarse_shape_grid_is_a_domain_error(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO)
@@ -560,11 +566,11 @@ class TestNumpyOnlyRuntime:
 
     # numpy's import is about 40% of a command's wall time, so it loads only where
     # an array is built: the shape and the oracle. Every golden command but
-    # `shape` runs without it, the unreachable-angle messages included.
+    # `shape` runs without it, the error rows included.
     NUMPY_FREE = [
-        "alpha-table", "alpha-table-json", "alpha-table-unreachable", "alpha-table-zero-radius",
-        "solve", "calibrate", "predict-force", "predict-force-json", "predict-force-alpha-max",
-        "analyze", "analyze-per-angle", "compare",
+        "alpha-table", "alpha-table-json", "alpha-table-out-of-domain", "alpha-table-zero-radius",
+        "solve", "calibrate", "predict-force", "predict-force-json",
+        "predict-force-out-of-domain", "analyze", "analyze-per-angle", "compare",
     ]
 
     @pytest.mark.parametrize(
@@ -676,7 +682,7 @@ class TestLazyNamespace:
         "trials": [
             "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
             "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
-            "parse_trial", "read_manifest", "stiffness_at_deflection",
+            "parse_trial", "read_manifest",
         ],
     }
     NAMES = sorted(name for names in EXPORTS.values() for name in names)
@@ -687,21 +693,16 @@ class TestLazyNamespace:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    def test_all_lists_the_forty_four_names(self):
-        assert len(set(self.NAMES)) == 44
+    def test_all_lists_the_forty_three_names(self):
+        assert len(set(self.NAMES)) == 43
         assert sorted(stalkmech.__all__) == self.NAMES
-
-    # stiffness_at_deflection, the paper's stiffness at a given deflection, is
-    # the one function the bending-trial fixtures are read for; giving it a
-    # consumer in the program would mean a new command.
-    UNCONSUMED = ["stiffness_at_deflection"]
 
     def test_every_public_name_has_a_consumer(self):
         used = set()
         for directory in ("src", "perfbench", "scripts"):
             for path in sorted((REPO / directory).rglob("*.py")):
                 used |= code_names(path)
-        assert sorted(set(stalkmech.__all__) - used) == self.UNCONSUMED
+        assert sorted(set(stalkmech.__all__) - used) == []
 
     def test_names_resolve_to_their_defining_module(self):
         lines = self.run_child(

@@ -185,8 +185,8 @@ class TestPredictForceCurve:
         assert all(b > a for a, b in zip(forces, forces[1:]))
 
     def test_failed_angles_are_marked(self):
-        angles = [math.radians(d) for d in (15.0, 85.0)]
-        rows = predict_force_curve(angles, CAL_20MM, GEOM_20MM, alpha_bracket_max=1.0)
+        angles = [math.radians(d) for d in (15.0, 95.0)]
+        rows = predict_force_curve(angles, CAL_20MM, GEOM_20MM)
         assert rows[0].error is None
         assert rows[1].error is not None
         assert rows[1].force is None

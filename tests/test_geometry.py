@@ -3,9 +3,7 @@ import math
 import pytest
 
 from stalkmech import BeamGeometry, NormalizedLoad
-from stalkmech.geometry import (
-    ALPHA_BRACKET_MAX, ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS,
-)
+from stalkmech.geometry import ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS
 
 
 class TestBeamGeometry:
@@ -49,4 +47,4 @@ class TestNormalizedLoad:
 class TestSolverConstants:
     def test_values(self):
         assert (BOUNDARY_TOLERANCE, MAX_ITERATIONS, ANGLE_TOLERANCE) == (1e-10, 100, 1e-6)
-        assert (ALPHA_BRACKET_MAX, GRID_POINTS) == (10.0, 1024)
+        assert GRID_POINTS == 1024

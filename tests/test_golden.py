@@ -36,7 +36,7 @@ PREDICT = [
 CASES = {
     "alpha-table": ["alpha-table", "--angles", "0:75:15"],
     "alpha-table-json": ["alpha-table", "--angles", "0:75:15", "--format", "json"],
-    "alpha-table-unreachable": ["alpha-table", "--angles", "15,80,30", "--alpha-max", "1"],
+    "alpha-table-out-of-domain": ["alpha-table", "--angles", "15,95,30"],
     "alpha-table-zero-radius": ["alpha-table", "--angles", "0:75:15", "--radius-ratio", "0"],
     "solve": ["solve", "--gamma-deg", "45"],
     "shape": ["shape", "--alpha", "1.03"],
@@ -47,7 +47,7 @@ CASES = {
     "calibrate": ["calibrate", "--input", BENDING, "--length-mm", "20"],
     "predict-force": PREDICT,
     "predict-force-json": [*PREDICT, "--format", "json"],
-    "predict-force-alpha-max": [*PREDICT, "--alpha-max", "1"],
+    "predict-force-out-of-domain": ["predict-force", "--angles", "15,95,30", *PREDICT[3:]],
     "analyze": ["analyze", "--manifest", MANIFEST],
     "analyze-per-angle": ["analyze", "--manifest", MANIFEST, "--per-angle"],
     "compare": [

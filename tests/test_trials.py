@@ -17,7 +17,6 @@ from stalkmech import (
     parse_trial,
     read_bending_samples,
     read_manifest,
-    stiffness_at_deflection,
 )
 from stalkmech.trials import TRIAL_HEADER, mm_cell_to_m
 
@@ -268,36 +267,6 @@ class TestAdaptationForce:
         )
 
 
-class TestStiffnessAtDeflection:
-    def test_jammed_20mm_reference_point(self, fixtures_dir):
-        rec = load_trial(fixtures_dir / "bending_trials" / "granular_20mm.csv")
-        assert stiffness_at_deflection(rec, 0.005) == 1.02
-
-    def test_soft_silicone_reference_point(self, fixtures_dir):
-        rec = load_trial(fixtures_dir / "bending_trials" / "ecoflex_0010_20mm.csv")
-        assert stiffness_at_deflection(rec, 0.005) == 0.51
-
-    def test_exact_sample_hit_skips_interpolation(self, fixtures_dir):
-        rec = load_trial(fixtures_dir / "bending_trials" / "granular_10mm.csv")
-        assert stiffness_at_deflection(rec, 0.001) == rec.force[2]
-
-    def test_midpoint_interpolation(self):
-        rec = TrialRecord(
-            scenario="interp",
-            surface_angle=None,
-            time=np.array([0.0, 1.0]),
-            force=np.array([0.2, 0.6]),
-            displacement=np.array([0.001, 0.003]),
-            pressure=np.array([-60.0, -60.0]),
-        )
-        assert stiffness_at_deflection(rec, 0.002) == pytest.approx(0.4)
-
-    def test_out_of_range(self, fixtures_dir):
-        rec = load_trial(fixtures_dir / "bending_trials" / "granular_20mm.csv")
-        with pytest.raises(ValueError):
-            stiffness_at_deflection(rec, 0.006)
-
-
 class TestManifest:
     def test_fixture_manifest(self, fixtures_dir):
         entries = read_manifest(fixtures_dir / "trials" / "manifest.csv")
@@ -321,6 +290,17 @@ class TestManifest:
             read_manifest(manifest)
         assert excinfo.value.line_number == 2
         assert str(excinfo.value) == f"line 2: bad angle {cell!r}"
+
+    # Let through, an empty scenario would fall back to each file's stem, one
+    # scenario per file, and an empty file cell would name the directory.
+    @pytest.mark.parametrize("row, name", [("a.csv,,15", "scenario"), (",s,15", "file")])
+    def test_empty_cell_names_the_line(self, tmp_path, row, name):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"file,scenario,angle_deg\nb.csv,s,15\n{row}\n")
+        with pytest.raises(TrialParseError) as excinfo:
+            read_manifest(manifest)
+        assert excinfo.value.line_number == 3
+        assert str(excinfo.value) == f"line 3: empty {name} cell"
 
 
 # The three headed CSV formats: a reader taking a path and returning a
