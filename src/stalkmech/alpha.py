@@ -8,13 +8,15 @@ elliptic integral of the first kind (Bisshopp & Drucker, Q. Appl. Math. 3,
 and k sin(phi_gamma) = sin(gamma/2). In Carlson's symmetric form (DLMF
 19.25.5) F = sin(phi) R_F(cos^2 phi, 1 - k^2 sin^2 phi, 1), whose second
 argument is cos^2(gamma/2) for every load; duplication evaluates R_F to
-rounding in a few steps of square roots. As k >= sin(gamma/2), F never
-exceeds K(sin(gamma/2)), its value at rho = 0, so the unique root in
-sqrt(alpha) of the strictly increasing sqrt(alpha) - F lies in [0, K],
-where Brent's method finds it. Its inverse is the shape in closed form,
-sin(theta / 2) = k sn(sqrt(alpha) s | k^2) (Frisch-Fay, Flexible Bars, 1962).
-A load table reads only the tip of that shape, so the solver evaluates it
-at s = 1 alone; the whole grid is built when a caller first asks for it.
+rounding in a few steps of square roots, and the same steps give the R_D
+in F's derivative. As k >= sin(gamma/2), F never exceeds K(sin(gamma/2)),
+its value at rho = 0, so the unique root in sqrt(alpha) of the strictly
+increasing sqrt(alpha) - F lies in [0, K], where Newton's method, kept in
+a bracket, finds it in about four evaluations. Its inverse is the shape in
+closed form, sin(theta / 2) = k sn(sqrt(alpha) s | k^2) (Frisch-Fay,
+Flexible Bars, 1962). A load table reads only the tip of that shape, so the
+solver evaluates it at s = 1 alone; the whole grid is built when a caller
+first asks for it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class AlphaResult:
     surface_angle: float
     alpha: float
     tip_angle_achieved: float
-    outer_iterations: int  # excess evaluations of the root search, K(s) not counted
+    outer_iterations: int  # Newton's evaluations of the excess; K alone at R/L = 0
     boundary_residual: float
     modulus: float = field(repr=False, compare=False)
 
@@ -114,12 +116,14 @@ def _brentq(
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # Each product pairs a ratio of values with a length, never two
+            # values, which underflow together at tiny scales.
             if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                stry = -(xcur - xpre) * (fcur / (fcur - fpre))
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                stry = -(fcur / (fblk - fpre)) * (fblk / dpre - fpre / dblk)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:
@@ -134,41 +138,71 @@ def _brentq(
     )
 
 
-# Carlson's (1995) stop rule for the fifth-order series: the spread of the
-# arguments, scaled by (3 eps)^(-1/6), falls below their mean.
+# Carlson's (1995) stop rule for the fifth-order series of R_F: the spread of
+# the arguments, scaled by (3 eps)^(-1/6), falls below their mean.
 _RF_SPREAD = (3.0 * sys.float_info.epsilon) ** (-1.0 / 6.0)
 
 
-def _carlson_rf(x: float, y: float, z: float) -> float:
-    """Carlson's R_F(x, y, z), x, y, z >= 0 with at most one zero (DLMF 19.36(i)).
+def _carlson(x: float, y: float, z: float) -> tuple[float, float]:
+    """Carlson's R_F(x, y, z) and R_D(x, y, z); x, y >= 0, x + y > 0, z > 0 (DLMF 19.36).
 
     Each duplication step moves the three arguments a quarter of the way to
-    a common value; the series in their remaining spread then ends the sum.
+    a common value and adds one term of R_D's sum; the series in their
+    remaining spread then ends both. R_F's stop rule ends the loop, which
+    leaves R_D within a few eps as well.
     """
     sqrt = math.sqrt
     mean = (x + y + z) / 3.0
     spread = _RF_SPREAD * max(abs(mean - x), abs(mean - y), abs(mean - z))
+    scale = 1.0
+    tail = 0.0
     while spread >= mean:
         sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
         lam = sx * (sy + sz) + sy * sz
+        tail += scale / (sz * (z + lam))
+        scale *= 0.25
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
         mean, spread = 0.25 * (mean + lam), 0.25 * spread
     dx, dy = 1.0 - x / mean, 1.0 - y / mean
     dz = -dx - dy
     e2, e3 = dx * dy - dz * dz, dx * dy * dz
-    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(mean)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(mean)
+    # R_D weighs z three times in its mean (DLMF 19.36.2).
+    mean = (x + y + 3.0 * z) / 5.0
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz
+    e4, e5 = 3.0 * (xy - zz) * zz, xy * zz * dz
+    series = (
+        1.0 + e2 * (e2 * (9.0 / 88.0) - e3 * (9.0 / 52.0) - 3.0 / 14.0)
+        + e3 * (1.0 / 6.0) - e4 * (3.0 / 22.0) + e5 * (3.0 / 26.0)
+    )
+    return rf, scale * series / (mean * sqrt(mean)) + 3.0 * tail
 
 
-def _excess(root: float, half_sine: float, half_cos2: float, radius_ratio: float) -> float:
-    """root - F(phi_gamma, k) at root = sqrt(alpha): negative while the load is too small.
+def _excess(
+    root: float, half_sine: float, half_cos2: float, radius_ratio: float,
+) -> tuple[float, float]:
+    """root - F(phi_gamma, k) at root = sqrt(alpha), and its slope in root.
 
-    ``half_sine`` and ``half_cos2`` are sin(gamma/2) and cos^2(gamma/2).
+    ``half_sine`` > 0 and ``half_cos2`` are sin(gamma/2) and cos^2(gamma/2);
+    the excess is negative while the load is too small. Along
+    k sin(phi_gamma) = sin(gamma/2), dF/d(k^2) = -Pi(phi_gamma, 1, k) / (2 k^2),
+    and DLMF 19.25.14, with R_J(x, y, z, x) = R_D(y, z, x), gives
+    Pi = F + sin^3(phi_gamma) R_D(cos^2(gamma/2), 1, cos^2(phi_gamma)) / 3.
+    The slope, 1 + root (rho / 2k)^2 Pi, is therefore never below 1.
     """
     c = 0.5 * root * radius_ratio  # k cos(phi_gamma)
     k = math.hypot(half_sine, c)
-    if k == 0.0:  # sin(gamma/2) underflowed and c = 0: phi_gamma = pi/2, as at R/L = 0
-        return root - _carlson_rf(0.0, half_cos2, 1.0)
-    return root - half_sine / k * _carlson_rf((c / k) ** 2, half_cos2, 1.0)
+    cos2 = (c / k) * (c / k)
+    if cos2 == 0.0:  # phi_gamma = pi/2 to rounding: F = K, and the slope is 1
+        return root - _carlson(0.0, half_cos2, 1.0)[0], 1.0
+    sine = half_sine / k  # sin(phi_gamma)
+    rf, rd = _carlson(half_cos2, 1.0, cos2)
+    f = sine * rf
+    half = 0.5 * radius_ratio / k  # squared by hand: ** raises where * overflows to inf
+    return root - f, 1.0 + root * half * half * (f + sine * sine * sine * rd / 3.0)
 
 
 def _agm(m: float) -> tuple[float, list[float]]:
@@ -218,19 +252,57 @@ def _validate_angle(surface_angle: float) -> None:
         )
 
 
+# K(1/sqrt(2)) = Gamma(1/4)^2 / (4 sqrt(pi)), K(sin(gamma/2)) at 90 degrees,
+# above every root in sqrt(alpha) of an angle below it.
+_ROOT_CEILING = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
+
+
+def _newton(
+    root: float, half_sine: float, half_cos2: float, radius_ratio: float,
+) -> tuple[float, int]:
+    """The excess's root by Newton's method from ``root``, and the evaluations it took.
+
+    Newton's method in sqrt(alpha), safeguarded by the bracket
+    [0, K(1/sqrt(2))], whose ends move by the sign of each excess: a step
+    that leaves the bracket becomes a bisection. It stops once a step,
+    applied, is within 4 eps of the root, or once the bracket is that
+    narrow, as it gets where rounding in a subnormal sin(gamma/2) or
+    k cos(phi_gamma) leaves the excess too noisy for such a step.
+    """
+    lo, hi = 0.0, _ROOT_CEILING
+    for evals in range(1, MAX_ITERATIONS + 1):
+        f, slope = _excess(root, half_sine, half_cos2, radius_ratio)
+        if f < 0.0:
+            lo = root
+        else:
+            hi = root
+        step = f / slope
+        root -= step
+        tolerance = 4.0 * sys.float_info.epsilon * root
+        if abs(step) <= tolerance or hi - lo <= tolerance:
+            return root, evals
+        if not lo < root < hi:
+            root = 0.5 * (lo + hi)
+    raise NoSolutionError(
+        f"Newton iteration did not converge after {MAX_ITERATIONS} iterations",
+        last_residual=f,
+    )
+
+
 def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> AlphaResult:
     """Normalized load alpha whose solved tip angle equals ``surface_angle``.
 
-    Finds the root of the first-integral excess in sqrt(alpha) by Brent's
-    method on [0, K(sin(gamma/2))], which holds it for every R/L; each
-    evaluation counts as an outer iteration. The closed form then gives the
-    shape's tip, whose slope and angle must match within
-    ``BOUNDARY_TOLERANCE`` and ``ANGLE_TOLERANCE``. Zero angle is the zero
-    load and the straight stalk.
+    At R/L = 0 the root in sqrt(alpha) is K(sin(gamma/2)), one evaluation.
+    Otherwise Newton's method finds the root of the first-integral excess,
+    starting between pi/2 and the small-angle root sqrt(gamma / (R/L));
+    each evaluation of the excess and its slope counts as an outer
+    iteration. The closed form then gives the shape's tip, whose slope and
+    angle must match within ``BOUNDARY_TOLERANCE`` and ``ANGLE_TOLERANCE``.
+    Zero angle is the zero load and the straight stalk.
 
     Raises UnreachableAngleError when the shape's tip misses the target,
-    NoSolutionError when its tip slope misses, and ValueError for an angle
-    outside [0, pi/2).
+    NoSolutionError when its tip slope misses or Newton's method runs out of
+    iterations, and ValueError for an angle outside [0, pi/2).
     """
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
@@ -239,18 +311,20 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     half_sine = math.sin(0.5 * surface_angle)
     half_cos2 = math.cos(0.5 * surface_angle) ** 2
     ratio = geometry.radius_ratio
-    evals = 0
-
-    def excess(root: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _excess(root, half_sine, half_cos2, ratio)
-
-    # Substituting u = k sin(t) shows F(phi_gamma, k) <= K(sin(gamma/2)), with
-    # equality at R/L = 0: the excess is -K at sqrt(alpha) = 0 and >= 0 at K.
-    ceiling = _carlson_rf(0.0, half_cos2, 1.0)
-    root = _brentq(excess, 0.0, ceiling, xtol=1e-12, maxiter=MAX_ITERATIONS, fa=-ceiling)
+    if ratio == 0.0:
+        # Substituting u = k sin(t) shows F(phi_gamma, k) <= K(sin(gamma/2)),
+        # with equality at R/L = 0, where the root is K itself.
+        root, evals = _carlson(0.0, half_cos2, 1.0)[0], 1
+    else:
+        # The start blends pi/2 <= K with the small-angle root sqrt(gamma / rho),
+        # in a form that cannot overflow.
+        root = math.sqrt(surface_angle) / math.sqrt(ratio + 4.0 / math.pi**2 * surface_angle)
+        if half_sine == 0.0:  # gamma/2 underflowed, so F = 0: the start is the root to rounding
+            evals = 0
+        else:
+            root, evals = _newton(root, half_sine, half_cos2, ratio)
     alpha_star = root * root
+    root = math.sqrt(alpha_star)  # as inner_solution rebuilds it; they differ for a subnormal alpha
     k = math.hypot(half_sine, 0.5 * root * ratio)
     [achieved], tip_slope = _closed_form(root, k, [1.0])
     residual = abs(tip_slope - alpha_star * ratio)

@@ -435,14 +435,12 @@ def cmd_analyze(args) -> OutputDocument:
             }
             for summary in summaries
         ]
-    parameters = {
-        "manifest": args.manifest or "",
-        "inputs": list(args.input or []),
-        "scenario": args.scenario or "",
-        "angle_deg": args.angle_deg,
-        "threshold_kpa": args.threshold_kpa,
-        "per_angle": bool(args.per_angle),
-    }
+    if args.manifest is not None:
+        parameters = {"manifest": args.manifest}
+    else:
+        parameters = {"inputs": args.input, "scenario": args.scenario, "angle_deg": args.angle_deg}
+    parameters["threshold_kpa"] = args.threshold_kpa
+    parameters["per_angle"] = bool(args.per_angle)
     return OutputDocument("analyze", parameters, columns, rows)
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import threading
 
 import numpy as np
@@ -23,9 +24,11 @@ from stalkmech import (
     solve_shape_oracle,
     solve_shape_shooting,
 )
-from stalkmech.alpha import _amplitude, _brentq, _carlson_rf
+from stalkmech.alpha import _amplitude, _brentq, _carlson, _excess
 from stalkmech.cli import execute
 from stalkmech.geometry import ANGLE_TOLERANCE, GRID_POINTS, NormalizedLoad
+
+EPS = sys.float_info.epsilon
 
 # Reference required-load column at R/L = 0.5 for 15..75 degrees.
 TABLE = {15.0: 0.445, 30.0: 0.772, 45.0: 1.03, 60.0: 1.254, 75.0: 1.467}
@@ -80,24 +83,24 @@ class TestCarlsonRF:
 
     @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 7.0])
     def test_equal_arguments(self, x):
-        assert _carlson_rf(x, x, x) == pytest.approx(x**-0.5, rel=2e-16)
+        assert _carlson(x, x, x)[0] == pytest.approx(x**-0.5, rel=2e-16)
 
     @pytest.mark.parametrize("y", [0.25, 1.0, 3.0])
     def test_two_equal_arguments_and_a_zero(self, y):
-        assert _carlson_rf(0.0, y, y) == pytest.approx(0.5 * math.pi / math.sqrt(y), rel=4e-16)
+        assert _carlson(0.0, y, y)[0] == pytest.approx(0.5 * math.pi / math.sqrt(y), rel=4e-16)
 
     def test_lemniscate_value(self):
         # DLMF 19.20.2: R_F(0, 1, 2) = Gamma(1/4)^2 / (4 sqrt(2 pi)).
         expected = self.GAMMA_QUARTER / (4.0 * math.sqrt(2.0 * math.pi))
-        assert _carlson_rf(0.0, 1.0, 2.0) == pytest.approx(expected, rel=4e-16)
+        assert _carlson(0.0, 1.0, 2.0)[0] == pytest.approx(expected, rel=4e-16)
 
     def test_complete_integral_at_the_right_angle(self):
         # K(1/sqrt(2)) = R_F(0, 1/2, 1) = Gamma(1/4)^2 / (4 sqrt(pi)), at gamma = 90 degrees.
         expected = self.GAMMA_QUARTER / (4.0 * math.sqrt(math.pi))
-        assert _carlson_rf(0.0, 0.5, 1.0) == pytest.approx(expected, rel=4e-16)
+        assert _carlson(0.0, 0.5, 1.0)[0] == pytest.approx(expected, rel=4e-16)
         assert complete_k(0.25 * math.pi) == pytest.approx(expected, rel=4e-16)
 
-    # The solver's form of F(phi_gamma, k): sin(phi) = s / k, cos(phi) = c / k.
+    # F(phi_gamma, k) in the solver's variables: sin(phi) = s / k, cos(phi) = c / k.
     @given(
         gamma=st.floats(min_value=1e-3, max_value=math.radians(89.5)),
         c=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
@@ -106,9 +109,45 @@ class TestCarlsonRF:
     def test_matches_the_incomplete_integral(self, gamma, c):
         s = math.sin(0.5 * gamma)
         k = math.hypot(s, c)
-        solver = s / k * _carlson_rf((c / k) ** 2, math.cos(0.5 * gamma) ** 2, 1.0)
+        solver = s / k * _carlson((c / k) ** 2, math.cos(0.5 * gamma) ** 2, 1.0)[0]
         reference = incomplete_f(math.atan2(s, c), k * k)
         assert solver == pytest.approx(reference, rel=4e-15)
+
+
+class TestCarlsonRD:
+    # The test values Carlson (1995, Numer. Algorithms 10) gives for R_D.
+    @pytest.mark.parametrize(
+        "args, expected",
+        [((0.0, 2.0, 1.0), 1.7972103521034), ((2.0, 3.0, 4.0), 0.16510527294261)],
+    )
+    def test_published_values(self, args, expected):
+        assert _carlson(*args)[1] == pytest.approx(expected, rel=1e-14)
+
+
+def excess_at(root, gamma, ratio):
+    return _excess(root, math.sin(0.5 * gamma), math.cos(0.5 * gamma) ** 2, ratio)
+
+
+class TestExcess:
+    @given(
+        gamma=st.floats(min_value=math.radians(1.0), max_value=math.radians(89.5)),
+        ratio=st.floats(min_value=1e-4, max_value=10.0),
+        fraction=st.floats(min_value=0.02, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slope_matches_a_central_difference(self, gamma, ratio, fraction):
+        root = fraction * complete_k(0.5 * gamma)
+        h = 1e-6 * root
+        difference = excess_at(root + h, gamma, ratio)[0] - excess_at(root - h, gamma, ratio)[0]
+        assert excess_at(root, gamma, ratio)[1] == pytest.approx(difference / (2.0 * h), rel=1e-7)
+
+    # A concave, increasing excess: Newton's method climbs to the root from below.
+    @pytest.mark.parametrize("ratio", [1e-4, 0.05, 0.5, 1.0, 3.0, 10.0])
+    def test_slope_never_rises_on_the_bracket(self, ratio):
+        for gamma in np.radians(np.arange(1.0, 90.0, 0.5)).tolist():
+            ceiling = complete_k(0.5 * gamma)
+            slopes = [excess_at(ceiling * i / 50, gamma, ratio)[1] for i in range(1, 51)]
+            assert all(1.0 <= b <= a for a, b in zip(slopes, slopes[1:])), math.degrees(gamma)
 
 
 def amplitude_within(seconds, u, m):
@@ -238,6 +277,19 @@ class TestSolveAlphaForAngle:
         nonlinear = solve_alpha_for_angle(gamma, geometry).alpha
         assert nonlinear == pytest.approx(linearized_alpha(gamma, geometry), rel=1e-6)
 
+    # alpha rho / gamma = 1 - gamma / (3 rho) + ..., so its gap from 1 is
+    # below gamma / rho but for rounding, down to the smallest normal angles.
+    @given(
+        gamma=st.floats(min_value=-300.0, max_value=-4.0).map(lambda e: 10.0**e),
+        ratio=st.floats(min_value=0.05, max_value=3.0),
+    )
+    @example(gamma=1e-63, ratio=0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_tiny_angles_follow_the_linear_law(self, gamma, ratio):
+        result = solve_alpha_for_angle(gamma, BeamGeometry.from_ratio(ratio))
+        assert abs(result.alpha * ratio / gamma - 1.0) <= gamma / ratio + 4.0 * EPS
+        assert result.outer_iterations <= 3
+
     @pytest.mark.parametrize("gamma_deg", [30.0, 45.0, 60.0, 75.0])
     def test_geometric_stiffening_beyond_the_linear_model(
         self, half_ratio_geometry, gamma_deg
@@ -253,6 +305,15 @@ class TestSolveAlphaForAngle:
             for r in (0.1, 0.25, 0.5, 1.0)
         ]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
+
+    def test_extreme_pads_solve(self):
+        # At R/L 1e-200 (c/k)^2 underflows, and the pure tip force's K is the
+        # root; at 1e20 the load is the linear gamma / rho.
+        tiny = solve_alpha_for_angle(1.0, BeamGeometry.from_ratio(1e-200)).alpha
+        pure = solve_alpha_for_angle(1.0, BeamGeometry.from_ratio(0.0)).alpha
+        assert tiny == pytest.approx(pure, rel=1e-15)
+        huge = solve_alpha_for_angle(1.0, BeamGeometry.from_ratio(1e20)).alpha
+        assert huge == pytest.approx(1e-20, rel=1e-15)
 
     @pytest.mark.parametrize("gamma_deg", [0.0, 45.0])
     def test_no_shooting_or_integration_per_solved_angle(
@@ -287,8 +348,8 @@ class TestSolveAlphaForAngle:
     def test_each_quadrature_is_evaluated_once(
         self, half_ratio_geometry, monkeypatch, gamma_deg
     ):
-        # Brent is handed both ends of the bracket: f(0) = -K is known
-        # without an evaluation and f(K) is not recomputed.
+        # Newton's method starts inside the bracket, so f(0) = -K is never
+        # evaluated, and it stops before a step too small to move the root.
         loads = []
         excess = stalkmech.alpha._excess
 
@@ -301,6 +362,21 @@ class TestSolveAlphaForAngle:
         assert len(loads) == result.outer_iterations
         assert len(set(loads)) == len(loads)
         assert 0.0 not in loads
+
+    def test_about_four_evaluations_per_angle(self):
+        # At R/L = 0 the one evaluation is K itself.
+        counts = [
+            solve_alpha_for_angle(math.radians(d), BeamGeometry.from_ratio(r)).outer_iterations
+            for r in (0.05, 0.1, 0.5, 1.0, 1.5, 3.0)
+            for d in range(1, 90)
+        ]
+        assert sum(counts) / len(counts) <= 4.5
+        assert max(counts) <= 6
+        pure_force = BeamGeometry.from_ratio(0.0)
+        assert {
+            solve_alpha_for_angle(math.radians(d), pure_force).outer_iterations
+            for d in range(1, 90)
+        } == {1}
 
     def test_shape_is_built_once_on_first_access(self, half_ratio_geometry):
         result = solve_alpha_for_angle(math.radians(45.0), half_ratio_geometry)
@@ -413,10 +489,10 @@ class TestAlphaTable:
     def test_outer_search_out_of_iterations_is_an_error_row(
         self, half_ratio_geometry, monkeypatch
     ):
-        monkeypatch.setattr(stalkmech.alpha, "MAX_ITERATIONS", 5)
+        monkeypatch.setattr(stalkmech.alpha, "MAX_ITERATIONS", 2)
         rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry)
         assert rows[0].alpha is None and rows[0].result is None
-        assert "after 5 iterations" in rows[0].error
+        assert "after 2 iterations" in rows[0].error
 
 
 # A caller that still passes a settings object positionally fails loudly

@@ -464,17 +464,26 @@ class TestParameterEcho:
             "angles_deg", "source_label", "flexural_rigidity_Nm2", *GEOMETRY_KEYS,
             *LOAD_SEARCH_KEYS,
         },
-        "analyze": {"manifest", "inputs", "scenario", "angle_deg", "threshold_kpa", "per_angle"},
+        "analyze": {"manifest", "threshold_kpa", "per_angle"},
+        "analyze-input": {"inputs", "scenario", "angle_deg", "threshold_kpa", "per_angle"},
         "compare": {
             "manifest", "scenario", "threshold_kpa", "source_label", "flexural_rigidity_Nm2",
             *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS,
         },
     }
 
+    ARGV = {
+        **CASES,
+        "analyze-input": [
+            "analyze", "--input", "fixtures/trials/granular_20mm/angle30_rep1.csv",
+            "--scenario", "20mm Granular", "--angle-deg", "30",
+        ],
+    }
+
     @pytest.mark.parametrize("command", sorted(ECHOED))
     def test_echoes_exactly_the_parameters_it_reads(self, monkeypatch, command):
         monkeypatch.chdir(REPO)
-        status, out = run(CASES[command])
+        status, out = run(self.ARGV[command])
         assert status == 0
         keys = {
             line.removeprefix("# parameter ").partition("=")[0]

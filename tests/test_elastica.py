@@ -60,6 +60,13 @@ class TestShooting:
         assert sol.tip_angle == 0.0
         assert sol.boundary_residual == 0.0
 
+    # Below about 1e-155 the residual and the base slope are both tiny, so
+    # Brent's steps must not multiply two residuals, which would underflow.
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-300])
+    def test_tiny_load_bends_by_the_tip_moment(self, half_ratio_geometry, alpha):
+        sol = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry)
+        assert sol.tip_angle == pytest.approx(0.5 * alpha, rel=1e-12)
+
     @pytest.mark.parametrize(
         "alpha, tip_deg",
         [(1.03, 45.0), (1.467, 75.0)],
