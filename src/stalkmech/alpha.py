@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NoSolutionError, SolverError, UnreachableAngleError
 from .geometry import (
@@ -36,21 +35,17 @@ if TYPE_CHECKING:
     from .elastica import ElasticaSolution
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple("AlphaResult", [
+    ("surface_angle", float), ("alpha", float), ("tip_angle_achieved", float),
+    ("outer_iterations", int), ("boundary_residual", float), ("modulus", float),
+])):
     """Normalized load solving tip_angle(alpha) = surface_angle.
 
-    ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|. The
-    sampled shape, ``inner_solution``, is built on first access from the
-    modulus k, which is kept for it alone.
+    ``outer_iterations`` counts Newton's evaluations of the excess, K's alone
+    at R/L = 0; ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|.
+    The sampled shape, ``inner_solution``, is built on first access from the
+    modulus k, kept for it alone, and cached in ``__dict__`` (no ``__slots__``).
     """
-
-    surface_angle: float
-    alpha: float
-    tip_angle_achieved: float
-    outer_iterations: int  # Newton's evaluations of the excess; K alone at R/L = 0
-    boundary_residual: float
-    modulus: float = field(repr=False, compare=False)
 
     @cached_property
     def inner_solution(self) -> ElasticaSolution:
@@ -67,8 +62,7 @@ class AlphaResult:
         )
 
 
-@dataclass(frozen=True)
-class AlphaTableRow:
+class AlphaTableRow(NamedTuple):
     """One row of a load table; ``error`` is set when the angle failed."""
 
     surface_angle: float

@@ -9,8 +9,7 @@ absence, never a zero force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CoverageError, TrialValidationError
 from .trials import (
@@ -24,8 +23,7 @@ if TYPE_CHECKING:
     from .force import AdaptationPrediction
 
 
-@dataclass(frozen=True)
-class AngleOutcome:
+class AngleOutcome(NamedTuple):
     """Aggregated result at one surface angle.
 
     ``rep_forces`` keeps the per-repetition adaptation forces (attached
@@ -48,8 +46,7 @@ class AngleOutcome:
         return math.fsum(self.rep_forces) / len(self.rep_forces)
 
 
-@dataclass(frozen=True)
-class AdaptationSummary:
+class AdaptationSummary(NamedTuple):
     """Per-scenario digest: per-angle outcomes and the ultimate angle.
 
     The ultimate angle is the steepest angle with at least one attached
@@ -74,8 +71,7 @@ class AdaptationSummary:
         return attached[-1].adaptation_force if attached else None
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """Measured vs predicted force at one angle; residual = predicted - measured."""
 
     surface_angle: float
@@ -93,8 +89,7 @@ class ComparisonRow:
         return 0.0 if self.residual == 0.0 else math.inf
 
 
-@dataclass(frozen=True)
-class TheoryComparison:
+class TheoryComparison(NamedTuple):
     """Per-angle residual report with the aggregate mean absolute relative error."""
 
     rows: tuple[ComparisonRow, ...]

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
+import os
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 from .alpha import AlphaResult, generate_alpha_table, solve_alpha_for_angle
 from .analysis import compare_theory, summarize_scenario
@@ -48,14 +47,16 @@ SIG_DIGITS = 6
 MAX_RANGE_ANGLES = 1_000_000
 
 
-@dataclass
 class OutputDocument:
-    command: str
-    parameters: dict
-    columns: list[str]
-    rows: list[dict]
-    warnings: list[str] = field(default_factory=list)
-    aggregates: dict | None = None
+    """One command's result; ``execute`` appends the warnings its handler raised."""
+
+    def __init__(self, command: str, parameters: dict, columns: list, rows: list, aggregates=None):
+        self.command = command
+        self.parameters = parameters
+        self.columns = columns
+        self.rows = rows
+        self.warnings: list[str] = []
+        self.aggregates = aggregates
 
 
 def _fmt(value) -> str:
@@ -101,6 +102,7 @@ def _emit_csv(doc: OutputDocument, stream) -> None:
 
 
 def _emit_json(doc: OutputDocument, stream) -> None:
+    import json  # here alone: the CSV default would pay for its import in every process
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": doc.command,
@@ -630,7 +632,13 @@ def execute(argv: list[str], stream=None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return execute(sys.argv[1:] if argv is None else argv)
+    try:
+        status = execute(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a reader that went away early raises here, not at exit
+    except BrokenPipeError:  # devnull keeps the final flush quiet (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

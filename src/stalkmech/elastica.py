@@ -18,12 +18,13 @@ last sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .alpha import _brentq
 from .errors import IntegrationDivergedError, NoSolutionError
-from .geometry import BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS, BeamGeometry, NormalizedLoad
+from .geometry import (
+    BOUNDARY_TOLERANCE, GRID_POINTS, MAX_GRID_POINTS, MAX_ITERATIONS, BeamGeometry, NormalizedLoad,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,28 +37,28 @@ MAX_ANGLE = 4.0 * math.pi
 _BISECTION_WIDTH = 1e-6
 
 
-@dataclass(frozen=True)
-class ElasticaSolution:
+class ElasticaSolution(NamedTuple("ElasticaSolution", [
+    ("alpha", float), ("theta_samples", "np.ndarray"), ("initial_slope", float),
+    ("boundary_residual", float),
+])):
     """A solved beam shape on the normalized arc-length grid.
 
-    ``theta_samples[i]`` is the tangent angle at s = i / (n - 1); the clamped
-    base fixes ``theta_samples[0]`` to zero. ``initial_slope`` is the base
-    curvature theta'(0) found by the solver, and ``boundary_residual`` is the
-    achieved |theta'(1) - alpha R / L|.
+    ``theta_samples[i]`` is the tangent angle at s = i / (n - 1), stored as a
+    read-only float array; the clamped base fixes ``theta_samples[0]`` to
+    zero. ``initial_slope`` is the base curvature theta'(0) found by the
+    solver, and ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|.
     """
 
-    alpha: float
-    theta_samples: np.ndarray
-    initial_slope: float
-    boundary_residual: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
-    def __post_init__(self):
+    def __new__(cls, alpha, theta_samples, initial_slope, boundary_residual):
         import numpy as np
-        samples = np.asarray(self.theta_samples, dtype=float)
+        samples = np.asarray(theta_samples, dtype=float)
         samples.flags.writeable = False
-        object.__setattr__(self, "theta_samples", samples)
         if samples[0] != 0.0:
             raise ValueError("theta_samples[0] must be 0 (clamped base)")
+        return super().__new__(cls, alpha, samples, initial_slope, boundary_residual)
 
     @property
     def tip_angle(self) -> float:
@@ -107,6 +108,8 @@ def _rk4_tip(
 def _validate_grid(grid_points: int) -> None:
     if grid_points < 16:
         raise ValueError(f"grid_points must be >= 16, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
 
 
 def integrate_elastica_ivp(

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .alpha import generate_alpha_table
 from .errors import CalibrationError, TrialParseError
@@ -27,8 +26,10 @@ SMALL_DEFLECTION_LIMIT = 0.25
 BENDING_HEADER = "deflection_mm,force_N"
 
 
-@dataclass(frozen=True)
-class StiffnessCalibration:
+class StiffnessCalibration(NamedTuple("StiffnessCalibration", [
+    ("flexural_rigidity", float), ("linear_slope", float), ("fit_quality", float),
+    ("source_label", str), ("stalk_length", float),
+])):
     """Effective flexural rigidity of a stalk fitted from bending data.
 
     ``linear_slope`` is the through-origin slope k of force against tip
@@ -37,21 +38,20 @@ class StiffnessCalibration:
     coefficient of determination of the through-origin fit.
     """
 
-    flexural_rigidity: float
-    linear_slope: float
-    fit_quality: float
-    source_label: str
-    stalk_length: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
-    def __post_init__(self):
-        if not (0.0 < self.flexural_rigidity < math.inf):
+    def __new__(cls, flexural_rigidity, linear_slope, fit_quality, source_label, stalk_length):
+        if not (0.0 < flexural_rigidity < math.inf):
             raise ValueError("flexural_rigidity must be positive and finite")
-        if not (0.0 <= self.fit_quality <= 1.0):
+        if not (0.0 <= fit_quality <= 1.0):
             raise ValueError("fit_quality must be within [0, 1]")
+        return super().__new__(
+            cls, flexural_rigidity, linear_slope, fit_quality, source_label, stalk_length
+        )
 
 
-@dataclass(frozen=True)
-class AdaptationPrediction:
+class AdaptationPrediction(NamedTuple):
     """Predicted adaptation force for one surface angle.
 
     ``force`` satisfies force = alpha * EI / L^2 for the calibration and

@@ -1,13 +1,13 @@
 """Core value types, beam geometry and normalized load, and the solver constants.
 
-Both types are frozen dataclasses validated at construction; instances are
-safe to share between threads.
+Both types are named tuples validated at construction, by ``_make`` and
+``_replace`` too; instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Fixed bounds of the solvers: the largest accepted |theta'(1) - alpha R / L|,
 # the step cap of every root search and Newton loop, and the largest accepted
@@ -17,12 +17,12 @@ MAX_ITERATIONS = 100
 ANGLE_TOLERANCE = 1e-6
 
 # Default samples of the normalized arc length on [0, 1], whose step is
-# 1 / (GRID_POINTS - 1).
+# 1 / (GRID_POINTS - 1), and the most a caller may ask for.
 GRID_POINTS = 1024
+MAX_GRID_POINTS = 2_000_000
 
 
-@dataclass(frozen=True)
-class BeamGeometry:
+class BeamGeometry(NamedTuple("BeamGeometry", [("stalk_length", float), ("pad_radius", float)])):
     """Stalk and suction-pad geometry.
 
     Parameters
@@ -35,21 +35,22 @@ class BeamGeometry:
         (pure tip-force cantilever).
 
     The ratio R/L enters the tip boundary condition of the normalized beam
-    equation and is cached as ``radius_ratio``.
+    equation as ``radius_ratio``.
     """
 
-    stalk_length: float
-    pad_radius: float
-    radius_ratio: float = field(init=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
-    def __post_init__(self):
-        if not (self.stalk_length > 0.0) or not math.isfinite(self.stalk_length):
-            raise ValueError(
-                f"stalk_length must be positive and finite, got {self.stalk_length}"
-            )
-        if self.pad_radius < 0.0 or not math.isfinite(self.pad_radius):
-            raise ValueError(f"pad_radius must be finite and >= 0, got {self.pad_radius}")
-        object.__setattr__(self, "radius_ratio", self.pad_radius / self.stalk_length)
+    def __new__(cls, stalk_length: float, pad_radius: float):
+        if not (stalk_length > 0.0) or not math.isfinite(stalk_length):
+            raise ValueError(f"stalk_length must be positive and finite, got {stalk_length}")
+        if pad_radius < 0.0 or not math.isfinite(pad_radius):
+            raise ValueError(f"pad_radius must be finite and >= 0, got {pad_radius}")
+        return super().__new__(cls, stalk_length, pad_radius)
+
+    @property
+    def radius_ratio(self) -> float:
+        return self.pad_radius / self.stalk_length
 
     @classmethod
     def from_ratio(cls, radius_ratio: float) -> "BeamGeometry":
@@ -61,8 +62,7 @@ class BeamGeometry:
         return cls(stalk_length=stalk_length_mm * 1e-3, pad_radius=pad_radius_mm * 1e-3)
 
 
-@dataclass(frozen=True)
-class NormalizedLoad:
+class NormalizedLoad(NamedTuple("NormalizedLoad", [("alpha", float)])):
     """Dimensionless tip load alpha = F L^2 / (EI).
 
     Only the surface-pushing load case is modelled: the contact force points
@@ -70,11 +70,13 @@ class NormalizedLoad:
     pendulum form theta'' = -alpha sin(theta) of the beam equation.
     """
 
-    alpha: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
-    def __post_init__(self):
-        if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+    def __new__(cls, alpha: float):
+        if not (alpha >= 0.0) or not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+        return super().__new__(cls, alpha)
 
     def tip_moment(self, geometry: BeamGeometry) -> float:
         """Normalized tip moment alpha * R / L (the tip slope boundary value)."""

@@ -9,10 +9,9 @@ pressure stays in kPa relative to ambient (vacuum is negative).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import TrialParseError, TrialValidationError
 
@@ -35,8 +34,11 @@ def _channel(name: str, values) -> tuple[float, ...]:
     raise TrialValidationError(f"channel {name} must be a flat sequence of numbers")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple("TrialRecord", [
+    ("scenario", str), ("surface_angle", "float | None"), ("time", "tuple[float, ...]"),
+    ("force", "tuple[float, ...]"), ("displacement", "tuple[float, ...]"),
+    ("pressure", "tuple[float, ...]"),
+])):
     """One time series of a physical test, the unit of ingestion.
 
     Channels are parallel tuples of floats ordered by time; any flat
@@ -44,23 +46,18 @@ class TrialRecord:
     is in radians and optional (bending trials have none).
     """
 
-    scenario: str
-    surface_angle: float | None
-    time: tuple[float, ...]
-    force: tuple[float, ...]
-    displacement: tuple[float, ...]
-    pressure: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
-    def __post_init__(self):
-        channels = {}
-        for name in ("time", "force", "displacement", "pressure"):
-            channel = _channel(name, getattr(self, name))
-            object.__setattr__(self, name, channel)
-            channels[name] = channel
+    def __new__(cls, scenario, surface_angle, time, force, displacement, pressure):
+        self = super().__new__(
+            cls, scenario, surface_angle, _channel("time", time), _channel("force", force),
+            _channel("displacement", displacement), _channel("pressure", pressure),
+        )
         n = len(self.time)
         if n < 1:
             raise TrialValidationError("a trial needs at least one sample")
-        for name, channel in channels.items():
+        for name, channel in zip(self._fields[2:], self[2:]):  # the four channels
             if len(channel) != n:
                 raise TrialValidationError(f"channel {name} has mismatched length")
             if not all(map(math.isfinite, channel)):
@@ -73,14 +70,14 @@ class TrialRecord:
             )
         if self.surface_angle is not None and not math.isfinite(self.surface_angle):
             raise TrialValidationError("surface_angle must be finite")
+        return self
 
     @property
     def n_samples(self) -> int:
         return len(self.time)
 
 
-@dataclass(frozen=True)
-class AttachmentEvent:
+class AttachmentEvent(NamedTuple):
     """First sample where the pressure reached the attachment threshold."""
 
     sample_index: int
@@ -222,8 +219,7 @@ def adaptation_force(record: TrialRecord, event: AttachmentEvent) -> float:
     return max(record.force[: event.sample_index + 1])
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     """One row of a trial manifest: file path, scenario label, surface angle."""
 
     path: Path

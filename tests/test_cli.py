@@ -11,6 +11,7 @@ import pytest
 
 import stalkmech
 from stalkmech.cli import MAX_RANGE_ANGLES, execute, parse_angles_spec
+from stalkmech.geometry import MAX_GRID_POINTS
 from test_golden import CASES, REPO
 
 
@@ -514,6 +515,21 @@ class TestParameterEcho:
         assert (status, out) == (1, "")
         assert capsys.readouterr().err == "stalkmech: error: grid_points must be >= 16, got 8\n"
 
+    @pytest.mark.parametrize("points", [MAX_GRID_POINTS + 1, 10**20])
+    def test_shape_grid_past_the_cap_is_refused_before_any_work(
+        self, monkeypatch, capsys, points
+    ):
+        def integrate(*args):
+            raise AssertionError("the integrator ran")
+
+        monkeypatch.setattr(stalkmech.elastica, "_rk4_tip", integrate)
+        monkeypatch.chdir(REPO)
+        status, out = run([*CASES["shape"], "--grid-points", str(points)])
+        assert (status, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"stalkmech: error: grid_points must be <= {MAX_GRID_POINTS}, got {points}\n"
+        )
+
 
 class TestExitCodes:
     def test_unknown_command_is_a_usage_error(self, capsys):
@@ -529,6 +545,20 @@ class TestExitCodes:
     def test_negative_length_rejected(self):
         status, _ = run(["solve", "--gamma-deg", "30", "--length-mm", "-5"])
         assert status == 1
+
+    @pytest.mark.parametrize("argv", [CASES["shape"], ["alpha-table", "--angles", "15"]])
+    def test_a_reader_gone_early_is_status_one_without_a_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # so that the first write to stdout fails
+        env = dict(os.environ, PYTHONPATH=str(Path(stalkmech.__file__).resolve().parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stalkmech.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestNumpyOnlyRuntime:
@@ -615,6 +645,27 @@ class TestNumpyOnlyRuntime:
         proc = self.child(f"import os\nos.chdir({str(REPO)!r})\n" + code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == loaded
+
+    # Records are named tuples, and JSON output imports json itself, so no
+    # command pays for dataclasses (with inspect) or, in CSV, for json.
+    def test_commands_load_no_dataclasses_and_csv_loads_no_json(self):
+        argvs = [CASES[name] for name in self.NUMPY_FREE]
+        argvs.sort(key=lambda argv: "json" in argv)  # the CSV commands first
+        proc = self.child(
+            f"import os\nos.chdir({str(REPO)!r})\n"
+            "before = set(sys.modules)\n"
+            "def new():\n"
+            "    return sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before))\n"
+            "import io, stalkmech.cli\n"
+            "print(new())\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert stalkmech.cli.execute(argv, io.StringIO()) == 0\n"
+            "    print(new())\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        n_json = sum("json" in argv for argv in argvs)
+        n_csv = len(argvs) - n_json
+        assert proc.stdout.splitlines() == ["[]"] * (1 + n_csv) + ["['json']"] * n_json
 
     def test_solvers_run_with_other_packages_blocked(self):
         proc = self.child(
