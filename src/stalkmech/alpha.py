@@ -291,7 +291,8 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     starting between pi/2 and the small-angle root sqrt(gamma / (R/L));
     each evaluation of the excess and its slope counts as an outer
     iteration. The closed form then gives the shape's tip, whose slope and
-    angle must match within ``BOUNDARY_TOLERANCE`` and ``ANGLE_TOLERANCE``.
+    angle must match within ``BOUNDARY_TOLERANCE`` and ``ANGLE_TOLERANCE``,
+    the latter relative to the angle below 1 rad.
     Zero angle is the zero load and the straight stalk.
 
     Raises UnreachableAngleError when the shape's tip misses the target,
@@ -327,7 +328,10 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
             f"boundary residual {residual:.3e} exceeds tolerance at alpha={alpha_star}",
             last_residual=residual,
         )
-    if abs(achieved - surface_angle) > ANGLE_TOLERANCE:
+    # Relative below 1 rad, so that a tiny angle's load is checked too, plus
+    # 16 ulps of rounding, which only a subnormal angle comes near.
+    tolerance = ANGLE_TOLERANCE * min(1.0, surface_angle) + 16.0 * math.ulp(surface_angle)
+    if abs(achieved - surface_angle) > tolerance:
         raise UnreachableAngleError(
             f"root search left tip angle {achieved:.8f} rad off target "
             f"{surface_angle:.8f} rad",

@@ -48,9 +48,9 @@ MAX_RANGE_ANGLES = 1_000_000
 
 
 class OutputDocument:
-    """One command's result; ``execute`` appends the warnings its handler raised."""
+    """One command's result, rows as tuples in column order; ``execute`` adds the warnings."""
 
-    def __init__(self, command: str, parameters: dict, columns: list, rows: list, aggregates=None):
+    def __init__(self, command: str, parameters: dict, columns: tuple, rows: list, aggregates=None):
         self.command = command
         self.parameters = parameters
         self.columns = columns
@@ -95,7 +95,7 @@ def _emit_csv(doc: OutputDocument, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(doc.columns)
     for row in doc.rows:
-        writer.writerow([_fmt(row.get(col)) for col in doc.columns])
+        writer.writerow([_fmt(value) for value in row])
     if doc.aggregates:
         for key in sorted(doc.aggregates):
             stream.write(f"# aggregate {key}={_fmt(doc.aggregates[key])}\n")
@@ -107,7 +107,7 @@ def _emit_json(doc: OutputDocument, stream) -> None:
         "schema_version": SCHEMA_VERSION,
         "command": doc.command,
         "parameters": _jsonable(doc.parameters),
-        "rows": [_jsonable(row) for row in doc.rows],
+        "rows": [_jsonable(dict(zip(doc.columns, row))) for row in doc.rows],
         "warnings": list(doc.warnings),
     }
     if doc.aggregates:
@@ -158,9 +158,7 @@ def _check_length_mm(length_mm: float) -> None:
 
 
 def _resolve_geometry(args, require_length: bool) -> BeamGeometry:
-    ratio = getattr(args, "radius_ratio", None)
-    length_mm = getattr(args, "length_mm", None)
-    pad_mm = getattr(args, "pad_radius_mm", None)
+    ratio, length_mm, pad_mm = args.radius_ratio, args.length_mm, args.pad_radius_mm
     if ratio is not None and pad_mm is not None:
         raise ValueError("give either --radius-ratio or --pad-radius-mm, not both")
     if require_length and length_mm is None:
@@ -222,36 +220,20 @@ def _resolve_calibration(args, geometry: BeamGeometry) -> StiffnessCalibration:
 
 
 # --------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns its rows as tuples in column order
 
-ALPHA_COLUMNS = [
-    "surface_angle_deg",
-    "alpha",
-    "tip_angle_deg",
-    "outer_iterations",
-    "boundary_residual",
-    "error",
-]
+ALPHA_COLUMNS = (
+    "surface_angle_deg", "alpha", "tip_angle_deg", "outer_iterations", "boundary_residual", "error",
+)
 
 
-def _alpha_row(angle_deg: float, result: AlphaResult | None, error: str | None = None) -> dict:
+def _alpha_row(angle_deg: float, result: AlphaResult | None, error: str | None = None) -> tuple:
     if error is not None:
-        return {
-            "surface_angle_deg": angle_deg,
-            "alpha": None,
-            "tip_angle_deg": None,
-            "outer_iterations": None,
-            "boundary_residual": None,
-            "error": error,
-        }
-    return {
-        "surface_angle_deg": angle_deg,
-        "alpha": result.alpha,
-        "tip_angle_deg": math.degrees(result.tip_angle_achieved),
-        "outer_iterations": result.outer_iterations,
-        "boundary_residual": result.boundary_residual,
-        "error": None,
-    }
+        return angle_deg, None, None, None, None, error
+    return (
+        angle_deg, result.alpha, math.degrees(result.tip_angle_achieved),
+        result.outer_iterations, result.boundary_residual, None,
+    )
 
 
 def cmd_alpha_table(args) -> OutputDocument:
@@ -264,7 +246,7 @@ def cmd_alpha_table(args) -> OutputDocument:
         **_geometry_parameters(geometry),
         **LOAD_SEARCH_PARAMETERS,
     }
-    return OutputDocument("alpha-table", parameters, ALPHA_COLUMNS, rows)
+    return OutputDocument(args.command, parameters, ALPHA_COLUMNS, rows)
 
 
 def cmd_solve(args) -> OutputDocument:
@@ -276,7 +258,7 @@ def cmd_solve(args) -> OutputDocument:
         **_geometry_parameters(geometry),
         **LOAD_SEARCH_PARAMETERS,
     }
-    return OutputDocument("solve", parameters, ALPHA_COLUMNS, rows)
+    return OutputDocument(args.command, parameters, ALPHA_COLUMNS, rows)
 
 
 def cmd_shape(args) -> OutputDocument:
@@ -285,16 +267,8 @@ def cmd_shape(args) -> OutputDocument:
         NormalizedLoad(args.alpha), geometry, grid_points=args.grid_points
     )
     points = centerline(solution)
-    grid = solution.grid
-    rows = [
-        {
-            "s": float(grid[i]),
-            "theta_rad": float(solution.theta_samples[i]),
-            "x": float(points[i, 0]),
-            "y": float(points[i, 1]),
-        }
-        for i in range(len(grid))
-    ]
+    columns = ("s", "theta_rad", "x", "y")
+    rows = list(zip(solution.grid.tolist(), solution.theta_samples.tolist(), *points.T.tolist()))
     parameters = {
         "alpha": args.alpha,
         "tip_angle_deg": math.degrees(solution.tip_angle),
@@ -303,7 +277,7 @@ def cmd_shape(args) -> OutputDocument:
         "boundary_tolerance": BOUNDARY_TOLERANCE,
         "max_iterations": MAX_ITERATIONS,
     }
-    return OutputDocument("shape", parameters, ["s", "theta_rad", "x", "y"], rows)
+    return OutputDocument(args.command, parameters, columns, rows)
 
 
 def cmd_calibrate(args) -> OutputDocument:
@@ -312,28 +286,16 @@ def cmd_calibrate(args) -> OutputDocument:
     samples = read_bending_samples(args.input)
     label = _bending_label(args.label, args.input)
     calibration = calibrate_ei(samples, geometry, source_label=label)
-    row = {
-        "source_label": calibration.source_label,
-        "stalk_length_mm": args.length_mm,
-        "n_samples": len(samples),
-        "linear_slope_N_per_m": calibration.linear_slope,
-        "flexural_rigidity_Nm2": calibration.flexural_rigidity,
-        "fit_quality": calibration.fit_quality,
-    }
-    parameters = {"input": args.input, "length_mm": args.length_mm, "label": label}
-    return OutputDocument(
-        "calibrate",
-        parameters,
-        [
-            "source_label",
-            "stalk_length_mm",
-            "n_samples",
-            "linear_slope_N_per_m",
-            "flexural_rigidity_Nm2",
-            "fit_quality",
-        ],
-        [row],
+    columns = (
+        "source_label", "stalk_length_mm", "n_samples",
+        "linear_slope_N_per_m", "flexural_rigidity_Nm2", "fit_quality",
     )
+    row = (
+        calibration.source_label, args.length_mm, len(samples),
+        calibration.linear_slope, calibration.flexural_rigidity, calibration.fit_quality,
+    )
+    parameters = {"input": args.input, "length_mm": args.length_mm, "label": label}
+    return OutputDocument(args.command, parameters, columns, [row])
 
 
 def cmd_predict_force(args) -> OutputDocument:
@@ -342,15 +304,8 @@ def cmd_predict_force(args) -> OutputDocument:
     calibration = _resolve_calibration(args, geometry)
     angles = [math.radians(a) for a in angles_deg]
     predictions = predict_force_curve(angles, calibration, geometry)
-    rows = [
-        {
-            "surface_angle_deg": deg,
-            "alpha": p.alpha,
-            "force_N": p.force,
-            "error": p.error,
-        }
-        for deg, p in zip(angles_deg, predictions)
-    ]
+    columns = ("surface_angle_deg", "alpha", "force_N", "error")
+    rows = [(deg, p.alpha, p.force, p.error) for deg, p in zip(angles_deg, predictions)]
     parameters = {
         "angles_deg": angles_deg,
         "source_label": calibration.source_label,
@@ -358,12 +313,7 @@ def cmd_predict_force(args) -> OutputDocument:
         **_geometry_parameters(geometry),
         **LOAD_SEARCH_PARAMETERS,
     }
-    return OutputDocument(
-        "predict-force",
-        parameters,
-        ["surface_angle_deg", "alpha", "force_N", "error"],
-        rows,
-    )
+    return OutputDocument(args.command, parameters, columns, rows)
 
 
 def _load_analysis_trials(args) -> list:
@@ -397,44 +347,28 @@ def cmd_analyze(args) -> OutputDocument:
         summarize_scenario(groups[name], args.threshold_kpa) for name in sorted(groups)
     ]
     if args.per_angle:
-        columns = [
-            "scenario",
-            "surface_angle_deg",
-            "attached",
-            "adaptation_force_N",
-            "n_reps_attached",
-            "rep_forces_N",
-        ]
+        columns = (
+            "scenario", "surface_angle_deg", "attached",
+            "adaptation_force_N", "n_reps_attached", "rep_forces_N",
+        )
         rows = [
-            {
-                "scenario": summary.scenario,
-                "surface_angle_deg": math.degrees(outcome.surface_angle),
-                "attached": outcome.attached,
-                "adaptation_force_N": outcome.adaptation_force,
-                "n_reps_attached": len(outcome.rep_forces),
-                "rep_forces_N": list(outcome.rep_forces),
-            }
+            (
+                summary.scenario, math.degrees(outcome.surface_angle), outcome.attached,
+                outcome.adaptation_force, len(outcome.rep_forces), outcome.rep_forces,
+            )
             for summary in summaries
             for outcome in summary.angles
         ]
     else:
-        columns = [
-            "scenario",
-            "ultimate_angle_deg",
-            "force_at_ultimate_N",
-            "n_angles",
-            "n_attached",
-        ]
+        columns = (
+            "scenario", "ultimate_angle_deg", "force_at_ultimate_N", "n_angles", "n_attached",
+        )
         rows = [
-            {
-                "scenario": summary.scenario,
-                "ultimate_angle_deg": None
-                if summary.ultimate_angle is None
-                else math.degrees(summary.ultimate_angle),
-                "force_at_ultimate_N": summary.force_at_ultimate,
-                "n_angles": len(summary.angles),
-                "n_attached": len(summary.attached_angles),
-            }
+            (
+                summary.scenario,
+                None if summary.ultimate_angle is None else math.degrees(summary.ultimate_angle),
+                summary.force_at_ultimate, len(summary.angles), len(summary.attached_angles),
+            )
             for summary in summaries
         ]
     if args.manifest is not None:
@@ -443,7 +377,7 @@ def cmd_analyze(args) -> OutputDocument:
         parameters = {"inputs": args.input, "scenario": args.scenario, "angle_deg": args.angle_deg}
     parameters["threshold_kpa"] = args.threshold_kpa
     parameters["per_angle"] = bool(args.per_angle)
-    return OutputDocument("analyze", parameters, columns, rows)
+    return OutputDocument(args.command, parameters, columns, rows)
 
 
 def cmd_compare(args) -> OutputDocument:
@@ -468,15 +402,15 @@ def cmd_compare(args) -> OutputDocument:
     comparison = compare_theory(summary, predictions)
 
     alpha_by_angle = {p.surface_angle: p.alpha for p in predictions}
+    columns = (
+        "surface_angle_deg", "measured_N", "predicted_N",
+        "alpha", "residual_N", "relative_residual",
+    )
     rows = [
-        {
-            "surface_angle_deg": math.degrees(row.surface_angle),
-            "measured_N": row.measured,
-            "predicted_N": row.predicted,
-            "alpha": alpha_by_angle.get(row.surface_angle),
-            "residual_N": row.residual,
-            "relative_residual": row.relative_residual,
-        }
+        (
+            math.degrees(row.surface_angle), row.measured, row.predicted,
+            alpha_by_angle.get(row.surface_angle), row.residual, row.relative_residual,
+        )
         for row in comparison.rows
     ]
     parameters = {
@@ -489,62 +423,69 @@ def cmd_compare(args) -> OutputDocument:
         **LOAD_SEARCH_PARAMETERS,
     }
     aggregates = {"mean_abs_relative_error": comparison.mean_abs_relative_error}
-    return OutputDocument(
-        "compare",
-        parameters,
-        [
-            "surface_angle_deg",
-            "measured_N",
-            "predicted_N",
-            "alpha",
-            "residual_N",
-            "relative_residual",
-        ],
-        rows,
-        aggregates=aggregates,
-    )
+    return OutputDocument(args.command, parameters, columns, rows, aggregates=aggregates)
 
 
 # --------------------------------------------------------------------------
-# parser assembly
+# the command table: each flag is (name, add_argument keywords)
 
+ANGLES_FLAG = ("--angles", dict(required=True, help="degrees, start:stop:step or a,b,c"))
+BENDING_CSV = "bending CSV (deflection_mm,force_N)"
+MANIFEST_CSV = "manifest CSV (file,scenario,angle_deg)"
+LABEL_FLAG = ("--label", dict(help="label for the stiffness source"))
+GEOMETRY_FLAGS = (
+    ("--radius-ratio", dict(type=float, help="pad radius over stalk length R/L (default 0.5)")),
+    ("--length-mm", dict(type=float, help="stalk length in mm")),
+    ("--pad-radius-mm", dict(type=float, help="suction-pad radius in mm")),
+)
+CALIBRATION_FLAGS = (
+    ("--bending-input", dict(help=BENDING_CSV)),
+    ("--ei-nm2", dict(type=float, help="flexural rigidity EI in N*m^2")),
+    LABEL_FLAG,
+)
+THRESHOLD_FLAG = ("--threshold-kpa", dict(
+    type=float, default=DEFAULT_ATTACH_THRESHOLD_KPA,
+    help="attachment detection threshold (kPa, negative)",
+))
+FORMAT_FLAG = ("--format", dict(choices=("csv", "json"), default="csv", help="output format"))
 
-def _add_format_flag(sub) -> None:
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-
-
-def _add_geometry_flags(sub) -> None:
-    sub.add_argument(
-        "--radius-ratio",
-        type=float,
-        default=None,
-        help="pad radius over stalk length R/L (default 0.5)",
-    )
-    sub.add_argument("--length-mm", type=float, default=None, help="stalk length in mm")
-    sub.add_argument(
-        "--pad-radius-mm", type=float, default=None, help="suction-pad radius in mm"
-    )
-
-
-def _add_calibration_flags(sub) -> None:
-    sub.add_argument(
-        "--bending-input", default=None, help="bending CSV (deflection_mm,force_N)"
-    )
-    sub.add_argument(
-        "--ei-nm2", type=float, default=None, help="flexural rigidity EI in N*m^2"
-    )
-    sub.add_argument("--label", default=None, help="label for the stiffness source")
-
-
-def _add_threshold_flag(sub) -> None:
-    sub.add_argument(
-        "--threshold-kpa",
-        type=float,
-        default=DEFAULT_ATTACH_THRESHOLD_KPA,
-        help="attachment detection threshold (kPa, negative)",
-    )
+# (name, help, flags) in --help order; every command also takes --format,
+# and the handler of "a-b" is cmd_a_b.
+COMMANDS = (
+    ("alpha-table", "normalized load for a range of surface angles", (
+        ANGLES_FLAG, *GEOMETRY_FLAGS,
+    )),
+    ("solve", "normalized load for one surface angle", (
+        ("--gamma-deg", dict(type=float, required=True, help="surface angle in degrees")),
+        *GEOMETRY_FLAGS,
+    )),
+    ("shape", "deformed centerline for a given load", (
+        ("--alpha", dict(type=float, required=True, help="normalized load")),
+        *GEOMETRY_FLAGS,
+        ("--grid-points", dict(type=int, default=GRID_POINTS, help="arc-length samples on [0, 1]")),
+    )),
+    ("calibrate", "fit effective EI from bending data", (
+        ("--input", dict(required=True, help=BENDING_CSV)),
+        ("--length-mm", dict(type=float, required=True, help="stalk length in mm")),
+        LABEL_FLAG,
+    )),
+    ("predict-force", "theory adaptation-force curve", (
+        ANGLES_FLAG, *GEOMETRY_FLAGS, *CALIBRATION_FLAGS,
+    )),
+    ("analyze", "summarize adaptation trials per scenario", (
+        ("--manifest", dict(help=MANIFEST_CSV)),
+        ("--input", dict(action="append", help="trial file (repeatable)")),
+        ("--scenario", dict(help="scenario label for --input files")),
+        ("--angle-deg", dict(type=float, help="surface angle for --input files")),
+        THRESHOLD_FLAG,
+        ("--per-angle", dict(action="store_true", help="emit per-angle rows")),
+    )),
+    ("compare", "theory vs measured adaptation force", (
+        ("--manifest", dict(required=True, help=MANIFEST_CSV)),
+        ("--scenario", dict(help="scenario to compare")),
+        THRESHOLD_FLAG, *GEOMETRY_FLAGS, *CALIBRATION_FLAGS,
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -554,61 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
         "calibration, force prediction, and adaptation-test analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("alpha-table", help="normalized load for a range of surface angles")
-    p.add_argument("--angles", required=True, help="degrees, start:stop:step or a,b,c")
-    _add_geometry_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_alpha_table)
-
-    p = sub.add_parser("solve", help="normalized load for one surface angle")
-    p.add_argument("--gamma-deg", type=float, required=True, help="surface angle in degrees")
-    _add_geometry_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("shape", help="deformed centerline for a given load")
-    p.add_argument("--alpha", type=float, required=True, help="normalized load")
-    _add_geometry_flags(p)
-    p.add_argument(
-        "--grid-points", type=int, default=GRID_POINTS, help="arc-length samples on [0, 1]"
-    )
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_shape)
-
-    p = sub.add_parser("calibrate", help="fit effective EI from bending data")
-    p.add_argument("--input", required=True, help="bending CSV (deflection_mm,force_N)")
-    p.add_argument("--length-mm", type=float, required=True, help="stalk length in mm")
-    p.add_argument("--label", default=None, help="label for the stiffness source")
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_calibrate)
-
-    p = sub.add_parser("predict-force", help="theory adaptation-force curve")
-    p.add_argument("--angles", required=True, help="degrees, start:stop:step or a,b,c")
-    _add_geometry_flags(p)
-    _add_calibration_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_predict_force)
-
-    p = sub.add_parser("analyze", help="summarize adaptation trials per scenario")
-    p.add_argument("--manifest", default=None, help="manifest CSV (file,scenario,angle_deg)")
-    p.add_argument("--input", action="append", default=None, help="trial file (repeatable)")
-    p.add_argument("--scenario", default=None, help="scenario label for --input files")
-    p.add_argument("--angle-deg", type=float, default=None, help="surface angle for --input files")
-    _add_threshold_flag(p)
-    p.add_argument("--per-angle", action="store_true", help="emit per-angle rows")
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("compare", help="theory vs measured adaptation force")
-    p.add_argument("--manifest", required=True, help="manifest CSV (file,scenario,angle_deg)")
-    p.add_argument("--scenario", default=None, help="scenario to compare")
-    _add_threshold_flag(p)
-    _add_geometry_flags(p)
-    _add_calibration_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_compare)
-
+    for name, help_text, flags in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in (*flags, FORMAT_FLAG):
+            command.add_argument(flag, **options)
+        # Looked up as the parser is built, so a rebound cmd_* attribute is the one that runs.
+        command.set_defaults(handler=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 

@@ -54,7 +54,7 @@ class ElasticaSolution(NamedTuple("ElasticaSolution", [
 
     def __new__(cls, alpha, theta_samples, initial_slope, boundary_residual):
         import numpy as np
-        samples = np.asarray(theta_samples, dtype=float)
+        samples = np.array(theta_samples, dtype=float)  # a copy: the caller's array stays writable
         samples.flags.writeable = False
         if samples[0] != 0.0:
             raise ValueError("theta_samples[0] must be 0 (clamped base)")
@@ -322,7 +322,7 @@ def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> Elastica
         t = newton(t, a_stage, a_stage * geometry.radius_ratio)
 
     theta_fine = np.concatenate(([0.0], t))
-    theta = theta_fine[::refine].copy()
+    theta = theta_fine[::refine]
 
     # Residual of the tip slope condition, with the ghost value reconstructed
     # from the tip ODE row (both relations hold simultaneously at convergence).

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 # Fixed bounds of the solvers: the largest accepted |theta'(1) - alpha R / L|,
 # the step cap of every root search and Newton loop, and the largest accepted
-# miss of a solved tip angle, in radians.
+# miss of a solved tip angle, in radians, relative to the angle below 1 rad.
 BOUNDARY_TOLERANCE = 1e-10
 MAX_ITERATIONS = 100
 ANGLE_TOLERANCE = 1e-6

@@ -457,6 +457,20 @@ class TestSolveAlphaForAngle:
             solve_alpha_for_angle(gamma, half_ratio_geometry)
         assert abs(excinfo.value.max_tip_angle - gamma) <= ANGLE_TOLERANCE
 
+    # Below 1 rad the tolerance is relative to the angle, so a load four times
+    # too large is refused at a tiny angle too, a subnormal one included.
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-320])
+    def test_wrong_load_at_a_tiny_angle_is_refused(self, half_ratio_geometry, monkeypatch, gamma):
+        newton = stalkmech.alpha._newton
+
+        def doubled(*args):
+            root, evals = newton(*args)
+            return 2.0 * root, evals
+
+        monkeypatch.setattr(stalkmech.alpha, "_newton", doubled)
+        with pytest.raises(UnreachableAngleError, match="off target"):
+            solve_alpha_for_angle(gamma, half_ratio_geometry)
+
     @pytest.mark.parametrize("gamma", [-0.01, math.pi / 2, 2.0])
     def test_angle_domain(self, half_ratio_geometry, gamma):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import stalkmech
+import stalkmech.cli
 from stalkmech.cli import MAX_RANGE_ANGLES, execute, parse_angles_spec
 from stalkmech.geometry import MAX_GRID_POINTS
 from test_golden import CASES, REPO
@@ -559,6 +560,21 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+class TestDispatch:
+    def test_the_parser_runs_the_handler_bound_to_the_module(self, monkeypatch):
+        # A tracer wraps a command by rebinding its cmd_* attribute.
+        calls = []
+        handler = stalkmech.cli.cmd_solve
+
+        def counted(args):
+            calls.append(args.command)
+            return handler(args)
+
+        monkeypatch.setattr(stalkmech.cli, "cmd_solve", counted)
+        status, _ = run(["solve", "--gamma-deg", "45"])
+        assert (status, calls) == (0, ["solve"])
 
 
 class TestNumpyOnlyRuntime:

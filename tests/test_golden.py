@@ -15,7 +15,9 @@ and review the diff before committing it.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 from pathlib import Path
 
@@ -77,6 +79,29 @@ def test_golden_output(name, monkeypatch):
     monkeypatch.chdir(REPO)
     expected = golden_path(name).read_text(encoding="utf-8")
     assert render(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_rows_carry_the_csv_columns(name, monkeypatch):
+    monkeypatch.chdir(REPO)
+    argv = CASES[name]
+    if "--format" in argv:
+        at = argv.index("--format")
+        argv = argv[:at] + argv[at + 2:]
+    runs = []
+    for fmt in ("csv", "json"):
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()):
+            runs.append((execute([*argv, "--format", fmt], stream), stream.getvalue()))
+    (csv_status, csv_text), (json_status, json_text) = runs
+    assert csv_status == json_status
+    if csv_status != 0:
+        assert csv_text == json_text == ""
+        return
+    header, *rows = csv.reader(l for l in csv_text.splitlines() if not l.startswith("#"))
+    json_rows = json.loads(json_text)["rows"]
+    assert len(json_rows) == len(rows) > 0
+    assert all(list(row) == header for row in json_rows)
 
 
 def test_every_golden_file_has_a_case():

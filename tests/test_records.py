@@ -93,3 +93,12 @@ def test_pickle_round_trip_is_equal(name):
             assert np.array_equal(ours, theirs) and not theirs.flags.writeable
         else:
             assert theirs == ours
+
+
+def test_solution_keeps_a_read_only_copy_of_the_callers_array():
+    samples = np.zeros(4)
+    solution = ElasticaSolution(1.0, samples, 0.0, 0.0)
+    assert solution.theta_samples is not samples
+    assert not solution.theta_samples.flags.writeable
+    samples[1] = 0.5  # the caller's array stays the caller's
+    assert samples.flags.writeable and solution.theta_samples[1] == 0.0
