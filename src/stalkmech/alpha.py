@@ -75,63 +75,6 @@ class AlphaTableRow(NamedTuple):
         return None if self.result is None else self.result.alpha
 
 
-def _brentq(
-    f, a: float, b: float, xtol: float, maxiter: int,
-    fa: float | None = None, fb: float | None = None,
-) -> float:
-    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    Secant or inverse quadratic steps while they shrink fast enough, else
-    bisection, until half the bracket is below (xtol + 4 eps |x|) / 2. The
-    returned point is always one whose value of ``f`` is known; ``fa`` and
-    ``fb``, when given, are f(a) and f(b) as the caller already knows them,
-    and are not evaluated again. Raises ValueError for a same-sign bracket,
-    NoSolutionError after ``maxiter``.
-    """
-    xpre, xcur = a, b
-    fpre = f(xpre) if fa is None else fa
-    fcur = f(xcur) if fb is None else fb
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):  # the root now lies between xpre and xcur
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + 4 * sys.float_info.epsilon * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            # Each product pairs a ratio of values with a length, never two
-            # values, which underflow together at tiny scales.
-            if xpre == xblk:  # interpolate
-                stry = -(xcur - xpre) * (fcur / (fcur - fpre))
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -(fcur / (fblk - fpre)) * (fblk / dpre - fpre / dblk)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise NoSolutionError(
-        f"Brent iteration did not converge after {maxiter} iterations", last_residual=fcur
-    )
-
-
 # Carlson's (1995) stop rule for the fifth-order series of R_F: the spread of
 # the arguments, scaled by (3 eps)^(-1/6), falls below their mean.
 _RF_SPREAD = (3.0 * sys.float_info.epsilon) ** (-1.0 / 6.0)

@@ -48,9 +48,12 @@ MAX_RANGE_ANGLES = 1_000_000
 
 
 class OutputDocument:
-    """One command's result, rows as tuples in column order; ``execute`` adds the warnings."""
+    """One command's result, rows as tuples in column order; ``execute`` adds the warnings.
 
-    def __init__(self, command: str, parameters: dict, columns: tuple, rows: list, aggregates=None):
+    ``rows`` may be an iterator, which the emitter reads once.
+    """
+
+    def __init__(self, command: str, parameters: dict, columns: tuple, rows, aggregates=None):
         self.command = command
         self.parameters = parameters
         self.columns = columns
@@ -268,7 +271,7 @@ def cmd_shape(args) -> OutputDocument:
     )
     points = centerline(solution)
     columns = ("s", "theta_rad", "x", "y")
-    rows = list(zip(solution.grid.tolist(), solution.theta_samples.tolist(), *points.T.tolist()))
+    rows = zip(solution.grid.tolist(), solution.theta_samples.tolist(), *points.T.tolist())
     parameters = {
         "alpha": args.alpha,
         "tip_angle_deg": math.degrees(solution.tip_angle),
@@ -381,8 +384,9 @@ def cmd_analyze(args) -> OutputDocument:
 
 
 def cmd_compare(args) -> OutputDocument:
-    trials = load_manifest_trials(args.manifest)
-    groups = _group_by_scenario(trials)
+    groups = _group_by_scenario(load_manifest_trials(args.manifest))
+    if not groups:
+        raise ValueError(f"manifest {args.manifest} lists no trials")
     if args.scenario is not None:
         if args.scenario not in groups:
             known = ", ".join(sorted(groups))

@@ -18,9 +18,9 @@ last sample.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .alpha import _brentq
 from .errors import IntegrationDivergedError, NoSolutionError
 from .geometry import (
     BOUNDARY_TOLERANCE, GRID_POINTS, MAX_GRID_POINTS, MAX_ITERATIONS, BeamGeometry, NormalizedLoad,
@@ -35,6 +35,8 @@ MAX_ANGLE = 4.0 * math.pi
 
 # Width below which bisection off a divergent or straight bracket end stops.
 _BISECTION_WIDTH = 1e-6
+
+_EPS = sys.float_info.epsilon
 
 
 class ElasticaSolution(NamedTuple("ElasticaSolution", [
@@ -153,11 +155,12 @@ def solve_shape_shooting(
     alpha R / L, bracketed by doubling from c = 0. A diverging trajectory
     counts as an infinite positive residual, so bisection first contracts
     the bracket back into the physical branch; at R/L = 0 it also moves the
-    lower end off the straight stalk. Brent's method then runs to machine
-    precision, and the achieved residual must be within
-    ``BOUNDARY_TOLERANCE``. At R/L = 0 and alpha <= pi^2/4 the stalk stays
-    straight, and that shape is returned without a search. The solution
-    has ``grid_points`` samples, at least 16.
+    lower end off the straight stalk. Regula falsi with the Anderson-Bjorck
+    weights (BIT 13, 1973) then closes the bracket to 4 eps, and its end of
+    smaller residual, which must be within ``BOUNDARY_TOLERANCE``, is the
+    solution. At R/L = 0 and alpha <= pi^2/4 the stalk stays straight, and
+    that shape is returned without a search. The solution has
+    ``grid_points`` samples, at least 16.
     """
     _validate_grid(grid_points)
     alpha = load.alpha
@@ -168,56 +171,66 @@ def solve_shape_shooting(
     target = load.tip_moment(geometry)
     n_steps = grid_points - 1
 
-    last = (math.nan, [], math.nan)  # slope, samples and theta'(1) of the last pass
-
-    def residual(c: float) -> float:
-        nonlocal last
+    def shoot(c: float) -> tuple[float, float, list[float]]:
+        """The end (slope, residual, samples) of one pass; a divergent one has residual inf."""
         samples = [0.0]
         try:
             _, om = _rk4_tip(alpha, c, n_steps, samples)
         except IntegrationDivergedError:
-            return math.inf
-        last = (c, samples, om)
-        return om - target
+            return c, math.inf, samples
+        return c, om - target, samples
 
-    # Bracket the root, bisect off the divergent and straight ends, then Brent.
-    lo, r_lo = 0.0, -target  # c = 0 keeps the beam straight: theta'(1) = 0
-    hi = alpha * (geometry.radius_ratio + 1.0)
-    r_hi = residual(hi)
+    # Bracket the root by doubling from c = 0, where the beam stays straight.
+    hi = shoot(alpha * (geometry.radius_ratio + 1.0))
     expansions = 0
-    while r_hi < 0.0:
+    while hi[1] < 0.0:
         expansions += 1
         if expansions > MAX_ITERATIONS:
             raise NoSolutionError(
-                f"no bracket for the base slope at alpha={alpha}", last_residual=r_hi
+                f"no bracket for the base slope at alpha={alpha}", last_residual=hi[1]
             )
-        hi *= 2.0
-        r_hi = residual(hi)
+        hi = shoot(2.0 * hi[0])
+    ends = [(0.0, -target, [0.0] * grid_points), hi]
 
-    # Brent cannot interpolate through an infinite residual, and at R/L = 0 it
-    # would return the straight stalk's root c = 0 at once.
-    while (math.isinf(r_hi) or r_lo == 0.0) and hi - lo > _BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if r_mid < 0.0:
-            lo, r_lo = mid, r_mid
+    # Regula falsi cannot interpolate through an infinite residual, and at
+    # R/L = 0 it would stay on the straight stalk's root c = 0, so bisection
+    # moves those ends first. The secant reads the residuals in ``weighted``,
+    # where the Anderson-Bjorck rule shrinks that of an end which stays put
+    # while the other moves twice.
+    weighted = [-target, hi[1]]
+    moved = None  # the index of the end that moved last
+    while True:
+        (c_lo, r_lo, _), (c_hi, r_hi, _) = ends
+        if r_hi == 0.0 or c_hi - c_lo <= 4.0 * _EPS * c_hi:
+            break
+        if math.isinf(r_hi) or r_lo == 0.0:
+            if c_hi - c_lo <= _BISECTION_WIDTH:
+                break
+            c = 0.5 * (c_lo + c_hi)
         else:
-            hi, r_hi = mid, r_mid
+            # A ratio of residuals times a length: two tiny residuals never multiply.
+            f_lo, f_hi = weighted
+            c = c_lo + (f_lo / (f_lo - f_hi)) * (c_hi - c_lo)
+            nudge = 2.0 * _EPS * c
+            c = min(max(c, c_lo + nudge), c_hi - nudge)
+        end = shoot(c)
+        i = 0 if end[1] < 0.0 else 1
+        if i == moved:
+            scale = 1.0 - end[1] / weighted[i]
+            weighted[1 - i] *= scale if scale > 0.0 else 0.5
+        ends[i], weighted[i], moved = end, end[1], i
     if math.isinf(r_hi) and r_lo < 0.0:
         # Every slope that could raise theta'(1) to the tip moment coils
         # the stalk past MAX_ANGLE first.
         raise NoSolutionError(
             f"no shape within |theta| < 4 pi at alpha={alpha}: base slopes "
-            f"above {lo:.6g} coil past it, and theta'(1) = {r_lo + target:.4g} "
+            f"above {c_lo:.6g} coil past it, and theta'(1) = {r_lo + target:.4g} "
             f"there stays below the tip moment {target:.4g}",
             last_residual=r_lo,
         )
-    c_star = _brentq(residual, lo, hi, xtol=0.0, maxiter=MAX_ITERATIONS, fa=r_lo, fb=r_hi)
 
-    if last[0] != c_star:
-        residual(c_star)
-    _, samples, om = last
-    achieved = abs(om - target)
+    c_star, r_star, samples = min(ends, key=lambda end: abs(end[1]))
+    achieved = abs(r_star)
     if achieved > BOUNDARY_TOLERANCE:
         raise NoSolutionError(
             f"boundary residual {achieved:.3e} exceeds tolerance at alpha={alpha}",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 
-from stalkmech.alpha import _brentq
 from stalkmech.geometry import BeamGeometry
 from stalkmech.trials import TRIAL_HEADER, TrialRecord
 
@@ -35,14 +34,23 @@ def linearized_alpha(surface_angle: float, geometry: BeamGeometry) -> float:
     def f(u: float) -> float:
         return u * math.tan(u) - target
 
+    # Bisection down to adjacent floats: slower than the package's root
+    # finders, but it shares no code with them.
     lo = 1e-12
     hi = 0.5 * math.pi * (1.0 - 1e-12)
-    f_hi = f(hi)
-    if f_hi <= 0.0:
+    if f(hi) <= 0.0:
         raise ValueError(
             f"no root below the tangent singularity for gamma*L/R = {target:g}"
         )
-    u = _brentq(f, lo, hi, xtol=1e-15, maxiter=100, fb=f_hi)
+    if f(lo) > 0.0:
+        raise ValueError(f"the root for gamma*L/R = {target:g} lies below u = {lo:g}")
+    u = 0.5 * (lo + hi)
+    while lo < u < hi:
+        if f(u) < 0.0:
+            lo = u
+        else:
+            hi = u
+        u = 0.5 * (lo + hi)
     return u * u
 
 

@@ -14,7 +14,6 @@ import stalkmech.elastica
 from reference import linearized_alpha
 from stalkmech import (
     BeamGeometry,
-    NoSolutionError,
     StiffnessCalibration,
     UnreachableAngleError,
     generate_alpha_table,
@@ -24,7 +23,7 @@ from stalkmech import (
     solve_shape_oracle,
     solve_shape_shooting,
 )
-from stalkmech.alpha import _amplitude, _brentq, _carlson, _excess
+from stalkmech.alpha import _amplitude, _carlson, _excess
 from stalkmech.cli import execute
 from stalkmech.geometry import ANGLE_TOLERANCE, GRID_POINTS, NormalizedLoad
 
@@ -35,27 +34,6 @@ TABLE = {15.0: 0.445, 30.0: 0.772, 45.0: 1.03, 60.0: 1.254, 75.0: 1.467}
 
 # The jammed 20 mm stalk's fitted rigidity, for the force-curve entry point.
 CALIBRATION = StiffnessCalibration(5.44e-4, 204.0, 1.0, "direct", 0.02)
-
-
-class TestBrent:
-    @pytest.mark.parametrize(
-        "f, a, b, root",
-        [
-            (lambda x: x**3 - 2.0, 0.0, 3.0, 2.0 ** (1.0 / 3.0)),
-            (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-        ],
-    )
-    def test_closed_form_roots(self, f, a, b, root):
-        x = _brentq(f, a, b, xtol=1e-12, maxiter=100)
-        assert abs(x - root) <= 1e-12
-
-    def test_same_sign_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, maxiter=100)
-
-    def test_iteration_budget_exhausted(self):
-        with pytest.raises(NoSolutionError):
-            _brentq(lambda x: x**3 - 2.0, 0.0, 3.0, xtol=1e-12, maxiter=3)
 
 
 def incomplete_f(phi, m, panels=8):

@@ -417,6 +417,15 @@ class TestCompareCommand:
         )
         assert status == 1
 
+    @pytest.mark.parametrize("scenario", [[], ["--scenario", "s"]], ids=["any", "named"])
+    def test_manifest_without_trials(self, tmp_path, capsys, scenario):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("file,scenario,angle_deg\n")
+        argv = ["compare", "--manifest", str(manifest), "--length-mm", "20", "--ei-nm2", "1e-4"]
+        status, out = run(argv + scenario)
+        assert (status, out) == (1, "")
+        assert capsys.readouterr().err == f"stalkmech: error: manifest {manifest} lists no trials\n"
+
 
 # The two commands that load every trial a manifest lists.
 MANIFEST_COMMANDS = {
@@ -837,9 +846,16 @@ class TestLazyNamespace:
                 "print(loaded())\n",
                 [["analysis", "errors", "trials"]],
             ),
+            (
+                "import stalkmech\n"
+                "load = stalkmech.NormalizedLoad(1.03)\n"
+                "stalkmech.solve_shape_shooting(load, stalkmech.BeamGeometry.from_ratio(0.5))\n"
+                "print(loaded())\n",
+                [["elastica", "errors", "geometry"]],
+            ),
             ("import stalkmech.cli\nprint(loaded())\n", [SUBMODULES]),
         ],
-        ids=["import", "solve", "summarize", "cli"],
+        ids=["import", "solve", "summarize", "shoot", "cli"],
     )
     def test_each_entry_point_loads_only_the_submodules_it_reaches(self, code, loaded):
         assert self.run_child(code) == [str(modules) for modules in loaded]

@@ -61,7 +61,7 @@ class TestShooting:
         assert sol.boundary_residual == 0.0
 
     # Below about 1e-155 the residual and the base slope are both tiny, so
-    # Brent's steps must not multiply two residuals, which would underflow.
+    # the secant steps must not multiply two residuals, which would underflow.
     @pytest.mark.parametrize("alpha", [1e-160, 1e-300])
     def test_tiny_load_bends_by_the_tip_moment(self, half_ratio_geometry, alpha):
         sol = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry)
@@ -113,9 +113,21 @@ class TestShooting:
 
     def test_cold_solve_takes_few_integrations(self, half_ratio_geometry, slopes):
         # One pass at the first bracket end, alpha (R/L + 1) = 1.545, which
-        # already brackets the root, then Brent's steps to machine precision.
+        # already brackets the root, then regula falsi steps to machine precision.
         solve_shape_shooting(NormalizedLoad(1.03), half_ratio_geometry)
         assert len(slopes) <= 10
+
+    def test_load_grid_takes_few_integrations(self, slopes):
+        # One cell is a coil error. The bound is 1% above the 482 passes
+        # that Brent's method took here.
+        for ratio in (0.0, 0.05, 0.1, 0.5, 1.0, 2.0, 3.0):
+            geometry = BeamGeometry.from_ratio(ratio)
+            for alpha in (0.1, 0.445, 1.03, 1.467, 2.4, 3.0, 4.0, 6.0):
+                try:
+                    solve_shape_shooting(NormalizedLoad(alpha), geometry)
+                except NoSolutionError:
+                    assert (ratio, alpha) == (3.0, 6.0)
+        assert len(slopes) <= 487
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.0, 2.4, math.pi**2 / 4])
     def test_pure_tip_force_below_euler_load_is_straight_without_a_pass(
@@ -134,7 +146,7 @@ class TestShooting:
         assert message.startswith("no shape within |theta| < 4 pi at alpha=8.0:")
         assert "theta'(1) = 13.21 there stays below the tip moment 16" in message
         # One pass at the first bracket end, alpha (R/L + 1) = 24, then one per
-        # bisection down to the width; the error comes before any Brent step.
+        # bisection down to the width; the error comes before any secant step.
         assert len(slopes) == 1 + math.ceil(math.log2(24.0 / _BISECTION_WIDTH))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.03])
