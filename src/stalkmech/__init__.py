@@ -40,13 +40,13 @@ _EXPORTS = {
     ),
     "force": (
         "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
-        "predict_force_curve", "read_bending_samples",
+        "predict_force_curve",
     ),
     "geometry": ("BeamGeometry", "NormalizedLoad"),
     "trials": (
         "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
         "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
-        "parse_trial", "read_manifest",
+        "parse_trial", "read_bending_samples", "read_manifest",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,12 +22,7 @@ from .alpha import AlphaResult, generate_alpha_table, solve_alpha_for_angle
 from .analysis import compare_theory, summarize_scenario
 from .elastica import centerline, solve_shape_shooting
 from .errors import StalkmechError
-from .force import (
-    StiffnessCalibration,
-    calibrate_ei,
-    predict_force_curve,
-    read_bending_samples,
-)
+from .force import StiffnessCalibration, calibrate_ei, predict_force_curve
 from .geometry import (
     ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS, BeamGeometry,
     NormalizedLoad,
@@ -36,6 +31,7 @@ from .trials import (
     DEFAULT_ATTACH_THRESHOLD_KPA,
     load_manifest_trials,
     load_trial,
+    read_bending_samples,
 )
 
 SCHEMA_VERSION = "1"

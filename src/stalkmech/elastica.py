@@ -152,15 +152,15 @@ def solve_shape_shooting(
     """Solve the two-point boundary-value problem by shooting on theta'(0).
 
     The unknown base slope is the root of the residual r(c) = theta'(1) -
-    alpha R / L, bracketed by doubling from c = 0. A diverging trajectory
-    counts as an infinite positive residual, so bisection first contracts
-    the bracket back into the physical branch; at R/L = 0 it also moves the
-    lower end off the straight stalk. Regula falsi with the Anderson-Bjorck
-    weights (BIT 13, 1973) then closes the bracket to 4 eps, and its end of
-    smaller residual, which must be within ``BOUNDARY_TOLERANCE``, is the
-    solution. At R/L = 0 and alpha <= pi^2/4 the stalk stays straight, and
-    that shape is returned without a search. The solution has
-    ``grid_points`` samples, at least 16.
+    alpha R / L, bracketed by c = 0 and c = alpha (1 + R/L). A diverging
+    trajectory counts as an infinite positive residual, so bisection first
+    contracts the bracket back into the physical branch; at R/L = 0 it also
+    moves the lower end off the straight stalk. Regula falsi with the
+    Anderson-Bjorck weights (BIT 13, 1973) then closes the bracket to 4 eps,
+    and its end of smaller residual, which must be within
+    ``BOUNDARY_TOLERANCE``, is the solution. At R/L = 0 and alpha <= pi^2/4
+    the stalk stays straight, and that shape is returned without a search.
+    The solution has ``grid_points`` samples, at least 16.
     """
     _validate_grid(grid_points)
     alpha = load.alpha
@@ -180,16 +180,9 @@ def solve_shape_shooting(
             return c, math.inf, samples
         return c, om - target, samples
 
-    # Bracket the root by doubling from c = 0, where the beam stays straight.
+    # Each RK4 step lowers theta' by at most h alpha, so theta'(1) >= c - alpha: the upper
+    # end's residual is >= 0, or the pass diverges. At c = 0 the beam stays straight.
     hi = shoot(alpha * (geometry.radius_ratio + 1.0))
-    expansions = 0
-    while hi[1] < 0.0:
-        expansions += 1
-        if expansions > MAX_ITERATIONS:
-            raise NoSolutionError(
-                f"no bracket for the base slope at alpha={alpha}", last_residual=hi[1]
-            )
-        hi = shoot(2.0 * hi[0])
     ends = [(0.0, -target, [0.0] * grid_points), hi]
 
     # Regula falsi cannot interpolate through an infinite residual, and at
@@ -259,16 +252,6 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return np.asarray(r)
 
 
-def _relaxation_guess(alpha: float, tip_slope: float, s: np.ndarray) -> np.ndarray:
-    """Starting profile for Newton: the linearized shape where valid, else a ramp."""
-    import numpy as np
-    u = math.sqrt(alpha)
-    if u < 0.5 * math.pi - 0.1:
-        amplitude = tip_slope / (u * math.cos(u))
-        return amplitude * np.sin(u * s)
-    return tip_slope * s
-
-
 def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> ElasticaSolution:
     """Solve the same boundary-value problem by finite-difference relaxation.
 
@@ -326,10 +309,14 @@ def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> Elastica
                 return t
         raise NoSolutionError(f"relaxation did not converge at alpha={a}")
 
-    # Mild load continuation keeps Newton in its attraction basin at high load.
+    # Mild load continuation keeps Newton in its attraction basin at high load. Newton
+    # starts from the linearized shape, which a first stage of at most 2 keeps defined:
+    # sqrt(2) < pi/2.
     n_stages = max(1, math.ceil(alpha / 2.0))
     a_first = alpha / n_stages
-    t = _relaxation_guess(a_first, a_first * geometry.radius_ratio, s_fine)[1:]
+    u = math.sqrt(a_first)
+    amplitude = a_first * geometry.radius_ratio / (u * math.cos(u))
+    t = (amplitude * np.sin(u * s_fine))[1:]
     for stage in range(1, n_stages + 1):
         a_stage = alpha if stage == n_stages else alpha * stage / n_stages
         t = newton(t, a_stage, a_stage * geometry.radius_ratio)

@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from pathlib import Path
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple
 
 from .alpha import generate_alpha_table
-from .errors import CalibrationError, TrialParseError
+from .errors import CalibrationError
 from .geometry import BeamGeometry, NormalizedLoad
-from .trials import iter_csv_rows, mm_cell_to_m
 
 # Beyond this tip deflection (as a fraction of stalk length) the linear
 # cantilever relation behind the EI fit degrades; inputs past it are
 # accepted with a warning rather than rejected.
 SMALL_DEFLECTION_LIMIT = 0.25
-
-BENDING_HEADER = "deflection_mm,force_N"
 
 
 class StiffnessCalibration(NamedTuple("StiffnessCalibration", [
@@ -151,27 +147,3 @@ def predict_force_curve(
             force = alpha_to_force(row.alpha, calibration, geometry)
             predictions.append(AdaptationPrediction(row.surface_angle, row.alpha, force))
     return predictions
-
-
-def read_bending_samples(source: str | Path | TextIO) -> list[tuple[float, float]]:
-    """Read a bending-test CSV (header ``deflection_mm,force_N``) into SI pairs.
-
-    Accepts a path or an open text stream; ``#`` lines are comments.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_bending_samples(handle)
-
-    samples: list[tuple[float, float]] = []
-    for line_number, cells in iter_csv_rows(source, BENDING_HEADER):
-        try:
-            deflection = mm_cell_to_m(cells[0])
-            force = float(cells[1])
-        except ValueError as exc:
-            raise TrialParseError(f"line {line_number}: {exc}", line_number=line_number) from None
-        if not (math.isfinite(deflection) and math.isfinite(force)):
-            raise TrialParseError(
-                f"line {line_number}: non-finite value", line_number=line_number
-            )
-        samples.append((deflection, force))
-    return samples

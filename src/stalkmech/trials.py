@@ -1,22 +1,24 @@
 """Ingestion of adaptation/bending test logs and per-trial measurements.
 
-Trial files are the comma-separated exports of the test bench: a fixed
-header ``time_s,force_N,displacement_mm,pressure_kPa``, one sample per
-line, ``#`` lines ignored. Displacement is converted to meters on parse;
-pressure stays in kPa relative to ambient (vacuum is negative).
+Every data file (the test bench's trial exports, their manifest and bending
+sweeps) is a headed CSV read by :func:`read_rows`, ``#`` lines ignored.
+Millimeters are converted to meters on parse; pressure stays in kPa
+relative to ambient (vacuum is negative).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import TrialParseError, TrialValidationError
 
 TRIAL_HEADER = "time_s,force_N,displacement_mm,pressure_kPa"
 MANIFEST_HEADER = "file,scenario,angle_deg"
+BENDING_HEADER = "deflection_mm,force_N"
 
 # Pressure at or below this marks surface attachment. Sits between the
 # small self-jamming plateau of the granular stalk and the fully attached
@@ -85,16 +87,16 @@ class AttachmentEvent(NamedTuple):
     pressure: float
 
 
-def iter_csv_rows(lines: Iterable[str], header: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, cells)`` for each data row of a headed CSV.
+def read_rows(lines: Iterable[str], header: str, converters: tuple) -> list[tuple]:
+    """Convert each data row of a headed CSV, cell i by ``converters[i]``.
 
     Blank lines and ``#`` comment lines are skipped. The first other line
-    must equal ``header``, and every later line must have as many
-    comma-separated cells as the header. Violations, and input without a
-    header line, raise :class:`TrialParseError` naming the physical line
-    (counted from 1). Converting the cells is left to the caller.
+    must equal ``header``, and every later line must have one cell per
+    converter. Violations, a converter's ``ValueError`` and input without a
+    header line raise :class:`TrialParseError` naming the physical line
+    (counted from 1).
     """
-    n_fields = header.count(",") + 1
+    rows = []
     header_seen = False
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -109,14 +111,30 @@ def iter_csv_rows(lines: Iterable[str], header: str) -> Iterator[tuple[int, list
             header_seen = True
             continue
         cells = line.split(",")
-        if len(cells) != n_fields:
+        if len(cells) != len(converters):
             raise TrialParseError(
-                f"line {line_number}: expected {n_fields} fields, got {len(cells)}",
+                f"line {line_number}: expected {len(converters)} fields, got {len(cells)}",
                 line_number=line_number,
             )
-        yield line_number, cells
+        try:
+            rows.append(tuple([convert(cell) for convert, cell in zip(converters, cells)]))
+        except ValueError as exc:
+            raise TrialParseError(f"line {line_number}: {exc}", line_number=line_number) from None
     if not header_seen:
         raise TrialParseError("missing header line", line_number=None)
+    return rows
+
+
+@contextmanager
+def _data_file(path: str | Path) -> Iterator[TextIO]:
+    """Open a data file; a parse or validation error raised inside starts with its path."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except TrialParseError as exc:
+            raise TrialParseError(f"{path}: {exc}", line_number=exc.line_number) from None
+        except TrialValidationError as exc:
+            raise TrialValidationError(f"{path}: {exc}") from None
 
 
 # Millimeters become meters by shifting the decimal exponent, which is exact,
@@ -135,6 +153,36 @@ def mm_cell_to_m(cell: str) -> float:
         raise ValueError(f"not a number: {cell!r}") from None
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError("non-finite value")
+    return value
+
+
+def _nonempty(name: str) -> Callable[[str], str]:
+    """A converter that passes a cell through unless it is blank."""
+    def convert(cell: str) -> str:
+        if not cell.strip():
+            raise ValueError(f"empty {name} cell")
+        return cell
+    return convert
+
+
+def _angle_cell(cell: str) -> float:
+    """Degrees to radians; a cell that is not a finite number is a bad angle."""
+    try:
+        return _finite(math.radians(float(cell)))
+    except ValueError:
+        raise ValueError(f"bad angle {cell!r}") from None
+
+
+# Each format's cell converters, in header order. A trial's non-finite
+# samples are left to TrialRecord, which names the channel.
+_TRIAL_CELLS = (float, float, mm_cell_to_m, float)
+_MANIFEST_CELLS = (_nonempty("file"), _nonempty("scenario"), _angle_cell)
+_BENDING_CELLS = (lambda cell: _finite(mm_cell_to_m(cell)), lambda cell: _finite(float(cell)))
+
+
 def parse_trial(
     source: str | TextIO | Iterable[str],
     scenario: str,
@@ -148,30 +196,9 @@ def parse_trial(
     time, positive pressure) raise :class:`TrialValidationError`.
     """
     lines = source.splitlines() if isinstance(source, str) else source
-
-    time: list[float] = []
-    force: list[float] = []
-    displacement: list[float] = []
-    pressure: list[float] = []
-    for line_number, cells in iter_csv_rows(lines, TRIAL_HEADER):
-        try:
-            time.append(float(cells[0]))
-            force.append(float(cells[1]))
-            displacement.append(mm_cell_to_m(cells[2]))
-            pressure.append(float(cells[3]))
-        except ValueError as exc:
-            raise TrialParseError(
-                f"line {line_number}: {exc}", line_number=line_number
-            ) from None
-
-    return TrialRecord(
-        scenario=scenario,
-        surface_angle=surface_angle,
-        time=time,
-        force=force,
-        displacement=displacement,
-        pressure=pressure,
-    )
+    rows = read_rows(lines, TRIAL_HEADER, _TRIAL_CELLS)
+    channels = zip(*rows) if rows else ((),) * len(_TRIAL_CELLS)
+    return TrialRecord(scenario, surface_angle, *channels)
 
 
 def load_trial(
@@ -182,13 +209,8 @@ def load_trial(
     Its parse and validation errors start with the path, to name a bad file among many.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return parse_trial(handle, scenario or path.stem, surface_angle)
-        except TrialParseError as exc:
-            raise TrialParseError(f"{path}: {exc}", line_number=exc.line_number) from None
-        except TrialValidationError as exc:
-            raise TrialValidationError(f"{path}: {exc}") from None
+    with _data_file(path) as handle:
+        return parse_trial(handle, scenario or path.stem, surface_angle)
 
 
 def detect_attachment(
@@ -232,28 +254,12 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
     File paths are resolved relative to the manifest's directory. An empty
     file or scenario cell, or an angle that is not a finite number, raises
-    TrialParseError naming the line.
+    TrialParseError naming the manifest and the line.
     """
     path = Path(path)
-    base = path.parent
-    entries: list[ManifestEntry] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, cells in iter_csv_rows(handle, MANIFEST_HEADER):
-            for name, cell in zip(("file", "scenario"), cells):
-                if not cell.strip():
-                    raise TrialParseError(
-                        f"line {line_number}: empty {name} cell", line_number=line_number
-                    )
-            try:
-                angle = math.radians(float(cells[2]))
-            except ValueError:
-                angle = math.nan
-            if not math.isfinite(angle):
-                raise TrialParseError(
-                    f"line {line_number}: bad angle {cells[2]!r}", line_number=line_number
-                )
-            entries.append(ManifestEntry(base / cells[0], cells[1], angle))
-    return entries
+    with _data_file(path) as handle:
+        rows = read_rows(handle, MANIFEST_HEADER, _MANIFEST_CELLS)
+    return [ManifestEntry(path.parent / file, scenario, angle) for file, scenario, angle in rows]
 
 
 def load_manifest_trials(path: str | Path) -> list[TrialRecord]:
@@ -262,3 +268,15 @@ def load_manifest_trials(path: str | Path) -> list[TrialRecord]:
         load_trial(entry.path, entry.scenario, entry.surface_angle)
         for entry in read_manifest(path)
     ]
+
+
+def read_bending_samples(source: str | Path | TextIO) -> list[tuple[float, float]]:
+    """Read a bending-test CSV (header ``deflection_mm,force_N``) into SI pairs.
+
+    Accepts a path, whose errors then start with it, or an open text stream;
+    ``#`` lines are comments, and a non-finite cell raises TrialParseError.
+    """
+    if isinstance(source, (str, Path)):
+        with _data_file(source) as handle:
+            return read_bending_samples(handle)
+    return read_rows(source, BENDING_HEADER, _BENDING_CELLS)

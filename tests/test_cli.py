@@ -215,6 +215,17 @@ class TestCalibrateCommand:
         assert len(doc["warnings"]) == 1
         assert "deflection" in doc["warnings"][0]
 
+    def test_csv_warning_line_precedes_the_header(self, fixtures_dir):
+        argv = ["calibrate", "--input", str(fixtures_dir / "bending" / "granular_10mm.csv")]
+        status, out = run(argv + ["--length-mm", "10"])
+        assert status == 0
+        lines = out.splitlines()
+        warning = (
+            "# warning max deflection is 0.50 of the stalk length; "
+            "the linear tip relation is only trusted up to 0.25"
+        )
+        assert lines[lines.index(warning) + 1].startswith("source_label,")
+
     def test_missing_file_exits_one(self):
         status, _ = run(["calibrate", "--input", "no/such/file.csv", "--length-mm", "20"])
         assert status == 1
@@ -417,6 +428,33 @@ class TestCompareCommand:
         )
         assert status == 1
 
+    @pytest.fixture
+    def zero_force_argv(self, tmp_path):
+        """compare on one scenario, one trial whose force stays 0 until the cup attaches."""
+        header = "time_s,force_N,displacement_mm,pressure_kPa"
+        (tmp_path / "a.csv").write_text(f"{header}\n0,0,0,-8\n0.5,0,0.5,-60\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("file,scenario,angle_deg\na.csv,s,45\n")
+        return ["compare", "--manifest", str(manifest), "--length-mm", "20", "--ei-nm2", "1e-4"]
+
+    def test_one_scenario_needs_no_scenario_flag(self, zero_force_argv):
+        status, out = run(zero_force_argv)
+        assert status == 0
+        assert "# parameter scenario=s\n" in out
+
+    # A positive prediction against a measured 0 N is an infinite relative residual.
+    def test_non_finite_cells(self, zero_force_argv):
+        status, out = run(zero_force_argv)
+        assert status == 0
+        (row,) = csv_rows(out)
+        assert row["relative_residual"] == "inf"
+        assert out.endswith("# aggregate mean_abs_relative_error=inf\n")
+        status, out = run(zero_force_argv + ["--format", "json"])
+        assert status == 0
+        doc = json.loads(out)
+        assert doc["rows"][0]["relative_residual"] == "inf"
+        assert doc["aggregates"] == {"mean_abs_relative_error": "inf"}
+
     @pytest.mark.parametrize("scenario", [[], ["--scenario", "s"]], ids=["any", "named"])
     def test_manifest_without_trials(self, tmp_path, capsys, scenario):
         manifest = tmp_path / "manifest.csv"
@@ -427,31 +465,47 @@ class TestCompareCommand:
         assert capsys.readouterr().err == f"stalkmech: error: manifest {manifest} lists no trials\n"
 
 
-# The two commands that load every trial a manifest lists.
-MANIFEST_COMMANDS = {
-    "analyze": ["analyze"],
-    "compare": ["compare", "--scenario", "s", "--length-mm", "20", "--ei-nm2", "1e-4"],
+# A bad data file: its name, its bad third line and the error after its path.
+# Both commands read the manifest and the trials it lists; compare also reads
+# the bending file.
+BAD_FILES = {
+    "field-count": ("b.csv", "0.5,0.06,0.5", "line 3: expected 4 fields, got 3"),
+    "positive-pressure": (
+        "b.csv",
+        "0.5,0.06,0.5,1.2",
+        "positive pressure sample: trials use relative vacuum (<= 0 kPa)",
+    ),
+    "manifest-angle": ("manifest.csv", "b.csv,s,abc", "line 3: bad angle 'abc'"),
+    "bending-cell": ("bending.csv", "2,abc", "line 3: could not convert string to float: 'abc'"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
 @pytest.mark.parametrize(
-    "bad_row, message",
+    "command, bad_file, bad_row, message",
     [
-        ("0.5,0.06,0.5", "line 3: expected 4 fields, got 3"),
-        ("0.5,0.06,0.5,1.2", "positive pressure sample: trials use relative vacuum (<= 0 kPa)"),
+        pytest.param(command, *BAD_FILES[case], id=f"{case}-{command}")
+        for case in BAD_FILES
+        for command in ("analyze", "compare")
+        if case != "bending-cell" or command == "compare"
     ],
-    ids=["field-count", "positive-pressure"],
 )
-def test_bad_trial_in_a_manifest_is_named(tmp_path, capsys, command, bad_row, message):
+def test_bad_trial_in_a_manifest_is_named(tmp_path, capsys, command, bad_file, bad_row, message):
     header = "time_s,force_N,displacement_mm,pressure_kPa"
-    (tmp_path / "a.csv").write_text(f"{header}\n0,0,0,-8\n0.5,0.06,0.5,-8\n")
-    (tmp_path / "b.csv").write_text(f"{header}\n0,0,0,-8\n{bad_row}\n")
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("file,scenario,angle_deg\na.csv,s,15\nb.csv,s,30\n")
-    status, out = run([*MANIFEST_COMMANDS[command], "--manifest", str(manifest)])
-    assert (status, out) == (1, "")
-    assert capsys.readouterr().err == f"stalkmech: error: {tmp_path / 'b.csv'}: {message}\n"
+    files = {
+        "a.csv": [header, "0,0,0,-8", "0.5,0.06,0.5,-8"],
+        "b.csv": [header, "0,0,0,-8", "0.5,0.06,0.5,-8"],
+        "manifest.csv": ["file,scenario,angle_deg", "a.csv,s,15", "b.csv,s,30"],
+        "bending.csv": ["deflection_mm,force_N", "1,0.2", "2,0.41"],
+    }
+    files[bad_file][2] = bad_row
+    for name, lines in files.items():
+        (tmp_path / name).write_text("".join(f"{line}\n" for line in lines))
+    argv = [command, "--manifest", str(tmp_path / "manifest.csv")]
+    if command == "compare":
+        bending = str(tmp_path / "bending.csv")
+        argv += ["--scenario", "s", "--length-mm", "20", "--bending-input", bending]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == f"stalkmech: error: {tmp_path / bad_file}: {message}\n"
 
 
 # The geometry and load-search echoes that several commands share.
@@ -542,6 +596,53 @@ class TestParameterEcho:
 
 
 class TestExitCodes:
+    MANIFEST = str(REPO / "fixtures" / "trials" / "manifest.csv")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["alpha-table", "--angles", "0:10:0"], "angle step must be positive"),
+            (
+                ["predict-force", "--angles", "45", "--ei-nm2", "1e-4"],
+                "--length-mm is required for this command",
+            ),
+            (
+                ["alpha-table", "--angles", "45", "--pad-radius-mm", "-1", "--length-mm", "20"],
+                "--pad-radius-mm must be >= 0, got -1.0",
+            ),
+            (
+                ["alpha-table", "--angles", "45", "--pad-radius-mm", "5"],
+                "--pad-radius-mm needs --length-mm",
+            ),
+            (
+                ["alpha-table", "--angles", "45", "--radius-ratio", "-0.5"],
+                "--radius-ratio must be >= 0, got -0.5",
+            ),
+            (
+                ["predict-force", "--angles", "45", "--length-mm", "20", "--ei-nm2", "0"],
+                "--ei-nm2 must be positive, got 0.0",
+            ),
+            (
+                ["analyze", "--manifest", MANIFEST, "--input", "a.csv"],
+                "give either --manifest or --input files, not both",
+            ),
+            (["analyze"], "give --manifest or at least one --input"),
+            (
+                ["compare", "--manifest", MANIFEST, "--length-mm", "20", "--ei-nm2", "1e-4"],
+                "manifest has several scenarios (10mm Granular, 20mm Granular, 5mm Granular, "
+                "Dragonskin 10, Ecoflex 00-10, Ecoflex 00-10 suction pad); "
+                "pick one with --scenario",
+            ),
+        ],
+        ids=[
+            "zero-step", "no-length", "negative-pad", "pad-without-length", "negative-ratio",
+            "zero-ei", "manifest-and-input", "no-trials", "several-scenarios",
+        ],
+    )
+    def test_a_bad_flag_combination_names_itself(self, capsys, argv, message):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == f"stalkmech: error: {message}\n"
+
     def test_unknown_command_is_a_usage_error(self, capsys):
         status, _ = run(["frobnicate"])
         capsys.readouterr()
@@ -761,13 +862,13 @@ class TestLazyNamespace:
         ],
         "force": [
             "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
-            "predict_force_curve", "read_bending_samples",
+            "predict_force_curve",
         ],
         "geometry": ["BeamGeometry", "NormalizedLoad"],
         "trials": [
             "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
             "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
-            "parse_trial", "read_manifest",
+            "parse_trial", "read_bending_samples", "read_manifest",
         ],
     }
     NAMES = sorted(name for names in EXPORTS.values() for name in names)
@@ -853,9 +954,13 @@ class TestLazyNamespace:
                 "print(loaded())\n",
                 [["elastica", "errors", "geometry"]],
             ),
+            (
+                "from stalkmech import calibrate_ei\nprint(loaded())\n",
+                [["alpha", "errors", "force", "geometry"]],
+            ),
             ("import stalkmech.cli\nprint(loaded())\n", [SUBMODULES]),
         ],
-        ids=["import", "solve", "summarize", "shoot", "cli"],
+        ids=["import", "solve", "summarize", "shoot", "calibrate", "cli"],
     )
     def test_each_entry_point_loads_only_the_submodules_it_reaches(self, code, loaded):
         assert self.run_child(code) == [str(modules) for modules in loaded]

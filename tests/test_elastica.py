@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stalkmech.elastica
 from stalkmech import (
@@ -14,7 +16,7 @@ from stalkmech import (
     solve_shape_oracle,
     solve_shape_shooting,
 )
-from stalkmech.elastica import _BISECTION_WIDTH, _solve_tridiagonal
+from stalkmech.elastica import _BISECTION_WIDTH, _rk4_tip, _solve_tridiagonal
 from stalkmech.geometry import BOUNDARY_TOLERANCE, GRID_POINTS
 
 # Normalized loads of the reference angle table at R/L = 0.5.
@@ -128,6 +130,24 @@ class TestShooting:
                 except NoSolutionError:
                     assert (ratio, alpha) == (3.0, 6.0)
         assert len(slopes) <= 487
+
+    # Shooting's upper bracket end, c = alpha (1 + R/L), needs no search: each RK4
+    # stage slope of theta' is -alpha sin(.) >= -alpha, so theta'(1) >= c - alpha.
+    @given(
+        alpha=st.floats(min_value=-300.0, max_value=6.0).map(lambda e: 10.0**e),
+        ratio=st.one_of(
+            st.just(0.0), st.floats(min_value=-6.0, max_value=22.0).map(lambda e: 10.0**e)
+        ),
+        grid_points=st.sampled_from([16, 257, GRID_POINTS]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_upper_bracket_end_is_at_or_past_the_root(self, alpha, ratio, grid_points):
+        load, geometry = NormalizedLoad(alpha), BeamGeometry.from_ratio(ratio)
+        try:
+            _, tip_slope = _rk4_tip(alpha, alpha * (geometry.radius_ratio + 1.0), grid_points - 1)
+        except IntegrationDivergedError:
+            return
+        assert tip_slope - load.tip_moment(geometry) >= 0.0
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.0, 2.4, math.pi**2 / 4])
     def test_pure_tip_force_below_euler_load_is_straight_without_a_pass(

@@ -203,6 +203,14 @@ class TestBendingFile:
         with pytest.raises(TrialParseError):
             read_bending_samples(io.StringIO("deflection,force\n1,0.2\n"))
 
+    @pytest.mark.parametrize("row", ["inf,0.2", "1,nan", "1e400,0.2"])
+    def test_non_finite_cell_names_the_line(self, row):
+        stream = io.StringIO(f"deflection_mm,force_N\n1,0.2\n{row}\n")
+        with pytest.raises(TrialParseError) as excinfo:
+            read_bending_samples(stream)
+        assert excinfo.value.line_number == 3
+        assert str(excinfo.value) == "line 3: non-finite value"
+
     def test_bad_cell_names_the_line(self):
         stream = io.StringIO("deflection_mm,force_N\n1,0.2\n2,oops\n")
         with pytest.raises(TrialParseError) as excinfo:

@@ -289,7 +289,7 @@ class TestManifest:
         with pytest.raises(TrialParseError) as excinfo:
             read_manifest(manifest)
         assert excinfo.value.line_number == 2
-        assert str(excinfo.value) == f"line 2: bad angle {cell!r}"
+        assert str(excinfo.value) == f"{manifest}: line 2: bad angle {cell!r}"
 
     # Let through, an empty scenario would fall back to each file's stem, one
     # scenario per file, and an empty file cell would name the directory.
@@ -300,7 +300,7 @@ class TestManifest:
         with pytest.raises(TrialParseError) as excinfo:
             read_manifest(manifest)
         assert excinfo.value.line_number == 3
-        assert str(excinfo.value) == f"line 3: empty {name} cell"
+        assert str(excinfo.value) == f"{manifest}: line 3: empty {name} cell"
 
 
 # The three headed CSV formats: a reader taking a path and returning a
@@ -342,9 +342,8 @@ class TestHeadedCsvFormats:
             self.read(fmt, tmp_path, lines)
         assert excinfo.value.line_number == 4
         message = f"line 4: expected {n_fields} fields, got {n_fields + 1}"
-        if fmt == "trial":  # a trial file read from disk is named before the line
-            message = f"{tmp_path / 'trial.csv'}: {message}"
-        assert str(excinfo.value) == message
+        # A data file read from disk is named before the line.
+        assert str(excinfo.value) == f"{tmp_path / f'{fmt}.csv'}: {message}"
 
     def test_comments_and_blank_lines_skipped(self, fmt, tmp_path):
         _, header, rows = CSV_FORMATS[fmt]
