@@ -44,7 +44,7 @@ _EXPORTS = {
     ),
     "geometry": ("BeamGeometry", "NormalizedLoad"),
     "trials": (
-        "DEFAULT_ATTACH_THRESHOLD_KPA", "AttachmentEvent", "ManifestEntry", "TrialRecord",
+        "DEFAULT_ATTACH_THRESHOLD_KPA", "ManifestEntry", "TrialRecord",
         "adaptation_force", "detect_attachment", "load_manifest_trials", "load_trial",
         "parse_trial", "read_bending_samples", "read_manifest",
     ),

@@ -36,10 +36,10 @@ if TYPE_CHECKING:
 
 
 class AlphaResult(NamedTuple("AlphaResult", [
-    ("surface_angle", float), ("alpha", float), ("tip_angle_achieved", float),
-    ("outer_iterations", int), ("boundary_residual", float), ("modulus", float),
+    ("alpha", float), ("tip_angle_achieved", float), ("outer_iterations", int),
+    ("boundary_residual", float), ("modulus", float),
 ])):
-    """Normalized load solving tip_angle(alpha) = surface_angle.
+    """Normalized load solving tip_angle(alpha) = the caller's surface angle.
 
     ``outer_iterations`` counts Newton's evaluations of the excess, K's alone
     at R/L = 0; ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|.
@@ -220,10 +220,7 @@ def _newton(
             return root, evals
         if not lo < root < hi:
             root = 0.5 * (lo + hi)
-    raise NoSolutionError(
-        f"Newton iteration did not converge after {MAX_ITERATIONS} iterations",
-        last_residual=f,
-    )
+    raise NoSolutionError(f"Newton iteration did not converge after {MAX_ITERATIONS} iterations")
 
 
 def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> AlphaResult:
@@ -244,7 +241,7 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     """
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
-        return AlphaResult(0.0, 0.0, 0.0, 0, 0.0, 0.0)
+        return AlphaResult(0.0, 0.0, 0, 0.0, 0.0)
 
     half_sine = math.sin(0.5 * surface_angle)
     half_cos2 = math.cos(0.5 * surface_angle) ** 2
@@ -268,8 +265,7 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     residual = abs(tip_slope - alpha_star * ratio)
     if residual > BOUNDARY_TOLERANCE:
         raise NoSolutionError(
-            f"boundary residual {residual:.3e} exceeds tolerance at alpha={alpha_star}",
-            last_residual=residual,
+            f"boundary residual {residual:.3e} exceeds tolerance at alpha={alpha_star}"
         )
     # Relative below 1 rad, so that a tiny angle's load is checked too, plus
     # 16 ulps of rounding, which only a subnormal angle comes near.
@@ -277,10 +273,9 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     if abs(achieved - surface_angle) > tolerance:
         raise UnreachableAngleError(
             f"root search left tip angle {achieved:.8f} rad off target "
-            f"{surface_angle:.8f} rad",
-            max_tip_angle=achieved,
+            f"{surface_angle:.8f} rad"
         )
-    return AlphaResult(surface_angle, alpha_star, achieved, evals, residual, k)
+    return AlphaResult(alpha_star, achieved, evals, residual, k)
 
 
 def generate_alpha_table(angles: list[float], geometry: BeamGeometry) -> list[AlphaTableRow]:

@@ -125,8 +125,8 @@ def summarize_scenario(
 
     by_angle: dict[float, list[float | None]] = {}
     for trial in trials:
-        event = detect_attachment(trial, threshold)
-        force = adaptation_force(trial, event) if event is not None else None
+        index = detect_attachment(trial, threshold)
+        force = adaptation_force(trial, index) if index is not None else None
         by_angle.setdefault(trial.surface_angle, []).append(force)
 
     outcomes = tuple(
@@ -158,9 +158,7 @@ def compare_theory(
     )
     if missing:
         degrees = ", ".join(f"{math.degrees(a):g}" for a in missing)
-        raise CoverageError(
-            f"predictions do not cover measured angles: {degrees} deg", missing_angles=missing
-        )
+        raise CoverageError(f"predictions do not cover measured angles: {degrees} deg")
 
     return TheoryComparison(
         tuple(

@@ -208,7 +208,6 @@ def _resolve_calibration(args, geometry: BeamGeometry) -> StiffnessCalibration:
             raise ValueError(f"--ei-nm2 must be positive, got {args.ei_nm2}")
         return StiffnessCalibration(
             flexural_rigidity=args.ei_nm2,
-            linear_slope=3.0 * args.ei_nm2 / geometry.stalk_length**3,
             fit_quality=1.0,
             source_label=args.label or "direct",
             stalk_length=geometry.stalk_length,

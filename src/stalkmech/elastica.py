@@ -218,16 +218,14 @@ def solve_shape_shooting(
         raise NoSolutionError(
             f"no shape within |theta| < 4 pi at alpha={alpha}: base slopes "
             f"above {c_lo:.6g} coil past it, and theta'(1) = {r_lo + target:.4g} "
-            f"there stays below the tip moment {target:.4g}",
-            last_residual=r_lo,
+            f"there stays below the tip moment {target:.4g}"
         )
 
     c_star, r_star, samples = min(ends, key=lambda end: abs(end[1]))
     achieved = abs(r_star)
     if achieved > BOUNDARY_TOLERANCE:
         raise NoSolutionError(
-            f"boundary residual {achieved:.3e} exceeds tolerance at alpha={alpha}",
-            last_residual=achieved,
+            f"boundary residual {achieved:.3e} exceeds tolerance at alpha={alpha}"
         )
     return ElasticaSolution(
         alpha=alpha,
@@ -331,10 +329,7 @@ def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> Elastica
     tip_slope = (ghost - t[-2]) / (2.0 * h)
     achieved = abs(tip_slope - tip_moment)
     if achieved > BOUNDARY_TOLERANCE:
-        raise NoSolutionError(
-            f"relaxation boundary residual {achieved:.3e} exceeds tolerance",
-            last_residual=achieved,
-        )
+        raise NoSolutionError(f"relaxation boundary residual {achieved:.3e} exceeds tolerance")
 
     # One-sided fourth-order estimate of the base slope, as a diagnostic.
     base = theta_fine[:5]

@@ -2,10 +2,10 @@
 
 Plain invalid arguments (negative lengths, out-of-range angles) raise
 ValueError; these classes cover failures of the numerical solvers and of
-measurement-data handling, so callers can tell the two apart.
+measurement-data handling, so callers can tell the two apart. Every error
+carries its context (the line, the residual, the missing angles) in its
+message alone.
 """
-
-from __future__ import annotations
 
 
 class StalkmechError(Exception):
@@ -21,25 +21,11 @@ class IntegrationDivergedError(SolverError):
 
 
 class NoSolutionError(SolverError):
-    """Root bracketing or iteration failed to satisfy the boundary condition.
-
-    Carries the last residual seen, for diagnostics.
-    """
-
-    def __init__(self, message: str, last_residual: float | None = None):
-        super().__init__(message)
-        self.last_residual = last_residual
+    """Root bracketing or iteration failed to satisfy the boundary condition."""
 
 
 class UnreachableAngleError(SolverError):
-    """The load search's tip angle misses the requested surface angle.
-
-    ``max_tip_angle`` is the tip angle the search's load reached.
-    """
-
-    def __init__(self, message: str, max_tip_angle: float | None = None):
-        super().__init__(message)
-        self.max_tip_angle = max_tip_angle
+    """The load search's tip angle misses the requested surface angle."""
 
 
 class DataError(StalkmechError):
@@ -48,10 +34,6 @@ class DataError(StalkmechError):
 
 class TrialParseError(DataError):
     """A trial or bending file could not be parsed; names the offending line."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
 
 
 class TrialValidationError(DataError):
@@ -63,11 +45,4 @@ class CalibrationError(DataError):
 
 
 class CoverageError(DataError):
-    """Theory predictions do not cover the measured angles.
-
-    ``missing_angles`` lists the uncovered surface angles in radians.
-    """
-
-    def __init__(self, message: str, missing_angles: tuple[float, ...] = ()):
-        super().__init__(message)
-        self.missing_angles = missing_angles
+    """Theory predictions do not cover the measured angles."""

@@ -23,28 +23,32 @@ SMALL_DEFLECTION_LIMIT = 0.25
 
 
 class StiffnessCalibration(NamedTuple("StiffnessCalibration", [
-    ("flexural_rigidity", float), ("linear_slope", float), ("fit_quality", float),
-    ("source_label", str), ("stalk_length", float),
+    ("flexural_rigidity", float), ("fit_quality", float), ("source_label", str),
+    ("stalk_length", float),
 ])):
     """Effective flexural rigidity of a stalk fitted from bending data.
 
-    ``linear_slope`` is the through-origin slope k of force against tip
-    deflection (N/m); ``flexural_rigidity`` is EI = k L^3 / 3 for the
-    ``stalk_length`` the fit was made with. ``fit_quality`` is the
-    coefficient of determination of the through-origin fit.
+    ``flexural_rigidity`` is EI = k L^3 / 3 for the through-origin slope k
+    of force against tip deflection and the ``stalk_length`` L the fit was
+    made with. ``fit_quality`` is the coefficient of determination of the
+    through-origin fit.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
-    def __new__(cls, flexural_rigidity, linear_slope, fit_quality, source_label, stalk_length):
+    def __new__(cls, flexural_rigidity, fit_quality, source_label, stalk_length):
         if not (0.0 < flexural_rigidity < math.inf):
             raise ValueError("flexural_rigidity must be positive and finite")
         if not (0.0 <= fit_quality <= 1.0):
             raise ValueError("fit_quality must be within [0, 1]")
-        return super().__new__(
-            cls, flexural_rigidity, linear_slope, fit_quality, source_label, stalk_length
-        )
+        return super().__new__(cls, flexural_rigidity, fit_quality, source_label, stalk_length)
+
+    @property
+    def linear_slope(self) -> float:
+        """The slope k = 3 EI / L^3 of force against tip deflection, in N/m."""
+        length = self.stalk_length
+        return 3.0 * self.flexural_rigidity / (length * length * length)
 
 
 class AdaptationPrediction(NamedTuple):
@@ -64,9 +68,22 @@ class AdaptationPrediction(NamedTuple):
 def alpha_to_force(
     alpha: float, calibration: StiffnessCalibration, geometry: BeamGeometry
 ) -> float:
-    """Physical force in newtons for a normalized load: F = alpha EI / L^2."""
+    """Physical force in newtons for a normalized load: F = alpha EI / L^2.
+
+    Raises ValueError when L^2 or the force leaves the range of a float.
+    """
     NormalizedLoad(alpha)  # rejects a negative or non-finite load
-    return alpha * calibration.flexural_rigidity / geometry.stalk_length**2
+    length = geometry.stalk_length
+    square = length * length  # squared by hand: ** raises where * overflows to inf
+    if not (0.0 < square < math.inf):
+        raise ValueError(f"stalk length {length:g} m squared is out of float range")
+    force = alpha * calibration.flexural_rigidity / square
+    if force == math.inf:
+        raise ValueError(
+            f"force alpha EI / L^2 is not finite at alpha={alpha:g}, "
+            f"EI={calibration.flexural_rigidity:g} N*m^2, L={length:g} m"
+        )
+    return force
 
 
 def calibrate_ei(
@@ -122,8 +139,7 @@ def calibrate_ei(
     fit_quality = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
 
     return StiffnessCalibration(
-        flexural_rigidity=slope * L**3 / 3.0,
-        linear_slope=slope,
+        flexural_rigidity=slope * (L * L * L) / 3.0,  # an overflow is inf, which the record refuses
         fit_quality=fit_quality,
         source_label=source_label,
         stalk_length=L,

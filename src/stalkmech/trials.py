@@ -79,14 +79,6 @@ class TrialRecord(NamedTuple("TrialRecord", [
         return len(self.time)
 
 
-class AttachmentEvent(NamedTuple):
-    """First sample where the pressure reached the attachment threshold."""
-
-    sample_index: int
-    time: float
-    pressure: float
-
-
 def read_rows(lines: Iterable[str], header: str, converters: tuple) -> list[tuple]:
     """Convert each data row of a headed CSV, cell i by ``converters[i]``.
 
@@ -105,36 +97,37 @@ def read_rows(lines: Iterable[str], header: str, converters: tuple) -> list[tupl
         if not header_seen:
             if line != header:
                 raise TrialParseError(
-                    f"line {line_number}: expected header {header!r}, got {line!r}",
-                    line_number=line_number,
+                    f"line {line_number}: expected header {header!r}, got {line!r}"
                 )
             header_seen = True
             continue
         cells = line.split(",")
         if len(cells) != len(converters):
             raise TrialParseError(
-                f"line {line_number}: expected {len(converters)} fields, got {len(cells)}",
-                line_number=line_number,
+                f"line {line_number}: expected {len(converters)} fields, got {len(cells)}"
             )
         try:
             rows.append(tuple([convert(cell) for convert, cell in zip(converters, cells)]))
         except ValueError as exc:
-            raise TrialParseError(f"line {line_number}: {exc}", line_number=line_number) from None
+            raise TrialParseError(f"line {line_number}: {exc}") from None
     if not header_seen:
-        raise TrialParseError("missing header line", line_number=None)
+        raise TrialParseError("missing header line")
     return rows
 
 
 @contextmanager
 def _data_file(path: str | Path) -> Iterator[TextIO]:
-    """Open a data file; a parse or validation error raised inside starts with its path."""
+    """Open a data file; a parse or validation error raised inside starts with its path.
+
+    Bytes that are not UTF-8 are a parse error.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             yield handle
-        except TrialParseError as exc:
-            raise TrialParseError(f"{path}: {exc}", line_number=exc.line_number) from None
-        except TrialValidationError as exc:
-            raise TrialValidationError(f"{path}: {exc}") from None
+        except (TrialParseError, TrialValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise TrialParseError(f"{path}: {exc}") from None
 
 
 # Millimeters become meters by shifting the decimal exponent, which is exact,
@@ -215,8 +208,8 @@ def load_trial(
 
 def detect_attachment(
     record: TrialRecord, threshold: float = DEFAULT_ATTACH_THRESHOLD_KPA
-) -> AttachmentEvent | None:
-    """First sample whose pressure is at or below ``threshold`` (kPa), if any.
+) -> int | None:
+    """Index of the first sample whose pressure is at or below ``threshold`` (kPa), if any.
 
     Absence (the cup never attached) is a valid result, returned as None.
     """
@@ -224,21 +217,19 @@ def detect_attachment(
         raise ValueError(f"threshold must be negative (vacuum), got {threshold}")
     for index, pressure in enumerate(record.pressure):
         if pressure <= threshold:
-            return AttachmentEvent(index, record.time[index], pressure)
+            return index
     return None
 
 
-def adaptation_force(record: TrialRecord, event: AttachmentEvent) -> float:
-    """Peak force applied before (and including) the attachment sample.
+def adaptation_force(record: TrialRecord, index: int) -> float:
+    """Peak force applied before (and including) the attachment sample ``index``.
 
     The post-attachment span is excluded on purpose: once the pad grips
     the surface the bench reads the surface reaction, not the push force.
     """
-    if not (0 <= event.sample_index < record.n_samples):
-        raise ValueError(
-            f"event index {event.sample_index} outside record of {record.n_samples} samples"
-        )
-    return max(record.force[: event.sample_index + 1])
+    if not (0 <= index < record.n_samples):
+        raise ValueError(f"event index {index} outside record of {record.n_samples} samples")
+    return max(record.force[: index + 1])
 
 
 class ManifestEntry(NamedTuple):

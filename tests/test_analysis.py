@@ -153,7 +153,7 @@ class TestCompareTheory:
         predictions = [AdaptationPrediction(math.radians(30.0), 0.77, 1.0)]
         with pytest.raises(CoverageError) as excinfo:
             compare_theory(summary, predictions)
-        assert excinfo.value.missing_angles == (math.radians(45.0),)
+        assert str(excinfo.value) == "predictions do not cover measured angles: 45 deg"
 
     def test_failed_prediction_rows_do_not_count_as_coverage(self):
         summary = summarize_scenario([attached_trial("s", 30.0, 0.5)])

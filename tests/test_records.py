@@ -3,15 +3,18 @@
 A named tuple's own ``_make`` and ``_replace`` build the tuple without
 calling ``__new__``, so each validated type routes ``_make`` through its
 constructor. These tests hold every path that builds a record to the
-same checks, and keep the records immutable and picklable.
+same checks, and keep the records immutable and picklable. The
+exception types are held to their message alone.
 """
 
+import inspect
 import math
 import pickle
 
 import numpy as np
 import pytest
 
+import stalkmech.errors
 from stalkmech import (
     BeamGeometry,
     ElasticaSolution,
@@ -25,7 +28,7 @@ RECORDS = {
     "geometry": BeamGeometry(stalk_length=0.02, pad_radius=0.01),
     "load": NormalizedLoad(1.03),
     "calibration": StiffnessCalibration(
-        flexural_rigidity=5.44e-4, linear_slope=204.0, fit_quality=0.99,
+        flexural_rigidity=5.44e-4, fit_quality=0.99,
         source_label="granular_20mm", stalk_length=0.02,
     ),
     "trial": TrialRecord(
@@ -102,3 +105,9 @@ def test_solution_keeps_a_read_only_copy_of_the_callers_array():
     assert not solution.theta_samples.flags.writeable
     samples[1] = 0.5  # the caller's array stays the caller's
     assert samples.flags.writeable and solution.theta_samples[1] == 0.0
+
+
+def test_errors_carry_only_their_message():
+    classes = [c for _, c in inspect.getmembers(stalkmech.errors, inspect.isclass)]
+    assert len(classes) == 10
+    assert [c.__name__ for c in classes if "__init__" in vars(c)] == []
