@@ -264,9 +264,8 @@ def cmd_shape(args) -> OutputDocument:
     solution = solve_shape_shooting(
         NormalizedLoad(args.alpha), geometry, grid_points=args.grid_points
     )
-    points = centerline(solution)
     columns = ("s", "theta_rad", "x", "y")
-    rows = zip(solution.grid.tolist(), solution.theta_samples.tolist(), *points.T.tolist())
+    rows = zip(solution.grid, solution.theta, *centerline(solution))
     parameters = {
         "alpha": args.alpha,
         "tip_angle_deg": math.degrees(solution.tip_angle),
@@ -281,6 +280,11 @@ def cmd_shape(args) -> OutputDocument:
 def cmd_calibrate(args) -> OutputDocument:
     _check_length_mm(args.length_mm)
     geometry = BeamGeometry.from_millimeters(args.length_mm, 0.0)
+    length = geometry.stalk_length
+    if not (0.0 < length * length * length < math.inf):  # EI = k L^3 / 3 needs L^3
+        raise ValueError(
+            f"--length-mm {args.length_mm:g}: stalk length cubed is out of float range"
+        )
     samples = read_bending_samples(args.input)
     label = _bending_label(args.label, args.input)
     calibration = calibrate_ei(samples, geometry, source_label=label)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import IntegrationDivergedError, NoSolutionError
@@ -40,38 +41,47 @@ _EPS = sys.float_info.epsilon
 
 
 class ElasticaSolution(NamedTuple("ElasticaSolution", [
-    ("alpha", float), ("theta_samples", "np.ndarray"), ("initial_slope", float),
+    ("alpha", float), ("theta", "tuple[float, ...]"), ("initial_slope", float),
     ("boundary_residual", float),
 ])):
     """A solved beam shape on the normalized arc-length grid.
 
-    ``theta_samples[i]`` is the tangent angle at s = i / (n - 1), stored as a
-    read-only float array; the clamped base fixes ``theta_samples[0]`` to
-    zero. ``initial_slope`` is the base curvature theta'(0) found by the
-    solver, and ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|.
+    ``theta[i]`` is the tangent angle at s = i / (n - 1), n >= 2, stored as a
+    tuple of floats from any list, tuple or array of numbers; the clamped
+    base fixes ``theta[0]`` to zero. ``initial_slope`` is the base curvature
+    theta'(0) found by the solver, and ``boundary_residual`` is the achieved
+    |theta'(1) - alpha R / L|.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
-    def __new__(cls, alpha, theta_samples, initial_slope, boundary_residual):
-        import numpy as np
-        samples = np.array(theta_samples, dtype=float)  # a copy: the caller's array stays writable
-        samples.flags.writeable = False
-        if samples[0] != 0.0:
-            raise ValueError("theta_samples[0] must be 0 (clamped base)")
-        return super().__new__(cls, alpha, samples, initial_slope, boundary_residual)
+    def __new__(cls, alpha, theta, initial_slope, boundary_residual):
+        theta = tuple(map(float, theta))
+        if len(theta) < 2:
+            raise ValueError(f"theta needs at least 2 samples, got {len(theta)}")
+        if theta[0] != 0.0:
+            raise ValueError("theta[0] must be 0 (clamped base)")
+        return super().__new__(cls, alpha, theta, initial_slope, boundary_residual)
 
     @property
     def tip_angle(self) -> float:
         """The tangent angle theta(1), the last sample."""
-        return float(self.theta_samples[-1])
+        return self.theta[-1]
 
     @property
-    def grid(self) -> np.ndarray:
-        """The normalized arc-length nodes the samples live on."""
+    def grid(self) -> list[float]:
+        """The normalized arc-length nodes the samples live on, the last exactly 1."""
+        h = 1.0 / (len(self.theta) - 1)
+        return [i * h for i in range(len(self.theta) - 1)] + [1.0]
+
+    @property
+    def theta_samples(self) -> np.ndarray:
+        """``theta`` as a read-only float array, built on each read; numpy loads here."""
         import numpy as np
-        return np.linspace(0.0, 1.0, len(self.theta_samples))
+        samples = np.array(self.theta)
+        samples.flags.writeable = False
+        return samples
 
 
 def _rk4_tip(
@@ -140,7 +150,7 @@ def integrate_elastica_ivp(
 def _zero_solution(alpha: float, grid_points: int) -> ElasticaSolution:
     return ElasticaSolution(
         alpha=alpha,
-        theta_samples=[0.0] * grid_points,
+        theta=[0.0] * grid_points,
         initial_slope=0.0,
         boundary_residual=0.0,
     )
@@ -229,7 +239,7 @@ def solve_shape_shooting(
         )
     return ElasticaSolution(
         alpha=alpha,
-        theta_samples=samples,
+        theta=samples,
         initial_slope=c_star,
         boundary_residual=achieved,
     )
@@ -339,27 +349,25 @@ def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> Elastica
     )
     return ElasticaSolution(
         alpha=alpha,
-        theta_samples=theta,
+        theta=theta,
         initial_slope=initial_slope,
         boundary_residual=achieved,
     )
 
 
-def centerline(solution: ElasticaSolution) -> np.ndarray:
+def centerline(solution: ElasticaSolution) -> tuple[list[float], list[float]]:
     """Normalized planar coordinates of the deformed stalk.
 
     Steps along the beam using the mean tangent angle of each interval, so
     every polyline segment has length exactly h and the total arc length is
-    1 by construction (inextensible beam). Returns an (n, 2) array of
-    (x, y) points starting at the clamped base.
+    1 by construction (inextensible beam). Returns the lists (x, y) of the
+    points, starting at the clamped base; each is a running sum in node order.
     """
-    import numpy as np
-    theta = solution.theta_samples
-    n = theta.shape[0]
-    h = 1.0 / (n - 1)
-    mid = 0.5 * (theta[:-1] + theta[1:])
-    points = np.empty((n, 2))
-    points[0] = 0.0
-    np.cumsum(h * np.cos(mid), out=points[1:, 0])
-    np.cumsum(h * np.sin(mid), out=points[1:, 1])
-    return points
+    theta = solution.theta
+    h = 1.0 / (len(theta) - 1)
+    x, y = [0.0], [0.0]
+    for a, b in zip(theta, islice(theta, 1, None)):
+        mid = 0.5 * (a + b)
+        x.append(x[-1] + h * math.cos(mid))
+        y.append(y[-1] + h * math.sin(mid))
+    return x, y

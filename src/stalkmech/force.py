@@ -42,6 +42,8 @@ class StiffnessCalibration(NamedTuple("StiffnessCalibration", [
             raise ValueError("flexural_rigidity must be positive and finite")
         if not (0.0 <= fit_quality <= 1.0):
             raise ValueError("fit_quality must be within [0, 1]")
+        if not (0.0 < stalk_length < math.inf):
+            raise ValueError(f"stalk_length must be positive and finite, got {stalk_length}")
         return super().__new__(cls, flexural_rigidity, fit_quality, source_label, stalk_length)
 
     @property

@@ -228,21 +228,36 @@ class TestOracle:
 class TestCenterline:
     def test_straight_beam(self, half_ratio_geometry):
         sol = solve_shape_shooting(NormalizedLoad(0.0), half_ratio_geometry)
-        points = centerline(sol)
-        assert np.allclose(points[:, 0], np.linspace(0.0, 1.0, GRID_POINTS), atol=1e-12)
-        assert np.all(points[:, 1] == 0.0)
+        x, y = centerline(sol)
+        assert np.allclose(x, np.linspace(0.0, 1.0, GRID_POINTS), atol=1e-12)
+        assert y == [0.0] * GRID_POINTS
 
     @pytest.mark.parametrize("alpha", [0.445, 1.03, 1.467])
     def test_unit_arc_length(self, half_ratio_geometry, alpha):
         sol = solve_shape_shooting(NormalizedLoad(alpha), half_ratio_geometry)
-        points = centerline(sol)
-        length = float(np.sum(np.hypot(*np.diff(points, axis=0).T)))
+        x, y = centerline(sol)
+        length = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
         assert abs(length - 1.0) <= 1e-6
 
     def test_final_segment_tangent_matches_tip_angle(self, half_ratio_geometry):
         sol = solve_shape_shooting(NormalizedLoad(1.03), half_ratio_geometry, grid_points=4096)
-        points = centerline(sol)
-        direction = math.atan2(
-            points[-1, 1] - points[-2, 1], points[-1, 0] - points[-2, 0]
-        )
+        x, y = centerline(sol)
+        direction = math.atan2(y[-1] - y[-2], x[-1] - x[-2])
         assert abs(direction - sol.tip_angle) <= 1e-4
+
+    # The shape goldens pin a few grids only, so the plain-Python polyline and
+    # grid are held to their numpy form bit for bit over loads, R/L and grids.
+    @pytest.mark.parametrize("grid_points", [16, 100, 1024, 5000])
+    def test_equals_the_numpy_polyline_bit_for_bit(self, grid_points):
+        h = 1.0 / (grid_points - 1)
+        for ratio in (0.0, 0.05, 1.0):
+            for alpha in (0.445, 3.0, 6.0):
+                sol = solve_shape_shooting(
+                    NormalizedLoad(alpha), BeamGeometry.from_ratio(ratio), grid_points=grid_points
+                )
+                theta = sol.theta_samples
+                mid = 0.5 * (theta[:-1] + theta[1:])
+                x, y = centerline(sol)
+                assert x == [0.0, *np.cumsum(h * np.cos(mid)).tolist()]
+                assert y == [0.0, *np.cumsum(h * np.sin(mid)).tolist()]
+                assert sol.grid == np.linspace(0.0, 1.0, grid_points).tolist()

@@ -36,7 +36,7 @@ RECORDS = {
         force=(0.0, 0.12, 0.25), displacement=(0.0, 5e-4, 1e-3), pressure=(-8.0, -8.1, -55.0),
     ),
     "solution": ElasticaSolution(
-        alpha=1.03, theta_samples=[0.0, 0.1, 0.2], initial_slope=0.4, boundary_residual=0.0
+        alpha=1.03, theta=[0.0, 0.1, 0.2], initial_slope=0.4, boundary_residual=0.0
     ),
 }
 
@@ -49,11 +49,16 @@ BAD_VALUES = [
     ("load", "alpha", math.nan, ValueError),
     ("calibration", "flexural_rigidity", math.inf, ValueError),
     ("calibration", "fit_quality", 1.5, ValueError),
+    ("calibration", "stalk_length", 0.0, ValueError),
+    ("calibration", "stalk_length", -0.02, ValueError),
+    ("calibration", "stalk_length", math.nan, ValueError),
+    ("calibration", "stalk_length", math.inf, ValueError),
     ("trial", "time", (0.0, 1.0, 0.5), TrialValidationError),
     ("trial", "pressure", (-8.0, 0.5, -55.0), TrialValidationError),
     ("trial", "force", "abc", TrialValidationError),
     ("trial", "surface_angle", math.nan, TrialValidationError),
-    ("solution", "theta_samples", [0.1, 0.2, 0.3], ValueError),
+    ("solution", "theta", [0.1, 0.2, 0.3], ValueError),
+    ("solution", "theta", [0.0], ValueError),  # one node has no grid step
 ]
 
 
@@ -90,21 +95,19 @@ def test_fields_cannot_be_assigned(name):
 def test_pickle_round_trip_is_equal(name):
     record = RECORDS[name]
     copy = pickle.loads(pickle.dumps(record))
-    assert type(copy) is type(record)
-    for ours, theirs in zip(record, copy):
-        if isinstance(ours, np.ndarray):
-            assert np.array_equal(ours, theirs) and not theirs.flags.writeable
-        else:
-            assert theirs == ours
+    assert type(copy) is type(record) and copy == record
 
 
 def test_solution_keeps_a_read_only_copy_of_the_callers_array():
     samples = np.zeros(4)
     solution = ElasticaSolution(1.0, samples, 0.0, 0.0)
-    assert solution.theta_samples is not samples
-    assert not solution.theta_samples.flags.writeable
+    assert solution.theta == (0.0, 0.0, 0.0, 0.0)
+    assert all(type(value) is float for value in solution.theta)
+    view = solution.theta_samples
+    assert view is not samples and np.array_equal(view, samples)
+    assert not view.flags.writeable
     samples[1] = 0.5  # the caller's array stays the caller's
-    assert samples.flags.writeable and solution.theta_samples[1] == 0.0
+    assert samples.flags.writeable and solution.theta[1] == 0.0
 
 
 def test_errors_carry_only_their_message():
