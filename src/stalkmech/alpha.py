@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NoSolutionError, SolverError, UnreachableAngleError
@@ -43,11 +42,13 @@ class AlphaResult(NamedTuple("AlphaResult", [
 
     ``outer_iterations`` counts Newton's evaluations of the excess, K's alone
     at R/L = 0; ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|.
-    The sampled shape, ``inner_solution``, is built on first access from the
-    modulus k, kept for it alone, and cached in ``__dict__`` (no ``__slots__``).
+    The sampled shape, ``inner_solution``, is built on each read from the
+    modulus k, kept for it alone.
     """
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def inner_solution(self) -> ElasticaSolution:
         """The closed-form shape on ``GRID_POINTS`` nodes, its last node the solved tip."""
         from .elastica import ElasticaSolution

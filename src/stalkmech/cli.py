@@ -206,11 +206,14 @@ def _resolve_calibration(args, geometry: BeamGeometry) -> StiffnessCalibration:
     if args.ei_nm2 is not None:
         if not (args.ei_nm2 > 0):
             raise ValueError(f"--ei-nm2 must be positive, got {args.ei_nm2}")
+        length = geometry.stalk_length
+        if not (0.0 < length * length < math.inf):  # as alpha_to_force, before the record's L^3 check
+            raise ValueError(f"stalk length {length:g} m squared is out of float range")
         return StiffnessCalibration(
             flexural_rigidity=args.ei_nm2,
             fit_quality=1.0,
             source_label=args.label or "direct",
-            stalk_length=geometry.stalk_length,
+            stalk_length=length,
         )
     samples = read_bending_samples(args.bending_input)
     label = _bending_label(args.label, args.bending_input)
@@ -272,7 +275,6 @@ def cmd_shape(args) -> OutputDocument:
         **_geometry_parameters(geometry),
         "grid_points": args.grid_points,
         "boundary_tolerance": BOUNDARY_TOLERANCE,
-        "max_iterations": MAX_ITERATIONS,
     }
     return OutputDocument(args.command, parameters, columns, rows)
 

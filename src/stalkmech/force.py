@@ -42,8 +42,8 @@ class StiffnessCalibration(NamedTuple("StiffnessCalibration", [
             raise ValueError("flexural_rigidity must be positive and finite")
         if not (0.0 <= fit_quality <= 1.0):
             raise ValueError("fit_quality must be within [0, 1]")
-        if not (0.0 < stalk_length < math.inf):
-            raise ValueError(f"stalk_length must be positive and finite, got {stalk_length}")
+        if not (0.0 < stalk_length * stalk_length * stalk_length < math.inf):
+            raise ValueError(f"stalk_length cubed must be positive and finite, got {stalk_length}")
         return super().__new__(cls, flexural_rigidity, fit_quality, source_label, stalk_length)
 
     @property
@@ -140,8 +140,13 @@ def calibrate_ei(
     ss_tot = sum(f * f for _, f in pairs)
     fit_quality = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
 
+    flexural_rigidity = slope * (L * L * L) / 3.0
+    if not (0.0 < flexural_rigidity < math.inf):
+        raise CalibrationError(
+            f"EI = k L^3 / 3 is out of float range at stalk length {L:g} m, k = {slope:g} N/m"
+        )
     return StiffnessCalibration(
-        flexural_rigidity=slope * (L * L * L) / 3.0,  # an overflow is inf, which the record refuses
+        flexural_rigidity=flexural_rigidity,
         fit_quality=fit_quality,
         source_label=source_label,
         stalk_length=L,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
@@ -130,20 +129,19 @@ def _data_file(path: str | Path) -> Iterator[TextIO]:
             raise TrialParseError(f"{path}: {exc}") from None
 
 
-# Millimeters become meters by shifting the decimal exponent, which is exact,
-# so float() rounds the cell once: float(x) * 1e-3 rounds twice and misses
-# the nearest double for about a quarter of cells. The context is unbounded
-# because the default one would round cells past 28 digits before float()
-# and raise decimal.Overflow past an exponent of 999999.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
 def mm_cell_to_m(cell: str) -> float:
-    """Parse a millimeter text cell into meters with a single rounding."""
+    """Parse a millimeter cell, as float() reads it, into meters."""
     try:
-        return float(Decimal(cell).scaleb(-3, _EXACT))
-    except InvalidOperation:
+        value = float(cell)
+    except ValueError:
         raise ValueError(f"not a number: {cell!r}") from None
+    mantissa, e, exponent = cell.strip().replace("_", "").lower().partition("e")
+    if mantissa[-1].isalpha():  # inf, infinity or nan
+        return value
+    whole, _, fraction = mantissa.partition(".")
+    whole = whole.zfill(len(whole) + 3)  # three zeros after any sign
+    # Moving the point in the text is exact, so float() rounds once; float(x) * 1e-3 rounds twice.
+    return float(f"{whole[:-3]}.{whole[-3:]}{fraction}{e}{exponent}")
 
 
 def _finite(value: float) -> float:

@@ -1,14 +1,16 @@
 """Reference code that only the tests use to cross-check the package.
 
 ``linearized_alpha`` is an independent small-angle model of the load
-solver, and ``serialize_trial`` writes a record back in the trial file
-format so that the parser's bit-exact round trip can be checked.
+solver, ``mm_cell_to_m`` parses a millimeter cell with ``decimal`` to check
+the package's text shift, and ``serialize_trial`` writes a record back in
+the trial file format so that the parser's bit-exact round trip can be
+checked.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 
 from stalkmech.geometry import BeamGeometry
 from stalkmech.trials import TRIAL_HEADER, TrialRecord
@@ -52,6 +54,25 @@ def linearized_alpha(surface_angle: float, geometry: BeamGeometry) -> float:
             hi = u
         u = 0.5 * (lo + hi)
     return u * u
+
+
+# Shifting a Decimal's exponent is exact. The context is unbounded because
+# the default one would round cells past 28 digits before float() and raise
+# decimal.Overflow past an exponent of 999999.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def mm_cell_to_m(cell: str) -> float:
+    """Millimeters to meters by ``Decimal.scaleb``, rounded once by float().
+
+    ``Decimal`` accepts more than ``float()`` (``NaN123``, ``1__0``) and
+    refuses exponents beyond its range, so it agrees with the package only
+    on cells inside both grammars.
+    """
+    try:
+        return float(Decimal(cell).scaleb(-3, _EXACT))
+    except InvalidOperation:
+        raise ValueError(f"not a number: {cell!r}") from None
 
 
 def m_to_mm_text(value: float) -> str:

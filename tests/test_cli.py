@@ -522,7 +522,7 @@ class TestParameterEcho:
         "solve": {"gamma_deg", *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS},
         "shape": {
             "alpha", "tip_angle_deg", *GEOMETRY_KEYS,
-            "grid_points", "boundary_tolerance", "max_iterations",
+            "grid_points", "boundary_tolerance",
         },
         "calibrate": {"input", "length_mm", "label"},
         "predict-force": {
@@ -651,11 +651,22 @@ class TestExitCodes:
                 ["calibrate", "--input", BENDING, "--length-mm", "1e-200"],
                 "--length-mm 1e-200: stalk length cubed is out of float range",
             ),
+            # L^3 = 1.25e308 m^3 is in range, but k L^3 / 3 with k = 204 N/m is not.
+            (
+                ["calibrate", "--input", BENDING, "--length-mm", "5e105"],
+                "EI = k L^3 / 3 is out of float range at stalk length 5e+102 m, k = 204 N/m",
+            ),
+            # L^2 is in range, but the direct record's L^3 is not.
+            (
+                ["predict-force", "--angles", "30", "--length-mm", "1e120", "--ei-nm2", "1"],
+                "stalk_length cubed must be positive and finite, got 1e+117",
+            ),
         ],
         ids=[
             "zero-step", "no-length", "negative-pad", "pad-without-length", "negative-ratio",
             "zero-ei", "manifest-and-input", "no-trials", "several-scenarios",
             "huge-length", "tiny-length", "huge-calibration-length", "tiny-calibration-length",
+            "overflowing-calibration-ei", "direct-ei-length-cubed",
         ],
     )
     def test_a_bad_flag_combination_names_itself(self, capsys, argv, message):
@@ -800,15 +811,17 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == loaded
 
-    # Records are named tuples, and JSON output imports json itself, so no
-    # command pays for dataclasses (with inspect) or, in CSV, for json.
+    # Records are named tuples, millimeter cells are parsed by float(), and
+    # JSON output imports json itself, so no command pays for dataclasses
+    # (with inspect) or decimal (with _decimal and numbers), or, in CSV, for json.
     def test_commands_load_no_dataclasses_and_csv_loads_no_json(self):
         argvs = sorted(CASES.values(), key=lambda argv: "json" in argv)  # the CSV commands first
         proc = self.child(
             f"import os\nos.chdir({str(REPO)!r})\n"
             "before = set(sys.modules)\n"
             "def new():\n"
-            "    return sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before))\n"
+            "    unwanted = {'dataclasses', 'inspect', 'json', 'decimal', '_decimal', 'numbers'}\n"
+            "    return sorted(unwanted & (set(sys.modules) - before))\n"
             "import io, stalkmech.cli\n"
             "print(new())\n"
             f"for argv in {argvs!r}:\n"

@@ -91,6 +91,18 @@ class TestCalibration:
         assert "linear_slope" not in StiffnessCalibration._fields
         assert cal.linear_slope == 3.0 * 5.44e-4 / 0.02**3
 
+    # L^3 is in range at both lengths, but k L^3 / 3 overflows to inf or underflows to 0.
+    @pytest.mark.parametrize("length_m, slope", [(5e102, 204.0), (1e-107, 1e-3)])
+    @pytest.mark.filterwarnings("ignore:max deflection")
+    def test_an_ei_out_of_float_range_names_the_length(self, length_m, slope):
+        samples = [(mm * 1e-3, slope * mm * 1e-3) for mm in range(1, 6)]
+        with pytest.raises(CalibrationError) as excinfo:
+            calibrate_ei(samples, BeamGeometry(length_m, 0.0))
+        assert str(excinfo.value) == (
+            f"EI = k L^3 / 3 is out of float range at stalk length {length_m:g} m, "
+            f"k = {slope:g} N/m"
+        )
+
     def test_deflections_whose_squares_underflow(self):
         # d^2 underflows to 0 below about 1e-162 m; the fit must not divide by it.
         samples = [(mm * 1e-170, 204.0 * mm * 1e-170) for mm in range(1, 6)]
@@ -211,7 +223,7 @@ class TestBendingFile:
         with pytest.raises(TrialParseError):
             read_bending_samples(io.StringIO("deflection,force\n1,0.2\n"))
 
-    @pytest.mark.parametrize("row", ["inf,0.2", "1,nan", "1e400,0.2"])
+    @pytest.mark.parametrize("row", ["inf,0.2", "1,nan", "1e400,0.2", "1e99999999999999999999,0.2"])
     def test_non_finite_cell_names_the_line(self, row):
         stream = io.StringIO(f"deflection_mm,force_N\n1,0.2\n{row}\n")
         with pytest.raises(TrialParseError) as excinfo:

@@ -53,6 +53,8 @@ BAD_VALUES = [
     ("calibration", "stalk_length", -0.02, ValueError),
     ("calibration", "stalk_length", math.nan, ValueError),
     ("calibration", "stalk_length", math.inf, ValueError),
+    ("calibration", "stalk_length", 1e-120, ValueError),  # its cube underflows to 0
+    ("calibration", "stalk_length", 1e120, ValueError),  # its cube overflows to inf
     ("trial", "time", (0.0, 1.0, 0.5), TrialValidationError),
     ("trial", "pressure", (-8.0, 0.5, -55.0), TrialValidationError),
     ("trial", "force", "abc", TrialValidationError),

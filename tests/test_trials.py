@@ -1,11 +1,13 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import mm_cell_to_m as decimal_mm_cell_to_m
 from reference import serialize_trial
 from stalkmech import (
     TrialParseError,
@@ -155,16 +157,86 @@ class TestRoundTrip:
         assert serialize_trial(again) == text
 
 
+# Cells where a careless text shift goes wrong: finiteness read from the
+# unshifted cell or its mantissa, an exponent of thousands of digits (int()
+# refuses past 4,300), inf and nan by their words, the sign of zero, a lone
+# point, non-ASCII digits, and a tie that a 28-digit decimal context breaks.
+TRAP_CELLS = {
+    "overflows-as-mm": "2576738E+304",
+    "long-mantissa": "1" + "0" * 5000 + "e-5000",
+    "long-exponent": "1e" + "0" * 5000 + "5",
+    "inf": "inf",
+    "minus-infinity": "-Infinity",
+    "spaced-inf": " +iNF ",
+    "nan": "nan",
+    "minus-nan": "-nan",
+    "minus-zero": "-0",
+    "minus-zero-exponent": "-0.0e-7",
+    "lone-point-left": "-.5",
+    "lone-point-right": "5.",
+    "arabic-indic": "\u0661\u0662.\u0665",
+    "tie": "1152921504606847104000.0000000000000000000001",
+}
+# Runs of digits, ASCII or not, joined by single underscores.
+_DIGIT_RUN = st.lists(
+    st.text(st.sampled_from("0123456789") | st.characters(categories=["Nd"]), min_size=1),
+    min_size=1, max_size=3,
+).map("_".join)
+# A sign, a point, an e/E exponent, underscores and surrounding blanks; the
+# exponent keeps to six digits, inside Decimal's range.
+_CELL = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t "]),
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(
+        _DIGIT_RUN,
+        st.builds("{}.{}".format, _DIGIT_RUN | st.just(""), _DIGIT_RUN),
+        st.builds("{}.".format, _DIGIT_RUN),
+    ),
+    st.just("") | st.builds(
+        "{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+        st.lists(st.text("0123456789", min_size=1, max_size=3), min_size=1, max_size=2).map("_".join),
+    ),
+    st.sampled_from(["", " ", " \t"]),
+)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
 class TestMillimeterCells:
-    # Python's float parser rounds correctly and shares no code with
-    # Decimal.scaleb, so it is the reference for a single rounding. The
-    # example is 2**60 + 128 m, halfway between two doubles, plus 1e-25 m:
-    # the default 28-digit decimal context rounded it down onto the tie.
+    # float(cell + "e-3") rounds the exact value once. The parser also ends
+    # in float(), so this checks where it moves the point; the Decimal
+    # reference below checks the rounding. The example is 2**60 + 128 m,
+    # halfway between two doubles, plus 1e-25 m: the default 28-digit
+    # decimal context rounded it down onto the tie.
     @given(cell=st.from_regex(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)", fullmatch=True))
     @example(cell="1152921504606847104000.0000000000000000000001")
     @settings(max_examples=300, deadline=None)
     def test_a_plain_decimal_cell_is_rounded_once(self, cell):
         assert mm_cell_to_m(cell) == float(cell + "e-3")
+
+    @given(cell=_CELL)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_decimal_reference_bit_for_bit(self, cell):
+        assert _bits(mm_cell_to_m(cell)) == _bits(decimal_mm_cell_to_m(cell))
+
+    @pytest.mark.parametrize("cell", TRAP_CELLS.values(), ids=TRAP_CELLS.keys())
+    def test_a_trap_cell_equals_the_decimal_reference(self, cell):
+        assert _bits(mm_cell_to_m(cell)) == _bits(decimal_mm_cell_to_m(cell))
+
+    @given(cell=st.text(alphabet="0123456789+-._eE infatyINFATY\t", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_exactly_what_float_refuses(self, cell):
+        try:
+            float(cell)
+        except ValueError:
+            with pytest.raises(ValueError) as excinfo:
+                mm_cell_to_m(cell)
+            assert str(excinfo.value) == f"not a number: {cell!r}"
+        else:
+            mm_cell_to_m(cell)
 
     @pytest.mark.parametrize(
         "cell, error, message",
@@ -173,12 +245,28 @@ class TestMillimeterCells:
             ("nan", TrialValidationError, "channel displacement contains non-finite values"),
             ("1e1000005", TrialValidationError, "channel displacement contains non-finite values"),
             ("12mm", TrialParseError, "line 2: not a number: '12mm'"),
+            # Decimal accepted these three; float() refuses them.
+            ("NaN123", TrialParseError, "line 2: not a number: 'NaN123'"),
+            ("1__0", TrialParseError, "line 2: not a number: '1__0'"),
+            ("inf_", TrialParseError, "line 2: not a number: 'inf_'"),
+            # Past Decimal's exponent range, read as float() reads it: inf.
+            (
+                "1e99999999999999999999", TrialValidationError,
+                "channel displacement contains non-finite values",
+            ),
         ],
     )
     def test_a_cell_that_is_no_finite_length_is_named(self, cell, error, message):
         with pytest.raises(error) as excinfo:
             parse_trial(f"{TRIAL_HEADER}\n0,0,{cell},-8\n", "cells")
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "cell, meters", [("1e-99999999999999999999", 0.0), ("-1e-99999999999999999999", -0.0)]
+    )
+    def test_an_exponent_below_decimals_range_is_a_signed_zero(self, cell, meters):
+        record = parse_trial(f"{TRIAL_HEADER}\n0,0,{cell},-8\n", "cells")
+        assert _bits(record.displacement[0]) == _bits(meters)
 
 
 def make_record(pressures, forces=None, times=None):
