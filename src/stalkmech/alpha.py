@@ -15,8 +15,8 @@ increasing sqrt(alpha) - F lies in [0, K], where Newton's method, kept in
 a bracket, finds it in about four evaluations. Its inverse is the shape in
 closed form, sin(theta / 2) = k sn(sqrt(alpha) s | k^2) (Frisch-Fay,
 Flexible Bars, 1962). A load table reads only the tip of that shape, so the
-solver evaluates it at s = 1 alone; the whole grid is built when a caller
-first asks for it.
+solver evaluates it at s = 1 alone; the whole grid is built anew on each
+read of ``inner_solution``.
 """
 
 from __future__ import annotations

@@ -85,19 +85,26 @@ def _jsonable(value):
 
 
 def _emit_csv(doc: OutputDocument, stream) -> None:
-    stream.write(f"# stalkmech {doc.command}\n")
-    stream.write(f"# schema_version={SCHEMA_VERSION}\n")
+    # Each character at which str.splitlines() ends a line is written as its
+    # escape, so that no value can end its comment line and pass for a row.
+    breaks = str.maketrans({c: repr(c)[1:-1] for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"})
+
+    def comment(text: str) -> None:
+        stream.write(f"# {text.translate(breaks)}\n")
+
+    comment(f"stalkmech {doc.command}")
+    comment(f"schema_version={SCHEMA_VERSION}")
     for key in sorted(doc.parameters):
-        stream.write(f"# parameter {key}={_fmt(doc.parameters[key])}\n")
+        comment(f"parameter {key}={_fmt(doc.parameters[key])}")
     for text in doc.warnings:
-        stream.write(f"# warning {text}\n")
+        comment(f"warning {text}")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(doc.columns)
     for row in doc.rows:
         writer.writerow([_fmt(value) for value in row])
     if doc.aggregates:
         for key in sorted(doc.aggregates):
-            stream.write(f"# aggregate {key}={_fmt(doc.aggregates[key])}\n")
+            comment(f"aggregate {key}={_fmt(doc.aggregates[key])}")
 
 
 def _emit_json(doc: OutputDocument, stream) -> None:
@@ -204,16 +211,11 @@ def _resolve_calibration(args, geometry: BeamGeometry) -> StiffnessCalibration:
     if (args.bending_input is None) == (args.ei_nm2 is None):
         raise ValueError("give exactly one of --bending-input or --ei-nm2")
     if args.ei_nm2 is not None:
-        if not (args.ei_nm2 > 0):
-            raise ValueError(f"--ei-nm2 must be positive, got {args.ei_nm2}")
-        length = geometry.stalk_length
-        if not (0.0 < length * length < math.inf):  # as alpha_to_force, before the record's L^3 check
-            raise ValueError(f"stalk length {length:g} m squared is out of float range")
         return StiffnessCalibration(
             flexural_rigidity=args.ei_nm2,
             fit_quality=1.0,
             source_label=args.label or "direct",
-            stalk_length=length,
+            stalk_length=geometry.stalk_length,
         )
     samples = read_bending_samples(args.bending_input)
     label = _bending_label(args.label, args.bending_input)
@@ -282,11 +284,6 @@ def cmd_shape(args) -> OutputDocument:
 def cmd_calibrate(args) -> OutputDocument:
     _check_length_mm(args.length_mm)
     geometry = BeamGeometry.from_millimeters(args.length_mm, 0.0)
-    length = geometry.stalk_length
-    if not (0.0 < length * length * length < math.inf):  # EI = k L^3 / 3 needs L^3
-        raise ValueError(
-            f"--length-mm {args.length_mm:g}: stalk length cubed is out of float range"
-        )
     samples = read_bending_samples(args.input)
     label = _bending_label(args.label, args.input)
     calibration = calibrate_ei(samples, geometry, source_label=label)

@@ -39,11 +39,12 @@ class StiffnessCalibration(NamedTuple("StiffnessCalibration", [
 
     def __new__(cls, flexural_rigidity, fit_quality, source_label, stalk_length):
         if not (0.0 < flexural_rigidity < math.inf):
-            raise ValueError("flexural_rigidity must be positive and finite")
+            raise ValueError(
+                f"flexural_rigidity must be positive and finite, got {flexural_rigidity}"
+            )
         if not (0.0 <= fit_quality <= 1.0):
             raise ValueError("fit_quality must be within [0, 1]")
-        if not (0.0 < stalk_length * stalk_length * stalk_length < math.inf):
-            raise ValueError(f"stalk_length cubed must be positive and finite, got {stalk_length}")
+        BeamGeometry(stalk_length, 0.0)  # refuses a length whose cube leaves the float range
         return super().__new__(cls, flexural_rigidity, fit_quality, source_label, stalk_length)
 
     @property
@@ -72,14 +73,12 @@ def alpha_to_force(
 ) -> float:
     """Physical force in newtons for a normalized load: F = alpha EI / L^2.
 
-    Raises ValueError when L^2 or the force leaves the range of a float.
+    Raises ValueError when the force leaves the range of a float; L^2 is
+    in range for every ``BeamGeometry``.
     """
     NormalizedLoad(alpha)  # rejects a negative or non-finite load
     length = geometry.stalk_length
-    square = length * length  # squared by hand: ** raises where * overflows to inf
-    if not (0.0 < square < math.inf):
-        raise ValueError(f"stalk length {length:g} m squared is out of float range")
-    force = alpha * calibration.flexural_rigidity / square
+    force = alpha * calibration.flexural_rigidity / (length * length)
     if force == math.inf:
         raise ValueError(
             f"force alpha EI / L^2 is not finite at alpha={alpha:g}, "

@@ -28,7 +28,7 @@ class BeamGeometry(NamedTuple("BeamGeometry", [("stalk_length", float), ("pad_ra
     Parameters
     ----------
     stalk_length : float
-        Undeformed stalk length L in meters. Must be positive.
+        Undeformed stalk length L in meters, whose cube L*L*L must be positive and finite.
     pad_radius : float
         Suction-pad radius R in meters; the lever arm through which the
         contact force applies a tip moment to the stalk. Zero is allowed
@@ -42,8 +42,8 @@ class BeamGeometry(NamedTuple("BeamGeometry", [("stalk_length", float), ("pad_ra
     _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
     def __new__(cls, stalk_length: float, pad_radius: float):
-        if not (stalk_length > 0.0) or not math.isfinite(stalk_length):
-            raise ValueError(f"stalk_length must be positive and finite, got {stalk_length}")
+        if not (0.0 < stalk_length * stalk_length * stalk_length < math.inf):
+            raise ValueError(f"stalk_length cubed must be positive and finite, got {stalk_length}")
         if pad_radius < 0.0 or not math.isfinite(pad_radius):
             raise ValueError(f"pad_radius must be finite and >= 0, got {pad_radius}")
         return super().__new__(cls, stalk_length, pad_radius)

@@ -167,7 +167,10 @@ class TestShapeCommand:
             ("--alpha nan", "alpha must be finite and >= 0, got nan"),
             ("--alpha 1 --radius-ratio inf", "pad_radius must be finite and >= 0, got inf"),
             ("--alpha 1 --radius-ratio nan", "pad_radius must be finite and >= 0, got nan"),
-            ("--alpha 1 --length-mm inf", "stalk_length must be positive and finite, got inf"),
+            (
+                "--alpha 1 --length-mm inf",
+                "stalk_length cubed must be positive and finite, got inf",
+            ),
         ],
     )
     def test_non_finite_input_is_a_domain_error(self, capsys, flags, message):
@@ -225,6 +228,35 @@ class TestCalibrateCommand:
             "the linear tip relation is only trusted up to 0.25"
         )
         assert lines[lines.index(warning) + 1].startswith("source_label,")
+
+    @pytest.mark.parametrize(
+        "line_break, escape", [("\n", "\\n"), ("\r", "\\r"), ("\u2028", "\\u2028")]
+    )
+    def test_a_line_break_in_a_parameter_stays_in_its_comment(
+        self, fixtures_dir, line_break, escape
+    ):
+        bending = str(fixtures_dir / "bending" / "granular_20mm.csv")
+        argv = ["calibrate", "--input", bending, "--length-mm", "20", "--label"]
+        label = f"jammed{line_break}source_label,x"
+        status, out = run(argv + [label])
+        assert status == 0
+        lines = out.splitlines()
+        assert f"# parameter label=jammed{escape}source_label,x" in lines
+        table = [line for line in lines if not line.startswith("#")]
+        assert table[0].startswith("source_label,stalk_length_mm,")
+        status, out = run(argv + [label, "--format", "json"])
+        assert json.loads(out)["parameters"]["label"] == label
+
+    def test_no_line_break_character_ends_a_comment(self, fixtures_dir):
+        breaks = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.splitlines() != [c])
+        bending = str(fixtures_dir / "bending" / "granular_20mm.csv")
+        label = f"jammed{breaks}source_label,x"
+        status, out = run(["calibrate", "--input", bending, "--length-mm", "20", "--label", label])
+        assert status == 0
+        lines = out.splitlines()
+        assert sum(line.startswith("# parameter label=jammed") for line in lines) == 1
+        table = [line for line in lines if not line.startswith("#")]
+        assert table[0].startswith("source_label,stalk_length_mm,")
 
     def test_missing_file_exits_one(self):
         status, _ = run(["calibrate", "--input", "no/such/file.csv", "--length-mm", "20"])
@@ -621,7 +653,7 @@ class TestExitCodes:
             ),
             (
                 ["predict-force", "--angles", "45", "--length-mm", "20", "--ei-nm2", "0"],
-                "--ei-nm2 must be positive, got 0.0",
+                "flexural_rigidity must be positive and finite, got 0.0",
             ),
             (
                 ["analyze", "--manifest", MANIFEST, "--input", "a.csv"],
@@ -634,29 +666,40 @@ class TestExitCodes:
                 "Dragonskin 10, Ecoflex 00-10, Ecoflex 00-10 suction pad); "
                 "pick one with --scenario",
             ),
-            # Lengths whose powers leave the float range, where ** would raise.
+            # Lengths in metres whose cube leaves the float range, refused by the geometry.
             (
                 ["predict-force", "--angles", "30", "--length-mm", "1e200", "--ei-nm2", "1"],
-                "stalk length 1e+197 m squared is out of float range",
+                "stalk_length cubed must be positive and finite, got 1e+197",
             ),
             (
                 ["predict-force", "--angles", "30", "--length-mm", "1e-200", "--ei-nm2", "1e300"],
-                "stalk length 1e-203 m squared is out of float range",
+                "stalk_length cubed must be positive and finite, got 1e-203",
             ),
             (
                 ["calibrate", "--input", BENDING, "--length-mm", "1e308"],
-                "--length-mm 1e+308: stalk length cubed is out of float range",
+                "stalk_length cubed must be positive and finite, got 1e+305",
             ),
             (
                 ["calibrate", "--input", BENDING, "--length-mm", "1e-200"],
-                "--length-mm 1e-200: stalk length cubed is out of float range",
+                "stalk_length cubed must be positive and finite, got 1e-203",
+            ),
+            (
+                ["alpha-table", "--angles", "45", "--length-mm", "1e200"],
+                "stalk_length cubed must be positive and finite, got 1e+197",
+            ),
+            (
+                [
+                    "compare", "--manifest", MANIFEST, "--scenario", "20mm Granular",
+                    "--length-mm", "1e200", "--ei-nm2", "1e-4",
+                ],
+                "stalk_length cubed must be positive and finite, got 1e+197",
             ),
             # L^3 = 1.25e308 m^3 is in range, but k L^3 / 3 with k = 204 N/m is not.
             (
                 ["calibrate", "--input", BENDING, "--length-mm", "5e105"],
                 "EI = k L^3 / 3 is out of float range at stalk length 5e+102 m, k = 204 N/m",
             ),
-            # L^2 is in range, but the direct record's L^3 is not.
+            # L^2 is in range, but L^3 is not.
             (
                 ["predict-force", "--angles", "30", "--length-mm", "1e120", "--ei-nm2", "1"],
                 "stalk_length cubed must be positive and finite, got 1e+117",
@@ -666,12 +709,33 @@ class TestExitCodes:
             "zero-step", "no-length", "negative-pad", "pad-without-length", "negative-ratio",
             "zero-ei", "manifest-and-input", "no-trials", "several-scenarios",
             "huge-length", "tiny-length", "huge-calibration-length", "tiny-calibration-length",
+            "alpha-table-huge-length", "compare-huge-length",
             "overflowing-calibration-ei", "direct-ei-length-cubed",
         ],
     )
     def test_a_bad_flag_combination_names_itself(self, capsys, argv, message):
         assert run(argv) == (1, "")
         assert capsys.readouterr().err == f"stalkmech: error: {message}\n"
+
+    @pytest.mark.parametrize("length_mm", ["1e200", "1e-200", "1e308", "1e120", "inf"])
+    def test_a_length_out_of_float_range_is_one_message_on_every_command(
+        self, capsys, length_mm
+    ):
+        common = ["--length-mm", length_mm, "--ei-nm2", "1e-4"]
+        argvs = [
+            ["predict-force", "--angles", "30", *common],
+            ["calibrate", "--input", self.BENDING, "--length-mm", length_mm],
+            ["compare", "--manifest", self.MANIFEST, "--scenario", "20mm Granular", *common],
+            ["alpha-table", "--angles", "30", "--length-mm", length_mm],
+            ["shape", "--alpha", "1", "--length-mm", length_mm],
+        ]
+        message = (
+            "stalkmech: error: stalk_length cubed must be positive and finite, "
+            f"got {float(length_mm) * 1e-3}\n"
+        )
+        for argv in argvs:
+            assert run(argv) == (1, "")
+            assert capsys.readouterr().err == message
 
     def test_unknown_command_is_a_usage_error(self, capsys):
         status, _ = run(["frobnicate"])

@@ -13,6 +13,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import stalkmech.errors
 from stalkmech import (
@@ -43,6 +45,8 @@ RECORDS = {
 # A record, one of its fields, a value that field refuses, and the error it raises.
 BAD_VALUES = [
     ("geometry", "stalk_length", 0.0, ValueError),
+    ("geometry", "stalk_length", 1e-120, ValueError),  # its cube underflows to 0
+    ("geometry", "stalk_length", 1e120, ValueError),  # its cube overflows to inf
     ("geometry", "pad_radius", -0.01, ValueError),
     ("geometry", "pad_radius", math.inf, ValueError),
     ("load", "alpha", -1.0, ValueError),
@@ -81,6 +85,29 @@ def test_constructor_make_and_replace_refuse_alike(name, field, bad, error):
             build()
         refusals.add((type(excinfo.value), str(excinfo.value)))
     assert len(refusals) == 1
+
+
+def _refusal(build) -> str | None:
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# The edges of the range: the largest and smallest accepted lengths and their neighbours.
+@given(st.floats())
+@example(5.643803094122361e102)
+@example(5.643803094122362e102)
+@example(1.351817985853457e-108)
+@example(1.3518179858534569e-108)
+def test_geometry_and_calibration_accept_the_same_lengths(length):
+    refusal = _refusal(lambda: BeamGeometry(length, 0.0))
+    assert refusal == _refusal(lambda: StiffnessCalibration(1.0, 1.0, "", length))
+    if refusal is None:  # what lets alpha_to_force and linear_slope divide by L^2 and L^3
+        assert 0.0 < length * length < math.inf and 0.0 < length * length * length < math.inf
+    else:
+        assert refusal == f"stalk_length cubed must be positive and finite, got {length}"
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
