@@ -33,11 +33,7 @@ _EXPORTS = {
         "ElasticaSolution", "centerline", "integrate_elastica_ivp", "solve_shape_oracle",
         "solve_shape_shooting",
     ),
-    "errors": (
-        "CalibrationError", "CoverageError", "DataError", "IntegrationDivergedError",
-        "NoSolutionError", "SolverError", "StalkmechError", "TrialParseError",
-        "TrialValidationError", "UnreachableAngleError",
-    ),
+    "errors": ("DataError", "SolverError", "StalkmechError"),
     "force": (
         "AdaptationPrediction", "StiffnessCalibration", "alpha_to_force", "calibrate_ei",
         "predict_force_curve",

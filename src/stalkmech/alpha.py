@@ -25,7 +25,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NoSolutionError, SolverError, UnreachableAngleError
+from .errors import SolverError
 from .geometry import (
     ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS, BeamGeometry,
 )
@@ -221,7 +221,7 @@ def _newton(
             return root, evals
         if not lo < root < hi:
             root = 0.5 * (lo + hi)
-    raise NoSolutionError(f"Newton iteration did not converge after {MAX_ITERATIONS} iterations")
+    raise SolverError(f"Newton iteration did not converge after {MAX_ITERATIONS} iterations")
 
 
 def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> AlphaResult:
@@ -236,9 +236,9 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     the latter relative to the angle below 1 rad.
     Zero angle is the zero load and the straight stalk.
 
-    Raises UnreachableAngleError when the shape's tip misses the target,
-    NoSolutionError when its tip slope misses or Newton's method runs out of
-    iterations, and ValueError for an angle outside [0, pi/2).
+    Raises SolverError when the shape's tip angle or slope misses its
+    target or Newton's method runs out of iterations, and ValueError for an
+    angle outside [0, pi/2).
     """
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
@@ -265,14 +265,14 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     [achieved], tip_slope = _closed_form(root, k, [1.0])
     residual = abs(tip_slope - alpha_star * ratio)
     if residual > BOUNDARY_TOLERANCE:
-        raise NoSolutionError(
+        raise SolverError(
             f"boundary residual {residual:.3e} exceeds tolerance at alpha={alpha_star}"
         )
     # Relative below 1 rad, so that a tiny angle's load is checked too, plus
     # 16 ulps of rounding, which only a subnormal angle comes near.
     tolerance = ANGLE_TOLERANCE * min(1.0, surface_angle) + 16.0 * math.ulp(surface_angle)
     if abs(achieved - surface_angle) > tolerance:
-        raise UnreachableAngleError(
+        raise SolverError(
             f"root search left tip angle {achieved:.8f} rad off target "
             f"{surface_angle:.8f} rad"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import CoverageError, TrialValidationError
+from .errors import DataError
 from .trials import (
     DEFAULT_ATTACH_THRESHOLD_KPA,
     TrialRecord,
@@ -111,15 +111,15 @@ def summarize_scenario(
     label. The result is invariant to the order of the input trials.
     """
     if not trials:
-        raise TrialValidationError("need at least one trial")
+        raise DataError("need at least one trial")
     scenario = trials[0].scenario
     for trial in trials:
         if trial.surface_angle is None:
-            raise TrialValidationError(
+            raise DataError(
                 f"trial in scenario {trial.scenario!r} is missing surface-angle metadata"
             )
         if trial.scenario != scenario:
-            raise TrialValidationError(
+            raise DataError(
                 f"mixed scenarios in one summary: {scenario!r} and {trial.scenario!r}"
             )
 
@@ -144,7 +144,7 @@ def compare_theory(
 
     Each attached angle of the summary is matched against a successful
     prediction at the same angle; any measured angle without one raises
-    :class:`CoverageError` listing the misses. Residuals are signed
+    :class:`DataError` listing the misses. Residuals are signed
     (predicted minus measured); the aggregate is the mean of the absolute
     relative residuals, None when there are no attached angles.
     """
@@ -158,7 +158,7 @@ def compare_theory(
     )
     if missing:
         degrees = ", ".join(f"{math.degrees(a):g}" for a in missing)
-        raise CoverageError(f"predictions do not cover measured angles: {degrees} deg")
+        raise DataError(f"predictions do not cover measured angles: {degrees} deg")
 
     return TheoryComparison(
         tuple(

@@ -58,8 +58,15 @@ class OutputDocument:
         self.aggregates = aggregates
 
 
+# Each character at which str.splitlines() ends a line, mapped to its escape,
+# so that no text can end a line of a CSV document and pass for a record.
+_ESCAPED_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
 def _fmt(value) -> str:
-    """Render one CSV cell with 6 significant digits for floats."""
+    """Render one CSV cell with 6 significant digits for floats, line breaks escaped."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -68,7 +75,7 @@ def _fmt(value) -> str:
         return f"{value:.{SIG_DIGITS}g}"
     if isinstance(value, (list, tuple)):
         return ";".join(_fmt(v) for v in value)
-    return str(value)
+    return str(value).translate(_ESCAPED_BREAKS)
 
 
 def _jsonable(value):
@@ -85,12 +92,8 @@ def _jsonable(value):
 
 
 def _emit_csv(doc: OutputDocument, stream) -> None:
-    # Each character at which str.splitlines() ends a line is written as its
-    # escape, so that no value can end its comment line and pass for a row.
-    breaks = str.maketrans({c: repr(c)[1:-1] for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"})
-
     def comment(text: str) -> None:
-        stream.write(f"# {text.translate(breaks)}\n")
+        stream.write(f"# {text.translate(_ESCAPED_BREAKS)}\n")
 
     comment(f"stalkmech {doc.command}")
     comment(f"schema_version={SCHEMA_VERSION}")

@@ -22,7 +22,7 @@ import sys
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import IntegrationDivergedError, NoSolutionError
+from .errors import SolverError
 from .geometry import (
     BOUNDARY_TOLERANCE, GRID_POINTS, MAX_GRID_POINTS, MAX_ITERATIONS, BeamGeometry, NormalizedLoad,
 )
@@ -109,7 +109,7 @@ def _rk4_tip(
         th += sixth * (om + 2.0 * (k2t + k3t) + k4t)
         om += sixth * (k1o + 2.0 * (k2o + k3o) + k4o)
         if not (-MAX_ANGLE < th < MAX_ANGLE):
-            raise IntegrationDivergedError(
+            raise SolverError(
                 f"integration diverged at alpha={alpha}, theta'(0)={initial_slope}"
             )
         if record:
@@ -186,7 +186,7 @@ def solve_shape_shooting(
         samples = [0.0]
         try:
             _, om = _rk4_tip(alpha, c, n_steps, samples)
-        except IntegrationDivergedError:
+        except SolverError:
             return c, math.inf, samples
         return c, om - target, samples
 
@@ -225,7 +225,7 @@ def solve_shape_shooting(
     if math.isinf(r_hi) and r_lo < 0.0:
         # Every slope that could raise theta'(1) to the tip moment coils
         # the stalk past MAX_ANGLE first.
-        raise NoSolutionError(
+        raise SolverError(
             f"no shape within |theta| < 4 pi at alpha={alpha}: base slopes "
             f"above {c_lo:.6g} coil past it, and theta'(1) = {r_lo + target:.4g} "
             f"there stays below the tip moment {target:.4g}"
@@ -234,7 +234,7 @@ def solve_shape_shooting(
     c_star, r_star, samples = min(ends, key=lambda end: abs(end[1]))
     achieved = abs(r_star)
     if achieved > BOUNDARY_TOLERANCE:
-        raise NoSolutionError(
+        raise SolverError(
             f"boundary residual {achieved:.3e} exceeds tolerance at alpha={alpha}"
         )
     return ElasticaSolution(
@@ -315,7 +315,7 @@ def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> Elastica
             f = f_trial
             if lam * np.max(np.abs(step)) < 1e-9:
                 return t
-        raise NoSolutionError(f"relaxation did not converge at alpha={a}")
+        raise SolverError(f"relaxation did not converge at alpha={a}")
 
     # Mild load continuation keeps Newton in its attraction basin at high load. Newton
     # starts from the linearized shape, which a first stage of at most 2 keeps defined:
@@ -339,7 +339,7 @@ def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> Elastica
     tip_slope = (ghost - t[-2]) / (2.0 * h)
     achieved = abs(tip_slope - tip_moment)
     if achieved > BOUNDARY_TOLERANCE:
-        raise NoSolutionError(f"relaxation boundary residual {achieved:.3e} exceeds tolerance")
+        raise SolverError(f"relaxation boundary residual {achieved:.3e} exceeds tolerance")
 
     # One-sided fourth-order estimate of the base slope, as a diagnostic.
     base = theta_fine[:5]

@@ -1,10 +1,10 @@
 """Exception types raised across the package.
 
-Plain invalid arguments (negative lengths, out-of-range angles) raise
-ValueError; these classes cover failures of the numerical solvers and of
-measurement-data handling, so callers can tell the two apart. Every error
-carries its context (the line, the residual, the missing angles) in its
-message alone.
+One class for each thing a caller can do about a failure: an invalid
+argument (a negative length, an angle out of range) raises ValueError, a
+solve that fails raises :class:`SolverError`, and measurements that
+cannot be used raise :class:`DataError`. Every error carries its context
+(the file, the line, the residual, the missing angles) in its message alone.
 """
 
 
@@ -13,36 +13,8 @@ class StalkmechError(Exception):
 
 
 class SolverError(StalkmechError):
-    """Base class for numerical-solver failures."""
-
-
-class IntegrationDivergedError(SolverError):
-    """The beam integration produced a non-finite or physically meaningless state."""
-
-
-class NoSolutionError(SolverError):
-    """Root bracketing or iteration failed to satisfy the boundary condition."""
-
-
-class UnreachableAngleError(SolverError):
-    """The load search's tip angle misses the requested surface angle."""
+    """A numerical solve failed: no convergence, a divergent pass or a missed target."""
 
 
 class DataError(StalkmechError):
-    """Base class for measurement-data failures."""
-
-
-class TrialParseError(DataError):
-    """A trial or bending file could not be parsed; names the offending line."""
-
-
-class TrialValidationError(DataError):
-    """Parsed trial data violates a record invariant (time order, pressure sign, ...)."""
-
-
-class CalibrationError(DataError):
-    """Bending samples are unusable for a stiffness fit."""
-
-
-class CoverageError(DataError):
-    """Theory predictions do not cover the measured angles."""
+    """Measurement data cannot be used: a malformed file, a broken record or too few samples."""

@@ -13,8 +13,8 @@ import warnings
 from typing import Iterable, NamedTuple
 
 from .alpha import generate_alpha_table
-from .errors import CalibrationError
-from .geometry import BeamGeometry, NormalizedLoad
+from .errors import DataError
+from .geometry import BeamGeometry, NormalizedLoad, _as_float
 
 # Beyond this tip deflection (as a fraction of stalk length) the linear
 # cantilever relation behind the EI fit degrades; inputs past it are
@@ -38,13 +38,14 @@ class StiffnessCalibration(NamedTuple("StiffnessCalibration", [
     _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
     def __new__(cls, flexural_rigidity, fit_quality, source_label, stalk_length):
+        flexural_rigidity, fit_quality = _as_float(flexural_rigidity), _as_float(fit_quality)
         if not (0.0 < flexural_rigidity < math.inf):
             raise ValueError(
                 f"flexural_rigidity must be positive and finite, got {flexural_rigidity}"
             )
         if not (0.0 <= fit_quality <= 1.0):
             raise ValueError("fit_quality must be within [0, 1]")
-        BeamGeometry(stalk_length, 0.0)  # refuses a length whose cube leaves the float range
+        stalk_length = BeamGeometry(stalk_length, 0.0).stalk_length  # a float, its cube in range
         return super().__new__(cls, flexural_rigidity, fit_quality, source_label, stalk_length)
 
     @property
@@ -106,18 +107,18 @@ def calibrate_ei(
             deflection, force = sample
             pairs.append((float(deflection), float(force)))
         except (TypeError, ValueError):
-            raise CalibrationError("samples must be (deflection, force) pairs") from None
+            raise DataError("samples must be (deflection, force) pairs") from None
     if not pairs:
-        raise CalibrationError("samples must be (deflection, force) pairs")
+        raise DataError("samples must be (deflection, force) pairs")
     if not all(math.isfinite(d) and math.isfinite(f) for d, f in pairs):
-        raise CalibrationError("deflections and forces must be finite")
+        raise DataError("deflections and forces must be finite")
     if len(pairs) < 2:
-        raise CalibrationError("need at least two bending samples")
+        raise DataError("need at least two bending samples")
     deflections = [d for d, _ in pairs]
     if min(deflections) < 0.0:
-        raise CalibrationError("deflections must be non-negative")
+        raise DataError("deflections must be non-negative")
     if len({d for d in deflections if d > 0.0}) < 2:
-        raise CalibrationError("need at least two distinct positive deflections")
+        raise DataError("need at least two distinct positive deflections")
 
     L = geometry.stalk_length
     top = max(deflections)
@@ -133,7 +134,7 @@ def calibrate_ei(
     scaled = [(d / top, f) for d, f in pairs]
     slope = sum(f * x for x, f in scaled) / sum(x * x for x, _ in scaled) / top
     if slope <= 0.0:
-        raise CalibrationError(f"non-positive stiffness slope {slope:g}")
+        raise DataError(f"non-positive stiffness slope {slope:g}")
 
     ss_res = sum((f - slope * d) ** 2 for d, f in pairs)
     ss_tot = sum(f * f for _, f in pairs)
@@ -141,7 +142,7 @@ def calibrate_ei(
 
     flexural_rigidity = slope * (L * L * L) / 3.0
     if not (0.0 < flexural_rigidity < math.inf):
-        raise CalibrationError(
+        raise DataError(
             f"EI = k L^3 / 3 is out of float range at stalk length {L:g} m, k = {slope:g} N/m"
         )
     return StiffnessCalibration(

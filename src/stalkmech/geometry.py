@@ -1,7 +1,7 @@
 """Core value types, beam geometry and normalized load, and the solver constants.
 
-Both types are named tuples validated at construction, by ``_make`` and
-``_replace`` too; instances are immutable and safe to share between threads.
+Both types are named tuples of floats validated at construction, by ``_make``
+and ``_replace`` too; instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ ANGLE_TOLERANCE = 1e-6
 # 1 / (GRID_POINTS - 1), and the most a caller may ask for.
 GRID_POINTS = 1024
 MAX_GRID_POINTS = 2_000_000
+
+
+def _as_float(value) -> float:
+    """``value`` as a float; one beyond the float range, such as 10**400, as an infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class BeamGeometry(NamedTuple("BeamGeometry", [("stalk_length", float), ("pad_radius", float)])):
@@ -42,6 +50,7 @@ class BeamGeometry(NamedTuple("BeamGeometry", [("stalk_length", float), ("pad_ra
     _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
     def __new__(cls, stalk_length: float, pad_radius: float):
+        stalk_length, pad_radius = _as_float(stalk_length), _as_float(pad_radius)
         if not (0.0 < stalk_length * stalk_length * stalk_length < math.inf):
             raise ValueError(f"stalk_length cubed must be positive and finite, got {stalk_length}")
         if pad_radius < 0.0 or not math.isfinite(pad_radius):
@@ -74,6 +83,7 @@ class NormalizedLoad(NamedTuple("NormalizedLoad", [("alpha", float)])):
     _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
     def __new__(cls, alpha: float):
+        alpha = _as_float(alpha)
         if not (alpha >= 0.0) or not math.isfinite(alpha):
             raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         return super().__new__(cls, alpha)

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
-from .errors import TrialParseError, TrialValidationError
+from .errors import DataError
 
 TRIAL_HEADER = "time_s,force_N,displacement_mm,pressure_kPa"
 MANIFEST_HEADER = "file,scenario,angle_deg"
@@ -32,7 +32,7 @@ def _channel(name: str, values) -> tuple[float, ...]:
             return tuple(map(float, values))
         except (TypeError, ValueError):
             pass
-    raise TrialValidationError(f"channel {name} must be a flat sequence of numbers")
+    raise DataError(f"channel {name} must be a flat sequence of numbers")
 
 
 class TrialRecord(NamedTuple("TrialRecord", [
@@ -57,20 +57,20 @@ class TrialRecord(NamedTuple("TrialRecord", [
         )
         n = len(self.time)
         if n < 1:
-            raise TrialValidationError("a trial needs at least one sample")
+            raise DataError("a trial needs at least one sample")
         for name, channel in zip(self._fields[2:], self[2:]):  # the four channels
             if len(channel) != n:
-                raise TrialValidationError(f"channel {name} has mismatched length")
+                raise DataError(f"channel {name} has mismatched length")
             if not all(map(math.isfinite, channel)):
-                raise TrialValidationError(f"channel {name} contains non-finite values")
+                raise DataError(f"channel {name} contains non-finite values")
         if not all(a < b for a, b in zip(self.time, self.time[1:])):
-            raise TrialValidationError("time must be strictly increasing")
+            raise DataError("time must be strictly increasing")
         if any(p > 0.0 for p in self.pressure):
-            raise TrialValidationError(
+            raise DataError(
                 "positive pressure sample: trials use relative vacuum (<= 0 kPa)"
             )
         if self.surface_angle is not None and not math.isfinite(self.surface_angle):
-            raise TrialValidationError("surface_angle must be finite")
+            raise DataError("surface_angle must be finite")
         return self
 
     @property
@@ -83,9 +83,9 @@ def read_rows(lines: Iterable[str], header: str, converters: tuple) -> list[tupl
 
     Blank lines and ``#`` comment lines are skipped. The first other line
     must equal ``header``, and every later line must have one cell per
-    converter. Violations, a converter's ``ValueError`` and input without a
-    header line raise :class:`TrialParseError` naming the physical line
-    (counted from 1).
+    converter. Violations and a converter's ``ValueError`` raise
+    :class:`DataError` naming the physical line (counted from 1); input
+    without a header line raises it too.
     """
     rows = []
     header_seen = False
@@ -95,38 +95,33 @@ def read_rows(lines: Iterable[str], header: str, converters: tuple) -> list[tupl
             continue
         if not header_seen:
             if line != header:
-                raise TrialParseError(
+                raise DataError(
                     f"line {line_number}: expected header {header!r}, got {line!r}"
                 )
             header_seen = True
             continue
         cells = line.split(",")
         if len(cells) != len(converters):
-            raise TrialParseError(
+            raise DataError(
                 f"line {line_number}: expected {len(converters)} fields, got {len(cells)}"
             )
         try:
             rows.append(tuple([convert(cell) for convert, cell in zip(converters, cells)]))
         except ValueError as exc:
-            raise TrialParseError(f"line {line_number}: {exc}") from None
+            raise DataError(f"line {line_number}: {exc}") from None
     if not header_seen:
-        raise TrialParseError("missing header line")
+        raise DataError("missing header line")
     return rows
 
 
 @contextmanager
 def _data_file(path: str | Path) -> Iterator[TextIO]:
-    """Open a data file; a parse or validation error raised inside starts with its path.
-
-    Bytes that are not UTF-8 are a parse error.
-    """
+    """Open a data file; a DataError raised inside, or bytes that are not UTF-8, name its path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             yield handle
-        except (TrialParseError, TrialValidationError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise TrialParseError(f"{path}: {exc}") from None
+        except (DataError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def mm_cell_to_m(cell: str) -> float:
@@ -182,9 +177,9 @@ def parse_trial(
     """Parse a trial file into a :class:`TrialRecord`.
 
     ``source`` is file content (str), an open text stream, or an iterable
-    of lines. Malformed headers or rows raise :class:`TrialParseError`
-    naming the physical line; structural problems (no samples, unordered
-    time, positive pressure) raise :class:`TrialValidationError`.
+    of lines. Malformed headers or rows, named by their physical line, and
+    structural problems (no samples, unordered time, positive pressure)
+    raise :class:`DataError`.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     rows = read_rows(lines, TRIAL_HEADER, _TRIAL_CELLS)
@@ -197,7 +192,7 @@ def load_trial(
 ) -> TrialRecord:
     """Read a trial file from disk; the scenario defaults to the file stem.
 
-    Its parse and validation errors start with the path, to name a bad file among many.
+    Its DataErrors start with the path, to name a bad file among many.
     """
     path = Path(path)
     with _data_file(path) as handle:
@@ -243,7 +238,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
     File paths are resolved relative to the manifest's directory. An empty
     file or scenario cell, or an angle that is not a finite number, raises
-    TrialParseError naming the manifest and the line.
+    DataError naming the manifest and the line.
     """
     path = Path(path)
     with _data_file(path) as handle:
@@ -263,7 +258,7 @@ def read_bending_samples(source: str | Path | TextIO) -> list[tuple[float, float
     """Read a bending-test CSV (header ``deflection_mm,force_N``) into SI pairs.
 
     Accepts a path, whose errors then start with it, or an open text stream;
-    ``#`` lines are comments, and a non-finite cell raises TrialParseError.
+    ``#`` lines are comments, and a non-finite cell raises DataError.
     """
     if isinstance(source, (str, Path)):
         with _data_file(source) as handle:

@@ -14,8 +14,8 @@ import stalkmech.elastica
 from reference import linearized_alpha
 from stalkmech import (
     BeamGeometry,
+    SolverError,
     StiffnessCalibration,
-    UnreachableAngleError,
     generate_alpha_table,
     integrate_elastica_ivp,
     predict_force_curve,
@@ -431,7 +431,7 @@ class TestSolveAlphaForAngle:
     def test_tip_off_target_is_an_unreachable_angle(self, half_ratio_geometry, monkeypatch):
         monkeypatch.setattr(stalkmech.alpha, "ANGLE_TOLERANCE", -1.0)
         gamma = math.radians(45.0)
-        with pytest.raises(UnreachableAngleError) as excinfo:
+        with pytest.raises(SolverError) as excinfo:
             solve_alpha_for_angle(gamma, half_ratio_geometry)
         # The achieved tip, stated in the message, is on target to 8 decimals.
         assert str(excinfo.value) == (
@@ -449,7 +449,7 @@ class TestSolveAlphaForAngle:
             return 2.0 * root, evals
 
         monkeypatch.setattr(stalkmech.alpha, "_newton", doubled)
-        with pytest.raises(UnreachableAngleError, match="off target"):
+        with pytest.raises(SolverError, match="off target"):
             solve_alpha_for_angle(gamma, half_ratio_geometry)
 
     @pytest.mark.parametrize("gamma", [-0.01, math.pi / 2, 2.0])

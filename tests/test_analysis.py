@@ -6,9 +6,8 @@ import pytest
 
 from stalkmech import (
     AdaptationPrediction,
-    CoverageError,
+    DataError,
     TrialRecord,
-    TrialValidationError,
     compare_theory,
     load_manifest_trials,
     summarize_scenario,
@@ -108,17 +107,19 @@ class TestSummarize:
             displacement=np.array([0.0]),
             pressure=np.array([-60.0]),
         )
-        with pytest.raises(TrialValidationError):
+        with pytest.raises(
+            DataError, match="^trial in scenario 'bare' is missing surface-angle metadata$"
+        ):
             summarize_scenario([bare])
 
     def test_mixed_scenarios_rejected(self):
-        with pytest.raises(TrialValidationError):
+        with pytest.raises(DataError, match="^mixed scenarios in one summary: 'a' and 'b'$"):
             summarize_scenario(
                 [attached_trial("a", 15.0, 0.3), attached_trial("b", 15.0, 0.3)]
             )
 
     def test_empty_input_rejected(self):
-        with pytest.raises(TrialValidationError):
+        with pytest.raises(DataError, match="^need at least one trial$"):
             summarize_scenario([])
 
 
@@ -151,7 +152,7 @@ class TestCompareTheory:
             [attached_trial("s", 30.0, 0.5), attached_trial("s", 45.0, 0.6)]
         )
         predictions = [AdaptationPrediction(math.radians(30.0), 0.77, 1.0)]
-        with pytest.raises(CoverageError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             compare_theory(summary, predictions)
         assert str(excinfo.value) == "predictions do not cover measured angles: 45 deg"
 
@@ -160,5 +161,5 @@ class TestCompareTheory:
         predictions = [
             AdaptationPrediction(math.radians(30.0), None, None, "load search failed")
         ]
-        with pytest.raises(CoverageError):
+        with pytest.raises(DataError, match="^predictions do not cover measured angles: 30 deg$"):
             compare_theory(summary, predictions)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 import stalkmech.elastica
 from stalkmech import (
     BeamGeometry,
-    IntegrationDivergedError,
-    NoSolutionError,
     NormalizedLoad,
+    SolverError,
     centerline,
     integrate_elastica_ivp,
     solve_shape_oracle,
@@ -43,7 +42,7 @@ class TestIntegrateIvp:
         assert sup <= 1e-8
 
     def test_divergence_guard(self):
-        with pytest.raises(IntegrationDivergedError):
+        with pytest.raises(SolverError, match=r"^integration diverged at alpha=500\.0, "):
             integrate_elastica_ivp(NormalizedLoad(500.0), 120.0, 64)
 
     def test_small_grid_rejected(self):
@@ -127,8 +126,9 @@ class TestShooting:
             for alpha in (0.1, 0.445, 1.03, 1.467, 2.4, 3.0, 4.0, 6.0):
                 try:
                     solve_shape_shooting(NormalizedLoad(alpha), geometry)
-                except NoSolutionError:
+                except SolverError as exc:
                     assert (ratio, alpha) == (3.0, 6.0)
+                    assert str(exc).startswith("no shape within |theta| < 4 pi")
         assert len(slopes) <= 487
 
     # Shooting's upper bracket end, c = alpha (1 + R/L), needs no search: each RK4
@@ -145,7 +145,8 @@ class TestShooting:
         load, geometry = NormalizedLoad(alpha), BeamGeometry.from_ratio(ratio)
         try:
             _, tip_slope = _rk4_tip(alpha, alpha * (geometry.radius_ratio + 1.0), grid_points - 1)
-        except IntegrationDivergedError:
+        except SolverError as exc:
+            assert str(exc).startswith("integration diverged at alpha=")
             return
         assert tip_slope - load.tip_moment(geometry) >= 0.0
 
@@ -160,7 +161,7 @@ class TestShooting:
 
     def test_coiled_stalk_names_the_coil_limit(self, slopes):
         # At alpha 8, R/L 2 the tip would sit near 937 degrees, past MAX_ANGLE.
-        with pytest.raises(NoSolutionError) as excinfo:
+        with pytest.raises(SolverError) as excinfo:
             solve_shape_shooting(NormalizedLoad(8.0), BeamGeometry.from_ratio(2.0))
         message = str(excinfo.value)
         assert message.startswith("no shape within |theta| < 4 pi at alpha=8.0:")

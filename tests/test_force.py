@@ -6,9 +6,8 @@ import pytest
 
 from stalkmech import (
     BeamGeometry,
-    CalibrationError,
+    DataError,
     StiffnessCalibration,
-    TrialParseError,
     alpha_to_force,
     calibrate_ei,
     predict_force_curve,
@@ -96,7 +95,7 @@ class TestCalibration:
     @pytest.mark.filterwarnings("ignore:max deflection")
     def test_an_ei_out_of_float_range_names_the_length(self, length_m, slope):
         samples = [(mm * 1e-3, slope * mm * 1e-3) for mm in range(1, 6)]
-        with pytest.raises(CalibrationError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             calibrate_ei(samples, BeamGeometry(length_m, 0.0))
         assert str(excinfo.value) == (
             f"EI = k L^3 / 3 is out of float range at stalk length {length_m:g} m, "
@@ -147,19 +146,19 @@ class TestCalibration:
         assert not [w for w in recwarn.list if issubclass(w.category, UserWarning)]
 
     def test_zero_force_samples_are_a_calibration_error(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(DataError, match="^non-positive stiffness slope 0$"):
             calibrate_ei([(0.005, 0.0), (0.003, 0.0)], GEOM_20MM)
 
     def test_too_few_samples(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(DataError, match="^need at least two bending samples$"):
             calibrate_ei([(0.005, 1.0)], GEOM_20MM)
 
     def test_all_zero_deflections(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(DataError, match="^need at least two distinct positive deflections$"):
             calibrate_ei([(0.0, 0.5), (0.0, 1.0)], GEOM_20MM)
 
     def test_repeated_single_deflection_rejected(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(DataError, match="^need at least two distinct positive deflections$"):
             calibrate_ei([(0.004, 0.8), (0.004, 0.81)], GEOM_20MM)
 
     @pytest.mark.parametrize(
@@ -169,7 +168,7 @@ class TestCalibration:
         ids=["empty", "1-tuples", "3-tuples", "bare-numbers", "ragged", "non-numeric"],
     )
     def test_samples_that_are_not_pairs(self, samples):
-        with pytest.raises(CalibrationError, match=r"^samples must be \(deflection, force\) pairs$"):
+        with pytest.raises(DataError, match=r"^samples must be \(deflection, force\) pairs$"):
             calibrate_ei(samples, GEOM_20MM)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -177,12 +176,12 @@ class TestCalibration:
     def test_non_finite_samples_rejected(self, bad, column, recwarn):
         samples = [[0.001, 0.2], [0.002, 0.4], [0.003, 0.6]]
         samples[1][column] = bad
-        with pytest.raises(CalibrationError, match="must be finite"):
+        with pytest.raises(DataError, match="must be finite"):
             calibrate_ei(samples, GEOM_20MM)
         assert not recwarn.list
 
     def test_negative_deflection_rejected(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(DataError, match="^deflections must be non-negative$"):
             calibrate_ei([(-0.001, 0.1), (0.004, 0.8)], GEOM_20MM)
 
 
@@ -220,18 +219,21 @@ class TestBendingFile:
         assert samples[-1] == (0.005, 1.02)
 
     def test_header_mismatch(self):
-        with pytest.raises(TrialParseError):
+        with pytest.raises(DataError) as excinfo:
             read_bending_samples(io.StringIO("deflection,force\n1,0.2\n"))
+        assert str(excinfo.value) == (
+            "line 1: expected header 'deflection_mm,force_N', got 'deflection,force'"
+        )
 
     @pytest.mark.parametrize("row", ["inf,0.2", "1,nan", "1e400,0.2", "1e99999999999999999999,0.2"])
     def test_non_finite_cell_names_the_line(self, row):
         stream = io.StringIO(f"deflection_mm,force_N\n1,0.2\n{row}\n")
-        with pytest.raises(TrialParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             read_bending_samples(stream)
         assert str(excinfo.value) == "line 3: non-finite value"
 
     def test_bad_cell_names_the_line(self):
         stream = io.StringIO("deflection_mm,force_N\n1,0.2\n2,oops\n")
-        with pytest.raises(TrialParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             read_bending_samples(stream)
         assert str(excinfo.value) == "line 3: could not convert string to float: 'oops'"

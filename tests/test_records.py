@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 import stalkmech.errors
 from stalkmech import (
     BeamGeometry,
+    DataError,
     ElasticaSolution,
     NormalizedLoad,
     StiffnessCalibration,
     TrialRecord,
-    TrialValidationError,
 )
 
 RECORDS = {
@@ -59,12 +59,18 @@ BAD_VALUES = [
     ("calibration", "stalk_length", math.inf, ValueError),
     ("calibration", "stalk_length", 1e-120, ValueError),  # its cube underflows to 0
     ("calibration", "stalk_length", 1e120, ValueError),  # its cube overflows to inf
-    ("trial", "time", (0.0, 1.0, 0.5), TrialValidationError),
-    ("trial", "pressure", (-8.0, 0.5, -55.0), TrialValidationError),
-    ("trial", "force", "abc", TrialValidationError),
-    ("trial", "surface_angle", math.nan, TrialValidationError),
+    ("trial", "time", (0.0, 1.0, 0.5), DataError),
+    ("trial", "pressure", (-8.0, 0.5, -55.0), DataError),
+    ("trial", "force", "abc", DataError),
+    ("trial", "surface_angle", math.nan, DataError),
     ("solution", "theta", [0.1, 0.2, 0.3], ValueError),
     ("solution", "theta", [0.0], ValueError),  # one node has no grid step
+    # Ints that a float cannot hold, or whose cube it cannot.
+    ("geometry", "stalk_length", 10**200, ValueError),
+    ("geometry", "stalk_length", 10**400, ValueError),
+    ("geometry", "pad_radius", 10**400, ValueError),
+    ("load", "alpha", 10**400, ValueError),
+    ("calibration", "stalk_length", 10**200, ValueError),
 ]
 
 
@@ -110,6 +116,38 @@ def test_geometry_and_calibration_accept_the_same_lengths(length):
         assert refusal == f"stalk_length cubed must be positive and finite, got {length}"
 
 
+def test_scalar_fields_are_stored_as_floats():
+    records = [BeamGeometry(1, 0), NormalizedLoad(True), StiffnessCalibration(1, 1, "x", 1)]
+    assert [type(v) for r in records for v in r] == [float, float, float, float, float, str, float]
+
+
+# A number beyond the float range is refused as the infinity of its sign.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: BeamGeometry(10**400, 0.0),
+            "stalk_length cubed must be positive and finite, got inf",
+        ),
+        (lambda: BeamGeometry(0.02, -(10**400)), "pad_radius must be finite and >= 0, got -inf"),
+        (lambda: NormalizedLoad(10**400), "alpha must be finite and >= 0, got inf"),
+        (
+            lambda: StiffnessCalibration(10**400, 0.99, "", 0.02),
+            "flexural_rigidity must be positive and finite, got inf",
+        ),
+        (
+            lambda: StiffnessCalibration(1.0, -(10**400), "", 0.02),
+            "fit_quality must be within [0, 1]",
+        ),
+    ],
+    ids=["stalk_length", "pad_radius", "alpha", "flexural_rigidity", "fit_quality"],
+)
+def test_a_number_beyond_the_float_range_names_its_field(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_fields_cannot_be_assigned(name):
     record = RECORDS[name]
@@ -141,5 +179,5 @@ def test_solution_keeps_a_read_only_copy_of_the_callers_array():
 
 def test_errors_carry_only_their_message():
     classes = [c for _, c in inspect.getmembers(stalkmech.errors, inspect.isclass)]
-    assert len(classes) == 10
+    assert [c.__name__ for c in classes] == ["DataError", "SolverError", "StalkmechError"]
     assert [c.__name__ for c in classes if "__init__" in vars(c)] == []

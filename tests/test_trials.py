@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from reference import mm_cell_to_m as decimal_mm_cell_to_m
 from reference import serialize_trial
 from stalkmech import (
-    TrialParseError,
+    DataError,
     TrialRecord,
-    TrialValidationError,
     adaptation_force,
     detect_attachment,
     load_trial,
@@ -41,32 +40,33 @@ class TestParse:
         assert rec.pressure[2] == -55.0
 
     def test_header_only_is_a_validation_error(self):
-        with pytest.raises(TrialValidationError):
+        with pytest.raises(DataError, match="^a trial needs at least one sample$"):
             parse_trial("time_s,force_N,displacement_mm,pressure_kPa\n", "demo")
 
     def test_non_numeric_force_names_line_two(self):
         content = "time_s,force_N,displacement_mm,pressure_kPa\n0,oops,0,-8\n"
-        with pytest.raises(TrialParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             parse_trial(content, "demo")
         assert str(excinfo.value) == "line 2: could not convert string to float: 'oops'"
 
     def test_wrong_header(self):
-        with pytest.raises(TrialParseError):
+        with pytest.raises(DataError) as excinfo:
             parse_trial("t,F,d,P\n0,0,0,-8\n", "demo")
+        assert str(excinfo.value) == f"line 1: expected header {TRIAL_HEADER!r}, got 't,F,d,P'"
 
     def test_wrong_field_count(self):
         content = "time_s,force_N,displacement_mm,pressure_kPa\n0,0,0\n"
-        with pytest.raises(TrialParseError):
+        with pytest.raises(DataError, match="^line 2: expected 4 fields, got 3$"):
             parse_trial(content, "demo")
 
     def test_non_monotone_time(self):
         content = "time_s,force_N,displacement_mm,pressure_kPa\n0,0,0,-8\n0,0.1,0.5,-8\n"
-        with pytest.raises(TrialValidationError):
+        with pytest.raises(DataError, match="^time must be strictly increasing$"):
             parse_trial(content, "demo")
 
     def test_positive_pressure_flags_the_trial_invalid(self):
         content = "time_s,force_N,displacement_mm,pressure_kPa\n0,0,0,5\n"
-        with pytest.raises(TrialValidationError):
+        with pytest.raises(DataError, match=r"^positive pressure sample: trials use relative"):
             parse_trial(content, "demo")
 
     def test_two_loads_of_one_file_are_equal_and_hash_equal(self, fixtures_dir):
@@ -112,7 +112,7 @@ class TestChannelValidation:
         ],
     )
     def test_malformed_channel_is_a_validation_error(self, channel, values, message):
-        with pytest.raises(TrialValidationError, match=message):
+        with pytest.raises(DataError, match=message):
             TrialRecord("bad", None, **{**GOOD_CHANNELS, channel: values})
 
     @pytest.mark.parametrize("kind", [list, tuple, np.asarray])
@@ -239,25 +239,22 @@ class TestMillimeterCells:
             mm_cell_to_m(cell)
 
     @pytest.mark.parametrize(
-        "cell, error, message",
+        "cell, message",
         [
-            ("inf", TrialValidationError, "channel displacement contains non-finite values"),
-            ("nan", TrialValidationError, "channel displacement contains non-finite values"),
-            ("1e1000005", TrialValidationError, "channel displacement contains non-finite values"),
-            ("12mm", TrialParseError, "line 2: not a number: '12mm'"),
+            ("inf", "channel displacement contains non-finite values"),
+            ("nan", "channel displacement contains non-finite values"),
+            ("1e1000005", "channel displacement contains non-finite values"),
+            ("12mm", "line 2: not a number: '12mm'"),
             # Decimal accepted these three; float() refuses them.
-            ("NaN123", TrialParseError, "line 2: not a number: 'NaN123'"),
-            ("1__0", TrialParseError, "line 2: not a number: '1__0'"),
-            ("inf_", TrialParseError, "line 2: not a number: 'inf_'"),
+            ("NaN123", "line 2: not a number: 'NaN123'"),
+            ("1__0", "line 2: not a number: '1__0'"),
+            ("inf_", "line 2: not a number: 'inf_'"),
             # Past Decimal's exponent range, read as float() reads it: inf.
-            (
-                "1e99999999999999999999", TrialValidationError,
-                "channel displacement contains non-finite values",
-            ),
+            ("1e99999999999999999999", "channel displacement contains non-finite values"),
         ],
     )
-    def test_a_cell_that_is_no_finite_length_is_named(self, cell, error, message):
-        with pytest.raises(error) as excinfo:
+    def test_a_cell_that_is_no_finite_length_is_named(self, cell, message):
+        with pytest.raises(DataError) as excinfo:
             parse_trial(f"{TRIAL_HEADER}\n0,0,{cell},-8\n", "cells")
         assert str(excinfo.value) == message
 
@@ -363,14 +360,15 @@ class TestManifest:
     def test_bad_angle_cell(self, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("file,scenario,angle_deg\nf.csv,s,steep\n")
-        with pytest.raises(TrialParseError):
+        with pytest.raises(DataError) as excinfo:
             read_manifest(manifest)
+        assert str(excinfo.value) == f"{manifest}: line 2: bad angle 'steep'"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
     def test_non_finite_angle_cell_names_the_line(self, tmp_path, cell):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(f"file,scenario,angle_deg\nf.csv,s,{cell}\n")
-        with pytest.raises(TrialParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             read_manifest(manifest)
         assert str(excinfo.value) == f"{manifest}: line 2: bad angle {cell!r}"
 
@@ -380,7 +378,7 @@ class TestManifest:
     def test_empty_cell_names_the_line(self, tmp_path, row, name):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(f"file,scenario,angle_deg\nb.csv,s,15\n{row}\n")
-        with pytest.raises(TrialParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             read_manifest(manifest)
         assert str(excinfo.value) == f"{manifest}: line 3: empty {name} cell"
 
@@ -406,13 +404,13 @@ class TestHeadedCsvFormats:
         return CSV_FORMATS[fmt][0](path)
 
     def test_missing_header(self, fmt, tmp_path):
-        with pytest.raises(TrialParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             self.read(fmt, tmp_path, ["# comments only", ""])
         assert str(excinfo.value) == f"{tmp_path / f'{fmt}.csv'}: missing header line"
 
     def test_wrong_header(self, fmt, tmp_path):
         _, header, rows = CSV_FORMATS[fmt]
-        with pytest.raises(TrialParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             self.read(fmt, tmp_path, ["# export", header.upper(), *rows])
         message = f"line 2: expected header {header!r}, got {header.upper()!r}"
         assert str(excinfo.value) == f"{tmp_path / f'{fmt}.csv'}: {message}"
@@ -421,7 +419,7 @@ class TestHeadedCsvFormats:
         _, header, rows = CSV_FORMATS[fmt]
         n_fields = header.count(",") + 1
         lines = [header, rows[0], "", rows[1] + ",extra"]
-        with pytest.raises(TrialParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             self.read(fmt, tmp_path, lines)
         message = f"line 4: expected {n_fields} fields, got {n_fields + 1}"
         # A data file read from disk is named before the line.
