@@ -273,8 +273,8 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     tolerance = ANGLE_TOLERANCE * min(1.0, surface_angle) + 16.0 * math.ulp(surface_angle)
     if abs(achieved - surface_angle) > tolerance:
         raise SolverError(
-            f"root search left tip angle {achieved:.8f} rad off target "
-            f"{surface_angle:.8f} rad"
+            f"root search left tip angle {achieved:.8g} rad off target "
+            f"{surface_angle:.8g} rad"
         )
     return AlphaResult(alpha_star, achieved, evals, residual, k)
 

@@ -107,17 +107,13 @@ def summarize_scenario(
 ) -> AdaptationSummary:
     """Aggregate one scenario's trials into an :class:`AdaptationSummary`.
 
-    Every trial must carry surface-angle metadata and the same scenario
-    label. The result is invariant to the order of the input trials.
+    Every trial must carry the same scenario label. The result is
+    invariant to the order of the input trials.
     """
     if not trials:
         raise DataError("need at least one trial")
     scenario = trials[0].scenario
     for trial in trials:
-        if trial.surface_angle is None:
-            raise DataError(
-                f"trial in scenario {trial.scenario!r} is missing surface-angle metadata"
-            )
         if trial.scenario != scenario:
             raise DataError(
                 f"mixed scenarios in one summary: {scenario!r} and {trial.scenario!r}"

@@ -18,7 +18,7 @@ import os
 import sys
 import warnings
 
-from .alpha import AlphaResult, generate_alpha_table, solve_alpha_for_angle
+from .alpha import AlphaTableRow, generate_alpha_table
 from .analysis import compare_theory, summarize_scenario
 from .elastica import centerline, solve_shape_shooting
 from .errors import StalkmechError
@@ -27,12 +27,7 @@ from .geometry import (
     ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS, BeamGeometry,
     NormalizedLoad,
 )
-from .trials import (
-    DEFAULT_ATTACH_THRESHOLD_KPA,
-    load_manifest_trials,
-    load_trial,
-    read_bending_samples,
-)
+from .trials import DEFAULT_ATTACH_THRESHOLD_KPA, load_manifest_trials, read_bending_samples
 
 SCHEMA_VERSION = "1"
 
@@ -228,14 +223,11 @@ def _resolve_calibration(args, geometry: BeamGeometry) -> StiffnessCalibration:
 # --------------------------------------------------------------------------
 # command handlers: each returns its rows as tuples in column order
 
-ALPHA_COLUMNS = (
-    "surface_angle_deg", "alpha", "tip_angle_deg", "outer_iterations", "boundary_residual", "error",
-)
 
-
-def _alpha_row(angle_deg: float, result: AlphaResult | None, error: str | None = None) -> tuple:
-    if error is not None:
-        return angle_deg, None, None, None, None, error
+def _alpha_row(angle_deg: float, row: AlphaTableRow) -> tuple:
+    result = row.result
+    if result is None:
+        return angle_deg, None, None, None, None, row.error
     return (
         angle_deg, result.alpha, math.degrees(result.tip_angle_achieved),
         result.outer_iterations, result.boundary_residual, None,
@@ -246,25 +238,17 @@ def cmd_alpha_table(args) -> OutputDocument:
     angles_deg = parse_angles_spec(args.angles)
     geometry = _resolve_geometry(args, require_length=False)
     table = generate_alpha_table([math.radians(a) for a in angles_deg], geometry)
-    rows = [_alpha_row(deg, row.result, row.error) for deg, row in zip(angles_deg, table)]
+    columns = (
+        "surface_angle_deg", "alpha", "tip_angle_deg", "outer_iterations", "boundary_residual",
+        "error",
+    )
+    rows = [_alpha_row(deg, row) for deg, row in zip(angles_deg, table)]
     parameters = {
         "angles_deg": angles_deg,
         **_geometry_parameters(geometry),
         **LOAD_SEARCH_PARAMETERS,
     }
-    return OutputDocument(args.command, parameters, ALPHA_COLUMNS, rows)
-
-
-def cmd_solve(args) -> OutputDocument:
-    geometry = _resolve_geometry(args, require_length=False)
-    result = solve_alpha_for_angle(math.radians(args.gamma_deg), geometry)
-    rows = [_alpha_row(args.gamma_deg, result)]
-    parameters = {
-        "gamma_deg": args.gamma_deg,
-        **_geometry_parameters(geometry),
-        **LOAD_SEARCH_PARAMETERS,
-    }
-    return OutputDocument(args.command, parameters, ALPHA_COLUMNS, rows)
+    return OutputDocument(args.command, parameters, columns, rows)
 
 
 def cmd_shape(args) -> OutputDocument:
@@ -320,23 +304,6 @@ def cmd_predict_force(args) -> OutputDocument:
     return OutputDocument(args.command, parameters, columns, rows)
 
 
-def _load_analysis_trials(args) -> list:
-    if args.manifest is not None:
-        if args.input:
-            raise ValueError("give either --manifest or --input files, not both")
-        if args.scenario is not None or args.angle_deg is not None:
-            raise ValueError("--scenario and --angle-deg are for --input files, not --manifest")
-        return load_manifest_trials(args.manifest)
-    if not args.input:
-        raise ValueError("give --manifest or at least one --input")
-    if args.scenario is None or args.angle_deg is None:
-        raise ValueError("--input needs --scenario and --angle-deg")
-    if not math.isfinite(args.angle_deg):  # else the trial file would be blamed for it
-        raise ValueError(f"--angle-deg must be finite, got {args.angle_deg}")
-    angle = math.radians(args.angle_deg)
-    return [load_trial(path, args.scenario, angle) for path in args.input]
-
-
 def _group_by_scenario(trials) -> dict[str, list]:
     groups: dict[str, list] = {}
     for trial in trials:
@@ -345,8 +312,7 @@ def _group_by_scenario(trials) -> dict[str, list]:
 
 
 def cmd_analyze(args) -> OutputDocument:
-    trials = _load_analysis_trials(args)
-    groups = _group_by_scenario(trials)
+    groups = _group_by_scenario(load_manifest_trials(args.manifest))
     summaries = [
         summarize_scenario(groups[name], args.threshold_kpa) for name in sorted(groups)
     ]
@@ -375,12 +341,11 @@ def cmd_analyze(args) -> OutputDocument:
             )
             for summary in summaries
         ]
-    if args.manifest is not None:
-        parameters = {"manifest": args.manifest}
-    else:
-        parameters = {"inputs": args.input, "scenario": args.scenario, "angle_deg": args.angle_deg}
-    parameters["threshold_kpa"] = args.threshold_kpa
-    parameters["per_angle"] = bool(args.per_angle)
+    parameters = {
+        "manifest": args.manifest,
+        "threshold_kpa": args.threshold_kpa,
+        "per_angle": args.per_angle,
+    }
     return OutputDocument(args.command, parameters, columns, rows)
 
 
@@ -436,7 +401,7 @@ def cmd_compare(args) -> OutputDocument:
 
 ANGLES_FLAG = ("--angles", dict(required=True, help="degrees, start:stop:step or a,b,c"))
 BENDING_CSV = "bending CSV (deflection_mm,force_N)"
-MANIFEST_CSV = "manifest CSV (file,scenario,angle_deg)"
+MANIFEST_FLAG = ("--manifest", dict(required=True, help="manifest CSV (file,scenario,angle_deg)"))
 LABEL_FLAG = ("--label", dict(help="label for the stiffness source"))
 GEOMETRY_FLAGS = (
     ("--radius-ratio", dict(type=float, help="pad radius over stalk length R/L (default 0.5)")),
@@ -460,10 +425,6 @@ COMMANDS = (
     ("alpha-table", "normalized load for a range of surface angles", (
         ANGLES_FLAG, *GEOMETRY_FLAGS,
     )),
-    ("solve", "normalized load for one surface angle", (
-        ("--gamma-deg", dict(type=float, required=True, help="surface angle in degrees")),
-        *GEOMETRY_FLAGS,
-    )),
     ("shape", "deformed centerline for a given load", (
         ("--alpha", dict(type=float, required=True, help="normalized load")),
         *GEOMETRY_FLAGS,
@@ -478,15 +439,12 @@ COMMANDS = (
         ANGLES_FLAG, *GEOMETRY_FLAGS, *CALIBRATION_FLAGS,
     )),
     ("analyze", "summarize adaptation trials per scenario", (
-        ("--manifest", dict(help=MANIFEST_CSV)),
-        ("--input", dict(action="append", help="trial file (repeatable)")),
-        ("--scenario", dict(help="scenario label for --input files")),
-        ("--angle-deg", dict(type=float, help="surface angle for --input files")),
+        MANIFEST_FLAG,
         THRESHOLD_FLAG,
         ("--per-angle", dict(action="store_true", help="emit per-angle rows")),
     )),
     ("compare", "theory vs measured adaptation force", (
-        ("--manifest", dict(required=True, help=MANIFEST_CSV)),
+        MANIFEST_FLAG,
         ("--scenario", dict(help="scenario to compare")),
         THRESHOLD_FLAG, *GEOMETRY_FLAGS, *CALIBRATION_FLAGS,
     )),

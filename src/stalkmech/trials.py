@@ -36,7 +36,7 @@ def _channel(name: str, values) -> tuple[float, ...]:
 
 
 class TrialRecord(NamedTuple("TrialRecord", [
-    ("scenario", str), ("surface_angle", "float | None"), ("time", "tuple[float, ...]"),
+    ("scenario", str), ("surface_angle", float), ("time", "tuple[float, ...]"),
     ("force", "tuple[float, ...]"), ("displacement", "tuple[float, ...]"),
     ("pressure", "tuple[float, ...]"),
 ])):
@@ -44,13 +44,19 @@ class TrialRecord(NamedTuple("TrialRecord", [
 
     Channels are parallel tuples of floats ordered by time; any flat
     sequence of numbers is accepted and stored as a tuple. ``surface_angle``
-    is in radians and optional (bending trials have none).
+    is the finite angle in radians at which the trial ran, stored as a float.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # via __new__: _replace validates too
 
     def __new__(cls, scenario, surface_angle, time, force, displacement, pressure):
+        try:
+            surface_angle = float(surface_angle)
+        except (TypeError, ValueError, OverflowError):  # None, text, or an int such as 10**400
+            surface_angle = math.nan
+        if not math.isfinite(surface_angle):
+            raise DataError("surface_angle must be a finite number")
         self = super().__new__(
             cls, scenario, surface_angle, _channel("time", time), _channel("force", force),
             _channel("displacement", displacement), _channel("pressure", pressure),
@@ -69,8 +75,6 @@ class TrialRecord(NamedTuple("TrialRecord", [
             raise DataError(
                 "positive pressure sample: trials use relative vacuum (<= 0 kPa)"
             )
-        if self.surface_angle is not None and not math.isfinite(self.surface_angle):
-            raise DataError("surface_angle must be finite")
         return self
 
     @property
@@ -170,11 +174,9 @@ _BENDING_CELLS = (lambda cell: _finite(mm_cell_to_m(cell)), lambda cell: _finite
 
 
 def parse_trial(
-    source: str | TextIO | Iterable[str],
-    scenario: str,
-    surface_angle: float | None = None,
+    source: str | TextIO | Iterable[str], scenario: str, surface_angle: float
 ) -> TrialRecord:
-    """Parse a trial file into a :class:`TrialRecord`.
+    """Parse a trial file, run at ``surface_angle`` radians, into a :class:`TrialRecord`.
 
     ``source`` is file content (str), an open text stream, or an iterable
     of lines. Malformed headers or rows, named by their physical line, and
@@ -187,16 +189,10 @@ def parse_trial(
     return TrialRecord(scenario, surface_angle, *channels)
 
 
-def load_trial(
-    path: str | Path, scenario: str | None = None, surface_angle: float | None = None
-) -> TrialRecord:
-    """Read a trial file from disk; the scenario defaults to the file stem.
-
-    Its DataErrors start with the path, to name a bad file among many.
-    """
-    path = Path(path)
+def load_trial(path: str | Path, scenario: str, surface_angle: float) -> TrialRecord:
+    """Read a trial file from disk; its DataErrors start with the path, to name a bad file."""
     with _data_file(path) as handle:
-        return parse_trial(handle, scenario or path.stem, surface_angle)
+        return parse_trial(handle, scenario, surface_angle)
 
 
 def detect_attachment(

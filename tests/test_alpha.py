@@ -101,6 +101,15 @@ class TestCarlsonRD:
     def test_published_values(self, args, expected):
         assert _carlson(*args)[1] == pytest.approx(expected, rel=1e-14)
 
+    # R_D(x, y, z) + R_D(y, z, x) + R_D(z, x, y) = 3 / sqrt(xyz) (DLMF §19.21),
+    # over arguments drawn log-uniform in [1e-3, 1e3].
+    @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3))
+    @settings(max_examples=500, deadline=None)
+    def test_cyclic_sum(self, exponents):
+        x, y, z = (10.0**e for e in exponents)
+        total = _carlson(x, y, z)[1] + _carlson(y, z, x)[1] + _carlson(z, x, y)[1]
+        assert total == pytest.approx(3.0 / math.sqrt(x * y * z), rel=16 * EPS, abs=0.0)
+
 
 def excess_at(root, gamma, ratio):
     return _excess(root, math.sin(0.5 * gamma), math.cos(0.5 * gamma) ** 2, ratio)
@@ -451,6 +460,22 @@ class TestSolveAlphaForAngle:
         monkeypatch.setattr(stalkmech.alpha, "_newton", doubled)
         with pytest.raises(SolverError, match="off target"):
             solve_alpha_for_angle(gamma, half_ratio_geometry)
+
+    # At a subnormal angle the excess is rounding noise: Newton's second step
+    # leaves the bracket and is replaced by its midpoint, and the bracket is
+    # then 4 eps wide, which ends the search.
+    def test_newton_bisects_and_stops_on_a_narrow_bracket(self, monkeypatch):
+        roots = []
+        excess = stalkmech.alpha._excess
+
+        def recorded(root, *args):
+            roots.append(root)
+            return excess(root, *args)
+
+        monkeypatch.setattr(stalkmech.alpha, "_excess", recorded)
+        result = solve_alpha_for_angle(1e-323, BeamGeometry.from_ratio(2.811020096439373e-295))
+        assert (result.alpha, result.outer_iterations) == (3.5152053624025106e-29, 3)
+        assert roots[2] == 0.5 * (roots[0] + roots[1])
 
     @pytest.mark.parametrize("gamma", [-0.01, math.pi / 2, 2.0])
     def test_angle_domain(self, half_ratio_geometry, gamma):

@@ -98,20 +98,6 @@ class TestSummarize:
             rng.shuffle(shuffled)
             assert summarize_scenario(shuffled) == baseline
 
-    def test_missing_angle_metadata(self):
-        bare = TrialRecord(
-            scenario="bare",
-            surface_angle=None,
-            time=np.array([0.0]),
-            force=np.array([0.0]),
-            displacement=np.array([0.0]),
-            pressure=np.array([-60.0]),
-        )
-        with pytest.raises(
-            DataError, match="^trial in scenario 'bare' is missing surface-angle metadata$"
-        ):
-            summarize_scenario([bare])
-
     def test_mixed_scenarios_rejected(self):
         with pytest.raises(DataError, match="^mixed scenarios in one summary: 'a' and 'b'$"):
             summarize_scenario(

@@ -115,31 +115,11 @@ class TestAlphaTableCommand:
         assert rows[2]["alpha"] == ""
         assert "surface angle" in rows[2]["error"]
 
-
-class TestSolveCommand:
-    def test_json_document(self):
-        status, out = run(
-            ["solve", "--gamma-deg", "45", "--radius-ratio", "0.5", "--format", "json"]
-        )
-        assert status == 0
-        doc = json.loads(out)
-        assert doc["schema_version"] == "1"
-        assert doc["command"] == "solve"
-        assert doc["parameters"]["gamma_deg"] == 45.0
-        (row,) = doc["rows"]
-        assert row["alpha"] == pytest.approx(1.03, rel=0.03)
-        assert doc["warnings"] == []
-
-    def test_domain_error_exits_one(self, capsys):
-        status, _ = run(["solve", "--gamma-deg", "95", "--radius-ratio", "0.5"])
-        assert status == 1
-        assert "surface angle" in capsys.readouterr().err
-
     def test_conflicting_geometry_flags(self):
         status, _ = run(
             [
-                "solve",
-                "--gamma-deg",
+                "alpha-table",
+                "--angles",
                 "30",
                 "--radius-ratio",
                 "0.5",
@@ -150,6 +130,14 @@ class TestSolveCommand:
             ]
         )
         assert status == 1
+
+    # A load below the float range underflows alpha to 0; the cell prints both angles.
+    def test_underflowing_load_prints_both_angles(self):
+        status, out = run(["alpha-table", "--angles", "1e-100", "--radius-ratio", "1e250"])
+        assert status == 0
+        (row,) = csv_rows(out)
+        assert row["alpha"] == ""
+        assert row["error"] == "root search left tip angle 0 rad off target 1.7453293e-102 rad"
 
 
 class TestShapeCommand:
@@ -377,47 +365,6 @@ class TestAnalyzeCommand:
         assert by_angle[85.0]["attached"] is True
         assert by_angle[85.0]["rep_forces_N"] == [0.33, 0.33]
 
-    def test_single_file_inputs(self, fixtures_dir):
-        trial = fixtures_dir / "trials" / "granular_20mm" / "angle30_rep1.csv"
-        status, out = run(
-            [
-                "analyze",
-                "--input",
-                str(trial),
-                "--scenario",
-                "20mm Granular",
-                "--angle-deg",
-                "30",
-            ]
-        )
-        assert status == 0
-        (row,) = csv_rows(out)
-        assert row["force_at_ultimate_N"] == "0.48"
-
-    # A manifest lists each trial's scenario and angle, so the flags that
-    # give them to --input files would be ignored beside it.
-    @pytest.mark.parametrize(
-        "flags", [["--scenario", "20mm Granular"], ["--angle-deg", "45"]], ids=["scenario", "angle"]
-    )
-    def test_manifest_refuses_the_input_metadata_flags(self, fixtures_dir, capsys, flags):
-        manifest = str(fixtures_dir / "trials" / "manifest.csv")
-        assert run(["analyze", "--manifest", manifest, *flags]) == (1, "")
-        message = "--scenario and --angle-deg are for --input files, not --manifest"
-        assert capsys.readouterr().err == f"stalkmech: error: {message}\n"
-
-    def test_input_requires_metadata(self, fixtures_dir):
-        trial = fixtures_dir / "trials" / "granular_20mm" / "angle30_rep1.csv"
-        status, _ = run(["analyze", "--input", str(trial)])
-        assert status == 1
-
-    @pytest.mark.parametrize("angle", ["nan", "inf"])
-    def test_non_finite_angle_names_the_flag(self, fixtures_dir, capsys, angle):
-        trial = fixtures_dir / "trials" / "granular_20mm" / "angle30_rep1.csv"
-        argv = ["analyze", "--input", str(trial), "--scenario", "s", "--angle-deg", angle]
-        assert run(argv) == (1, "")
-        message = f"--angle-deg must be finite, got {angle}"
-        assert capsys.readouterr().err == f"stalkmech: error: {message}\n"
-
     def test_positive_threshold_rejected(self, fixtures_dir):
         status, _ = run(
             [
@@ -557,7 +504,7 @@ def test_bad_trial_in_a_manifest_is_named(tmp_path, capsys, command, bad_file, b
 # The geometry and load-search echoes that several commands share.
 GEOMETRY_KEYS = {"stalk_length_mm", "pad_radius_mm", "radius_ratio"}
 LOAD_SEARCH_KEYS = {"boundary_tolerance", "max_iterations", "angle_tolerance"}
-LOAD_COMMANDS = ["alpha-table", "solve", "predict-force", "compare"]
+LOAD_COMMANDS = ["alpha-table", "predict-force", "compare"]
 
 
 class TestParameterEcho:
@@ -565,7 +512,6 @@ class TestParameterEcho:
 
     ECHOED = {
         "alpha-table": {"angles_deg", *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS},
-        "solve": {"gamma_deg", *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS},
         "shape": {
             "alpha", "tip_angle_deg", *GEOMETRY_KEYS,
             "grid_points", "boundary_tolerance",
@@ -576,25 +522,16 @@ class TestParameterEcho:
             *LOAD_SEARCH_KEYS,
         },
         "analyze": {"manifest", "threshold_kpa", "per_angle"},
-        "analyze-input": {"inputs", "scenario", "angle_deg", "threshold_kpa", "per_angle"},
         "compare": {
             "manifest", "scenario", "threshold_kpa", "source_label", "flexural_rigidity_Nm2",
             *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS,
         },
     }
 
-    ARGV = {
-        **CASES,
-        "analyze-input": [
-            "analyze", "--input", "fixtures/trials/granular_20mm/angle30_rep1.csv",
-            "--scenario", "20mm Granular", "--angle-deg", "30",
-        ],
-    }
-
     @pytest.mark.parametrize("command", sorted(ECHOED))
     def test_echoes_exactly_the_parameters_it_reads(self, monkeypatch, command):
         monkeypatch.chdir(REPO)
-        status, out = run(self.ARGV[command])
+        status, out = run(CASES[command])
         assert status == 0
         keys = {
             line.removeprefix("# parameter ").partition("=")[0]
@@ -670,11 +607,6 @@ class TestExitCodes:
                 "flexural_rigidity must be positive and finite, got 0.0",
             ),
             (
-                ["analyze", "--manifest", MANIFEST, "--input", "a.csv"],
-                "give either --manifest or --input files, not both",
-            ),
-            (["analyze"], "give --manifest or at least one --input"),
-            (
                 ["compare", "--manifest", MANIFEST, "--length-mm", "20", "--ei-nm2", "1e-4"],
                 "manifest has several scenarios (10mm Granular, 20mm Granular, 5mm Granular, "
                 "Dragonskin 10, Ecoflex 00-10, Ecoflex 00-10 suction pad); "
@@ -721,7 +653,7 @@ class TestExitCodes:
         ],
         ids=[
             "zero-step", "no-length", "negative-pad", "pad-without-length", "negative-ratio",
-            "zero-ei", "manifest-and-input", "no-trials", "several-scenarios",
+            "zero-ei", "several-scenarios",
             "huge-length", "tiny-length", "huge-calibration-length", "tiny-calibration-length",
             "alpha-table-huge-length", "compare-huge-length",
             "overflowing-calibration-ei", "direct-ei-length-cubed",
@@ -757,13 +689,29 @@ class TestExitCodes:
         assert status == 2
 
     def test_unknown_flag_is_a_usage_error(self, capsys):
-        status, _ = run(["solve", "--gamma-deg", "45", "--wat"])
+        status, _ = run(["alpha-table", "--angles", "45", "--wat"])
         capsys.readouterr()
         assert status == 2
 
     def test_negative_length_rejected(self):
-        status, _ = run(["solve", "--gamma-deg", "30", "--length-mm", "-5"])
+        status, _ = run(["alpha-table", "--angles", "30", "--length-mm", "-5"])
         assert status == 1
+
+    # A manifest is the one way to give analyze its trials, with their scenario and angle.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze"], "the following arguments are required: --manifest"),
+            (
+                ["analyze", "--manifest", MANIFEST, "--input", "a.csv"],
+                "unrecognized arguments: --input a.csv",
+            ),
+        ],
+        ids=["no-manifest", "input-flag"],
+    )
+    def test_analyze_reads_only_a_manifest(self, capsys, argv, message):
+        assert run(argv) == (2, "")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [CASES["shape"], ["alpha-table", "--angles", "15"]])
     def test_a_reader_gone_early_is_status_one_without_a_traceback(self, argv):
@@ -784,15 +732,15 @@ class TestDispatch:
     def test_the_parser_runs_the_handler_bound_to_the_module(self, monkeypatch):
         # A tracer wraps a command by rebinding its cmd_* attribute.
         calls = []
-        handler = stalkmech.cli.cmd_solve
+        handler = stalkmech.cli.cmd_alpha_table
 
         def counted(args):
             calls.append(args.command)
             return handler(args)
 
-        monkeypatch.setattr(stalkmech.cli, "cmd_solve", counted)
-        status, _ = run(["solve", "--gamma-deg", "45"])
-        assert (status, calls) == (0, ["solve"])
+        monkeypatch.setattr(stalkmech.cli, "cmd_alpha_table", counted)
+        status, _ = run(["alpha-table", "--angles", "45"])
+        assert (status, calls) == (0, ["alpha-table"])
 
 
 class TestNumpyOnlyRuntime:

@@ -40,7 +40,6 @@ CASES = {
     "alpha-table-json": ["alpha-table", "--angles", "0:75:15", "--format", "json"],
     "alpha-table-out-of-domain": ["alpha-table", "--angles", "15,95,30"],
     "alpha-table-zero-radius": ["alpha-table", "--angles", "0:75:15", "--radius-ratio", "0"],
-    "solve": ["solve", "--gamma-deg", "45"],
     "shape": ["shape", "--alpha", "1.03"],
     "shape-rotating": ["shape", "--alpha", "4", "--radius-ratio", "1"],
     "shape-zero-radius": ["shape", "--alpha", "3", "--radius-ratio", "0"],

@@ -63,6 +63,7 @@ BAD_VALUES = [
     ("trial", "pressure", (-8.0, 0.5, -55.0), DataError),
     ("trial", "force", "abc", DataError),
     ("trial", "surface_angle", math.nan, DataError),
+    ("trial", "surface_angle", None, DataError),  # every trial runs at a known angle
     ("solution", "theta", [0.1, 0.2, 0.3], ValueError),
     ("solution", "theta", [0.0], ValueError),  # one node has no grid step
     # Ints that a float cannot hold, or whose cube it cannot.
@@ -71,6 +72,7 @@ BAD_VALUES = [
     ("geometry", "pad_radius", 10**400, ValueError),
     ("load", "alpha", 10**400, ValueError),
     ("calibration", "stalk_length", 10**200, ValueError),
+    ("trial", "surface_angle", 10**400, DataError),
 ]
 
 
@@ -119,6 +121,7 @@ def test_geometry_and_calibration_accept_the_same_lengths(length):
 def test_scalar_fields_are_stored_as_floats():
     records = [BeamGeometry(1, 0), NormalizedLoad(True), StiffnessCalibration(1, 1, "x", 1)]
     assert [type(v) for r in records for v in r] == [float, float, float, float, float, str, float]
+    assert type(TrialRecord("x", 1, (0,), (0,), (0,), (0,)).surface_angle) is float
 
 
 # A number beyond the float range is refused as the infinity of its sign.

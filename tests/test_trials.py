@@ -21,6 +21,9 @@ from stalkmech import (
 )
 from stalkmech.trials import TRIAL_HEADER, mm_cell_to_m
 
+# The surface angle every trial here runs at, unless a test names its own.
+ANGLE = math.radians(30.0)
+
 WELL_FORMED = """\
 time_s,force_N,displacement_mm,pressure_kPa
 # bench export
@@ -41,37 +44,37 @@ class TestParse:
 
     def test_header_only_is_a_validation_error(self):
         with pytest.raises(DataError, match="^a trial needs at least one sample$"):
-            parse_trial("time_s,force_N,displacement_mm,pressure_kPa\n", "demo")
+            parse_trial("time_s,force_N,displacement_mm,pressure_kPa\n", "demo", ANGLE)
 
     def test_non_numeric_force_names_line_two(self):
         content = "time_s,force_N,displacement_mm,pressure_kPa\n0,oops,0,-8\n"
         with pytest.raises(DataError) as excinfo:
-            parse_trial(content, "demo")
+            parse_trial(content, "demo", ANGLE)
         assert str(excinfo.value) == "line 2: could not convert string to float: 'oops'"
 
     def test_wrong_header(self):
         with pytest.raises(DataError) as excinfo:
-            parse_trial("t,F,d,P\n0,0,0,-8\n", "demo")
+            parse_trial("t,F,d,P\n0,0,0,-8\n", "demo", ANGLE)
         assert str(excinfo.value) == f"line 1: expected header {TRIAL_HEADER!r}, got 't,F,d,P'"
 
     def test_wrong_field_count(self):
         content = "time_s,force_N,displacement_mm,pressure_kPa\n0,0,0\n"
         with pytest.raises(DataError, match="^line 2: expected 4 fields, got 3$"):
-            parse_trial(content, "demo")
+            parse_trial(content, "demo", ANGLE)
 
     def test_non_monotone_time(self):
         content = "time_s,force_N,displacement_mm,pressure_kPa\n0,0,0,-8\n0,0.1,0.5,-8\n"
         with pytest.raises(DataError, match="^time must be strictly increasing$"):
-            parse_trial(content, "demo")
+            parse_trial(content, "demo", ANGLE)
 
     def test_positive_pressure_flags_the_trial_invalid(self):
         content = "time_s,force_N,displacement_mm,pressure_kPa\n0,0,0,5\n"
         with pytest.raises(DataError, match=r"^positive pressure sample: trials use relative"):
-            parse_trial(content, "demo")
+            parse_trial(content, "demo", ANGLE)
 
     def test_two_loads_of_one_file_are_equal_and_hash_equal(self, fixtures_dir):
         path = fixtures_dir / "trials" / "granular_20mm" / "angle85_rep1.csv"
-        first, second = load_trial(path), load_trial(path)
+        first, second = load_trial(path, "demo", ANGLE), load_trial(path, "demo", ANGLE)
         assert first == second
         assert hash(first) == hash(second)
         assert len({first, second}) == 1
@@ -81,7 +84,7 @@ class TestParse:
             "# preamble\n\ntime_s,force_N,displacement_mm,pressure_kPa\n"
             "# mid comment\n0,0,0,-8\n\n"
         )
-        assert parse_trial(content, "demo").n_samples == 1
+        assert parse_trial(content, "demo", ANGLE).n_samples == 1
 
 
 GOOD_CHANNELS = {
@@ -113,11 +116,11 @@ class TestChannelValidation:
     )
     def test_malformed_channel_is_a_validation_error(self, channel, values, message):
         with pytest.raises(DataError, match=message):
-            TrialRecord("bad", None, **{**GOOD_CHANNELS, channel: values})
+            TrialRecord("bad", ANGLE, **{**GOOD_CHANNELS, channel: values})
 
     @pytest.mark.parametrize("kind", [list, tuple, np.asarray])
     def test_channels_are_stored_as_tuples_of_floats(self, kind):
-        rec = TrialRecord("ok", None, **{k: kind(v) for k, v in GOOD_CHANNELS.items()})
+        rec = TrialRecord("ok", ANGLE, **{k: kind(v) for k, v in GOOD_CHANNELS.items()})
         assert rec.force == (0.1, 0.2)
         assert all(type(x) is float for x in rec.time + rec.pressure)
 
@@ -125,7 +128,7 @@ class TestChannelValidation:
 class TestRoundTrip:
     def test_fixture_files_round_trip_bit_exactly(self, fixtures_dir):
         for name in ("granular_20mm/angle85_rep1.csv", "granular_5mm/angle45_rep2.csv"):
-            rec = load_trial(fixtures_dir / "trials" / name)
+            rec = load_trial(fixtures_dir / "trials" / name, "round trip", ANGLE)
             again = parse_trial(serialize_trial(rec), rec.scenario, rec.surface_angle)
             for channel in ("time", "force", "displacement", "pressure"):
                 assert np.array_equal(getattr(rec, channel), getattr(again, channel))
@@ -143,14 +146,14 @@ class TestRoundTrip:
         nonpos = st.floats(min_value=-1e6, max_value=0.0, allow_nan=False)
         rec = TrialRecord(
             scenario="prop",
-            surface_angle=None,
+            surface_angle=ANGLE,
             time=np.cumsum(steps),
             force=np.asarray(data.draw(st.lists(finite, min_size=n, max_size=n))),
             displacement=np.asarray(data.draw(st.lists(finite, min_size=n, max_size=n))),
             pressure=np.asarray(data.draw(st.lists(nonpos, min_size=n, max_size=n))),
         )
         text = serialize_trial(rec)
-        again = parse_trial(text, "prop")
+        again = parse_trial(text, "prop", ANGLE)
         for channel in ("time", "force", "displacement", "pressure"):
             assert np.array_equal(getattr(rec, channel), getattr(again, channel))
         # A second cycle is byte-stable.
@@ -255,14 +258,14 @@ class TestMillimeterCells:
     )
     def test_a_cell_that_is_no_finite_length_is_named(self, cell, message):
         with pytest.raises(DataError) as excinfo:
-            parse_trial(f"{TRIAL_HEADER}\n0,0,{cell},-8\n", "cells")
+            parse_trial(f"{TRIAL_HEADER}\n0,0,{cell},-8\n", "cells", ANGLE)
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "cell, meters", [("1e-99999999999999999999", 0.0), ("-1e-99999999999999999999", -0.0)]
     )
     def test_an_exponent_below_decimals_range_is_a_signed_zero(self, cell, meters):
-        record = parse_trial(f"{TRIAL_HEADER}\n0,0,{cell},-8\n", "cells")
+        record = parse_trial(f"{TRIAL_HEADER}\n0,0,{cell},-8\n", "cells", ANGLE)
         assert _bits(record.displacement[0]) == _bits(meters)
 
 
@@ -270,7 +273,7 @@ def make_record(pressures, forces=None, times=None):
     n = len(pressures)
     return TrialRecord(
         scenario="synthetic",
-        surface_angle=None,
+        surface_angle=ANGLE,
         time=np.asarray(times if times is not None else np.arange(n, dtype=float)),
         force=np.asarray(forces if forces is not None else np.zeros(n)),
         displacement=np.zeros(n),
@@ -387,7 +390,7 @@ class TestManifest:
 # sized result, the header, and two valid data rows.
 CSV_FORMATS = {
     "trial": (
-        lambda path: load_trial(path).time,
+        lambda path: load_trial(path, "s", ANGLE).time,
         "time_s,force_N,displacement_mm,pressure_kPa",
         ["0,0,0,-8", "0.5,0.12,0.5,-8.1"],
     ),
@@ -433,7 +436,10 @@ class TestHeadedCsvFormats:
 
 # One fixture of each data format, and its reader taking a path.
 FIXTURE_READERS = {
-    "trial": ("trials/granular_20mm/angle15_rep1.csv", load_trial),
+    "trial": (
+        "trials/granular_20mm/angle15_rep1.csv",
+        lambda path: load_trial(path, "20mm Granular", math.radians(15.0)),
+    ),
     "manifest": ("trials/manifest.csv", read_manifest),
     "bending": ("bending/granular_20mm.csv", read_bending_samples),
 }
