@@ -202,10 +202,10 @@ def _newton(
 
     Newton's method in sqrt(alpha), safeguarded by the bracket
     [0, K(1/sqrt(2))], whose ends move by the sign of each excess: a step
-    that leaves the bracket becomes a bisection. It stops once a step,
-    applied, is within 4 eps of the root, or once the bracket is that
-    narrow, as it gets where rounding in a subnormal sin(gamma/2) or
-    k cos(phi_gamma) leaves the excess too noisy for such a step.
+    that leaves the bracket, the last one too, gives way to its midpoint.
+    It stops once a step, applied, is within 4 eps of the root, or once
+    the bracket is that narrow, as it gets where rounding in a subnormal
+    sin(gamma/2) or k cos(phi_gamma) makes the excess too noisy to step.
     """
     lo, hi = 0.0, _ROOT_CEILING
     for evals in range(1, MAX_ITERATIONS + 1):
@@ -218,7 +218,7 @@ def _newton(
         root -= step
         tolerance = 4.0 * sys.float_info.epsilon * root
         if abs(step) <= tolerance or hi - lo <= tolerance:
-            return root, evals
+            return (root if lo <= root <= hi else 0.5 * (lo + hi)), evals
         if not lo < root < hi:
             root = 0.5 * (lo + hi)
     raise SolverError(f"Newton iteration did not converge after {MAX_ITERATIONS} iterations")

@@ -161,27 +161,18 @@ def _check_length_mm(length_mm: float) -> None:
         raise ValueError(f"--length-mm must be positive, got {length_mm}")
 
 
-def _resolve_geometry(args, require_length: bool) -> BeamGeometry:
-    ratio, length_mm, pad_mm = args.radius_ratio, args.length_mm, args.pad_radius_mm
-    if ratio is not None and pad_mm is not None:
-        raise ValueError("give either --radius-ratio or --pad-radius-mm, not both")
-    if require_length and length_mm is None:
-        raise ValueError("--length-mm is required for this command")
-    if length_mm is not None:
-        _check_length_mm(length_mm)
-    if pad_mm is not None:
-        if pad_mm < 0:
-            raise ValueError(f"--pad-radius-mm must be >= 0, got {pad_mm}")
-        if length_mm is None:
-            raise ValueError("--pad-radius-mm needs --length-mm")
-        return BeamGeometry.from_millimeters(length_mm, pad_mm)
-    if ratio is None:
-        ratio = 0.5  # default moment-arm ratio: 10 mm pad radius on a 20 mm stalk
-    if ratio < 0:
-        raise ValueError(f"--radius-ratio must be >= 0, got {ratio}")
-    if length_mm is not None:
-        return BeamGeometry.from_millimeters(length_mm, ratio * length_mm)
-    return BeamGeometry.from_ratio(ratio)
+# A load table and a shape depend on R/L alone; a force needs both lengths.
+def _ratio_geometry(args) -> BeamGeometry:
+    if args.radius_ratio < 0:
+        raise ValueError(f"--radius-ratio must be >= 0, got {args.radius_ratio}")
+    return BeamGeometry.from_ratio(args.radius_ratio)
+
+
+def _stalk_geometry(args) -> BeamGeometry:
+    _check_length_mm(args.length_mm)
+    if args.pad_radius_mm < 0:
+        raise ValueError(f"--pad-radius-mm must be >= 0, got {args.pad_radius_mm}")
+    return BeamGeometry.from_millimeters(args.length_mm, args.pad_radius_mm)
 
 
 # The load solve's fixed bounds, echoed by every command that solves for a load.
@@ -236,7 +227,7 @@ def _alpha_row(angle_deg: float, row: AlphaTableRow) -> tuple:
 
 def cmd_alpha_table(args) -> OutputDocument:
     angles_deg = parse_angles_spec(args.angles)
-    geometry = _resolve_geometry(args, require_length=False)
+    geometry = _ratio_geometry(args)
     table = generate_alpha_table([math.radians(a) for a in angles_deg], geometry)
     columns = (
         "surface_angle_deg", "alpha", "tip_angle_deg", "outer_iterations", "boundary_residual",
@@ -245,14 +236,14 @@ def cmd_alpha_table(args) -> OutputDocument:
     rows = [_alpha_row(deg, row) for deg, row in zip(angles_deg, table)]
     parameters = {
         "angles_deg": angles_deg,
-        **_geometry_parameters(geometry),
+        "radius_ratio": geometry.radius_ratio,
         **LOAD_SEARCH_PARAMETERS,
     }
     return OutputDocument(args.command, parameters, columns, rows)
 
 
 def cmd_shape(args) -> OutputDocument:
-    geometry = _resolve_geometry(args, require_length=False)
+    geometry = _ratio_geometry(args)
     solution = solve_shape_shooting(
         NormalizedLoad(args.alpha), geometry, grid_points=args.grid_points
     )
@@ -261,7 +252,7 @@ def cmd_shape(args) -> OutputDocument:
     parameters = {
         "alpha": args.alpha,
         "tip_angle_deg": math.degrees(solution.tip_angle),
-        **_geometry_parameters(geometry),
+        "radius_ratio": geometry.radius_ratio,
         "grid_points": args.grid_points,
         "boundary_tolerance": BOUNDARY_TOLERANCE,
     }
@@ -288,7 +279,7 @@ def cmd_calibrate(args) -> OutputDocument:
 
 def cmd_predict_force(args) -> OutputDocument:
     angles_deg = parse_angles_spec(args.angles)
-    geometry = _resolve_geometry(args, require_length=True)
+    geometry = _stalk_geometry(args)
     calibration = _resolve_calibration(args, geometry)
     angles = [math.radians(a) for a in angles_deg]
     predictions = predict_force_curve(angles, calibration, geometry)
@@ -364,7 +355,7 @@ def cmd_compare(args) -> OutputDocument:
         known = ", ".join(sorted(groups))
         raise ValueError(f"manifest has several scenarios ({known}); pick one with --scenario")
 
-    geometry = _resolve_geometry(args, require_length=True)
+    geometry = _stalk_geometry(args)
     calibration = _resolve_calibration(args, geometry)
     summary = summarize_scenario(groups[selected], args.threshold_kpa)
     measured_angles = [row.surface_angle for row in summary.attached_angles]
@@ -403,10 +394,13 @@ ANGLES_FLAG = ("--angles", dict(required=True, help="degrees, start:stop:step or
 BENDING_CSV = "bending CSV (deflection_mm,force_N)"
 MANIFEST_FLAG = ("--manifest", dict(required=True, help="manifest CSV (file,scenario,angle_deg)"))
 LABEL_FLAG = ("--label", dict(help="label for the stiffness source"))
-GEOMETRY_FLAGS = (
-    ("--radius-ratio", dict(type=float, help="pad radius over stalk length R/L (default 0.5)")),
-    ("--length-mm", dict(type=float, help="stalk length in mm")),
-    ("--pad-radius-mm", dict(type=float, help="suction-pad radius in mm")),
+RATIO_FLAG = ("--radius-ratio", dict(
+    type=float, default=0.5, help="pad radius over stalk length R/L (default 0.5)",
+))
+LENGTH_FLAG = ("--length-mm", dict(type=float, required=True, help="stalk length in mm"))
+STALK_FLAGS = (
+    LENGTH_FLAG,
+    ("--pad-radius-mm", dict(type=float, required=True, help="suction-pad radius in mm")),
 )
 CALIBRATION_FLAGS = (
     ("--bending-input", dict(help=BENDING_CSV)),
@@ -422,21 +416,19 @@ FORMAT_FLAG = ("--format", dict(choices=("csv", "json"), default="csv", help="ou
 # (name, help, flags) in --help order; every command also takes --format,
 # and the handler of "a-b" is cmd_a_b.
 COMMANDS = (
-    ("alpha-table", "normalized load for a range of surface angles", (
-        ANGLES_FLAG, *GEOMETRY_FLAGS,
-    )),
+    ("alpha-table", "normalized load for a range of surface angles", (ANGLES_FLAG, RATIO_FLAG)),
     ("shape", "deformed centerline for a given load", (
         ("--alpha", dict(type=float, required=True, help="normalized load")),
-        *GEOMETRY_FLAGS,
+        RATIO_FLAG,
         ("--grid-points", dict(type=int, default=GRID_POINTS, help="arc-length samples on [0, 1]")),
     )),
     ("calibrate", "fit effective EI from bending data", (
         ("--input", dict(required=True, help=BENDING_CSV)),
-        ("--length-mm", dict(type=float, required=True, help="stalk length in mm")),
+        LENGTH_FLAG,
         LABEL_FLAG,
     )),
     ("predict-force", "theory adaptation-force curve", (
-        ANGLES_FLAG, *GEOMETRY_FLAGS, *CALIBRATION_FLAGS,
+        ANGLES_FLAG, *STALK_FLAGS, *CALIBRATION_FLAGS,
     )),
     ("analyze", "summarize adaptation trials per scenario", (
         MANIFEST_FLAG,
@@ -446,7 +438,7 @@ COMMANDS = (
     ("compare", "theory vs measured adaptation force", (
         MANIFEST_FLAG,
         ("--scenario", dict(help="scenario to compare")),
-        THRESHOLD_FLAG, *GEOMETRY_FLAGS, *CALIBRATION_FLAGS,
+        THRESHOLD_FLAG, *STALK_FLAGS, *CALIBRATION_FLAGS,
     )),
 )
 

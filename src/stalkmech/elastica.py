@@ -170,13 +170,17 @@ def solve_shape_shooting(
     and its end of smaller residual, which must be within
     ``BOUNDARY_TOLERANCE``, is the solution. At R/L = 0 and alpha <= pi^2/4
     the stalk stays straight, and that shape is returned without a search.
-    The solution has ``grid_points`` samples, at least 16.
+    The solution has ``grid_points`` samples, at least 16. A load whose
+    bracket end alpha (1 + R/L) leaves the float range raises ValueError.
     """
     _validate_grid(grid_points)
-    alpha = load.alpha
-    if alpha == 0.0 or (geometry.radius_ratio == 0.0 and alpha <= math.pi**2 / 4.0):
+    alpha, ratio = load.alpha, geometry.radius_ratio
+    if alpha == 0.0 or (ratio == 0.0 and alpha <= math.pi**2 / 4.0):
         # Below the Euler load a pure tip force has no buckled branch.
         return _zero_solution(alpha, grid_points)
+    c_max = alpha * (ratio + 1.0)
+    if c_max == math.inf:
+        raise ValueError(f"alpha (1 + R/L) must be finite, got alpha={alpha}, R/L={ratio}")
 
     target = load.tip_moment(geometry)
     n_steps = grid_points - 1
@@ -192,7 +196,7 @@ def solve_shape_shooting(
 
     # Each RK4 step lowers theta' by at most h alpha, so theta'(1) >= c - alpha: the upper
     # end's residual is >= 0, or the pass diverges. At c = 0 the beam stays straight.
-    hi = shoot(alpha * (geometry.radius_ratio + 1.0))
+    hi = shoot(c_max)
     ends = [(0.0, -target, [0.0] * grid_points), hi]
 
     # Regula falsi cannot interpolate through an infinite residual, and at

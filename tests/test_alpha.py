@@ -101,6 +101,11 @@ class TestCarlsonRD:
     def test_published_values(self, args, expected):
         assert _carlson(*args)[1] == pytest.approx(expected, rel=1e-14)
 
+    # The second published value to 17 digits, from mpmath 1.3.0's elliprd at
+    # 40 digits, so that a change in R_D's last digits shows.
+    def test_value_to_rounding(self):
+        assert _carlson(2.0, 3.0, 4.0)[1] == pytest.approx(0.16510527294261054, rel=4 * EPS, abs=0)
+
     # R_D(x, y, z) + R_D(y, z, x) + R_D(z, x, y) = 3 / sqrt(xyz) (DLMF §19.21),
     # over arguments drawn log-uniform in [1e-3, 1e3].
     @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3))
@@ -464,18 +469,24 @@ class TestSolveAlphaForAngle:
     # At a subnormal angle the excess is rounding noise: Newton's second step
     # leaves the bracket and is replaced by its midpoint, and the bracket is
     # then 4 eps wide, which ends the search.
+    # The last step leaves that bracket too, so its midpoint is the answer.
     def test_newton_bisects_and_stops_on_a_narrow_bracket(self, monkeypatch):
-        roots = []
+        evaluated = []
         excess = stalkmech.alpha._excess
 
         def recorded(root, *args):
-            roots.append(root)
-            return excess(root, *args)
+            f, slope = excess(root, *args)
+            evaluated.append((root, f))
+            return f, slope
 
         monkeypatch.setattr(stalkmech.alpha, "_excess", recorded)
         result = solve_alpha_for_angle(1e-323, BeamGeometry.from_ratio(2.811020096439373e-295))
-        assert (result.alpha, result.outer_iterations) == (3.5152053624025106e-29, 3)
+        assert result.outer_iterations == 3
+        roots = [root for root, _ in evaluated]
         assert roots[2] == 0.5 * (roots[0] + roots[1])
+        lo = max(root for root, f in evaluated if f < 0.0)
+        hi = min(root for root, f in evaluated if f >= 0.0)
+        assert lo <= math.sqrt(result.alpha) <= hi
 
     @pytest.mark.parametrize("gamma", [-0.01, math.pi / 2, 2.0])
     def test_angle_domain(self, half_ratio_geometry, gamma):

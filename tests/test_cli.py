@@ -1,4 +1,5 @@
 import ast
+import importlib
 import io
 import json
 import math
@@ -24,6 +25,10 @@ def run(argv):
     stream = io.StringIO()
     status = execute(argv, stream)
     return status, stream.getvalue()
+
+
+# The stalk of the fixtures: 20 mm long, with a 10 mm pad.
+STALK = ["--length-mm", "20", "--pad-radius-mm", "10"]
 
 
 def csv_rows(text):
@@ -115,7 +120,8 @@ class TestAlphaTableCommand:
         assert rows[2]["alpha"] == ""
         assert "surface angle" in rows[2]["error"]
 
-    def test_conflicting_geometry_flags(self):
+    # R/L is the one geometry flag of a load table.
+    def test_conflicting_geometry_flags(self, capsys):
         status, _ = run(
             [
                 "alpha-table",
@@ -129,7 +135,9 @@ class TestAlphaTableCommand:
                 "10",
             ]
         )
-        assert status == 1
+        assert status == 2
+        message = "unrecognized arguments: --length-mm 20 --pad-radius-mm 10"
+        assert message in capsys.readouterr().err
 
     # A load below the float range underflows alpha to 0; the cell prints both angles.
     def test_underflowing_load_prints_both_angles(self):
@@ -159,10 +167,6 @@ class TestShapeCommand:
             ("--alpha nan", "alpha must be finite and >= 0, got nan"),
             ("--alpha 1 --radius-ratio inf", "pad_radius must be finite and >= 0, got inf"),
             ("--alpha 1 --radius-ratio nan", "pad_radius must be finite and >= 0, got nan"),
-            (
-                "--alpha 1 --length-mm inf",
-                "stalk_length cubed must be positive and finite, got inf",
-            ),
         ],
     )
     def test_non_finite_input_is_a_domain_error(self, capsys, flags, message):
@@ -174,6 +178,20 @@ class TestShapeCommand:
         status, out = run(["shape", "--alpha", "-1"])
         assert (status, out) == (1, "")
         assert "alpha must be finite and >= 0, got -1.0" in capsys.readouterr().err
+
+    # The first bracket end alpha (1 + R/L) overflows, so no pass can start.
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [
+            ("--alpha 9e307 --radius-ratio 1", "9e+307, R/L=1.0"),
+            ("--alpha 1e300 --radius-ratio 1e10", "1e+300, R/L=10000000000.0"),
+        ],
+    )
+    def test_overflowing_load_is_a_domain_error(self, capsys, flags, shown):
+        status, out = run(["shape", *flags.split()])
+        assert (status, out) == (1, "")
+        message = f"stalkmech: error: alpha (1 + R/L) must be finite, got alpha={shown}\n"
+        assert capsys.readouterr().err == message
 
 
 class TestCalibrateCommand:
@@ -295,8 +313,8 @@ class TestPredictForceCommand:
         assert forces == sorted(forces)
 
     def test_infinite_ei_is_rejected(self, capsys):
-        argv = ["predict-force", "--angles", "45", "--length-mm", "20", "--ei-nm2", "inf"]
-        status, out = run(argv)
+        argv = ["predict-force", "--angles", "45", "--length-mm", "20", "--pad-radius-mm", "10"]
+        status, out = run(argv + ["--ei-nm2", "inf"])
         assert (status, out) == (1, "")
         assert "flexural_rigidity must be positive and finite" in capsys.readouterr().err
 
@@ -325,6 +343,8 @@ class TestPredictForceCommand:
                 "45",
                 "--length-mm",
                 "20",
+                "--pad-radius-mm",
+                "10",
             ]
         )
         assert status == 1
@@ -415,6 +435,8 @@ class TestCompareCommand:
                 "nope",
                 "--length-mm",
                 "20",
+                "--pad-radius-mm",
+                "10",
                 "--ei-nm2",
                 "1e-4",
             ]
@@ -428,7 +450,7 @@ class TestCompareCommand:
         (tmp_path / "a.csv").write_text(f"{header}\n0,0,0,-8\n0.5,0,0.5,-60\n")
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("file,scenario,angle_deg\na.csv,s,45\n")
-        return ["compare", "--manifest", str(manifest), "--length-mm", "20", "--ei-nm2", "1e-4"]
+        return ["compare", "--manifest", str(manifest), *STALK, "--ei-nm2", "1e-4"]
 
     def test_one_scenario_needs_no_scenario_flag(self, zero_force_argv):
         status, out = run(zero_force_argv)
@@ -452,7 +474,7 @@ class TestCompareCommand:
     def test_manifest_without_trials(self, tmp_path, capsys, scenario):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("file,scenario,angle_deg\n")
-        argv = ["compare", "--manifest", str(manifest), "--length-mm", "20", "--ei-nm2", "1e-4"]
+        argv = ["compare", "--manifest", str(manifest), *STALK, "--ei-nm2", "1e-4"]
         status, out = run(argv + scenario)
         assert (status, out) == (1, "")
         assert capsys.readouterr().err == f"stalkmech: error: manifest {manifest} lists no trials\n"
@@ -496,7 +518,7 @@ def test_bad_trial_in_a_manifest_is_named(tmp_path, capsys, command, bad_file, b
     argv = [command, "--manifest", str(tmp_path / "manifest.csv")]
     if command == "compare":
         bending = str(tmp_path / "bending.csv")
-        argv += ["--scenario", "s", "--length-mm", "20", "--bending-input", bending]
+        argv += ["--scenario", "s", *STALK, "--bending-input", bending]
     assert run(argv) == (1, "")
     assert capsys.readouterr().err == f"stalkmech: error: {tmp_path / bad_file}: {message}\n"
 
@@ -511,11 +533,8 @@ class TestParameterEcho:
     """Each command echoes exactly the parameters it reads and takes no flag it ignores."""
 
     ECHOED = {
-        "alpha-table": {"angles_deg", *GEOMETRY_KEYS, *LOAD_SEARCH_KEYS},
-        "shape": {
-            "alpha", "tip_angle_deg", *GEOMETRY_KEYS,
-            "grid_points", "boundary_tolerance",
-        },
+        "alpha-table": {"angles_deg", "radius_ratio", *LOAD_SEARCH_KEYS},
+        "shape": {"alpha", "tip_angle_deg", "radius_ratio", "grid_points", "boundary_tolerance"},
         "calibrate": {"input", "length_mm", "label"},
         "predict-force": {
             "angles_deg", "source_label", "flexural_rigidity_Nm2", *GEOMETRY_KEYS,
@@ -546,6 +565,12 @@ class TestParameterEcho:
             *((command, flag) for command in LOAD_COMMANDS
               for flag in ("--grid-points 64", "--alpha-max 1")),
             ("shape", "--alpha-max 0.5"),
+            # Each command states its geometry one way.
+            ("alpha-table", "--length-mm 1e200"),
+            ("alpha-table", "--pad-radius-mm 5"),
+            ("shape", "--length-mm inf"),
+            ("predict-force", "--radius-ratio 0.5"),
+            ("compare", "--radius-ratio 0.5"),
         ],
     )
     def test_a_flag_the_command_does_not_read_is_a_usage_error(
@@ -587,38 +612,39 @@ class TestExitCodes:
         [
             (["alpha-table", "--angles", "0:10:0"], "angle step must be positive"),
             (
-                ["predict-force", "--angles", "45", "--ei-nm2", "1e-4"],
-                "--length-mm is required for this command",
-            ),
-            (
-                ["alpha-table", "--angles", "45", "--pad-radius-mm", "-1", "--length-mm", "20"],
+                [
+                    "predict-force", "--angles", "45", "--length-mm", "20",
+                    "--pad-radius-mm", "-1", "--ei-nm2", "1e-4",
+                ],
                 "--pad-radius-mm must be >= 0, got -1.0",
-            ),
-            (
-                ["alpha-table", "--angles", "45", "--pad-radius-mm", "5"],
-                "--pad-radius-mm needs --length-mm",
             ),
             (
                 ["alpha-table", "--angles", "45", "--radius-ratio", "-0.5"],
                 "--radius-ratio must be >= 0, got -0.5",
             ),
             (
-                ["predict-force", "--angles", "45", "--length-mm", "20", "--ei-nm2", "0"],
+                ["predict-force", "--angles", "45", *STALK, "--ei-nm2", "0"],
                 "flexural_rigidity must be positive and finite, got 0.0",
             ),
             (
-                ["compare", "--manifest", MANIFEST, "--length-mm", "20", "--ei-nm2", "1e-4"],
+                ["compare", "--manifest", MANIFEST, *STALK, "--ei-nm2", "1e-4"],
                 "manifest has several scenarios (10mm Granular, 20mm Granular, 5mm Granular, "
                 "Dragonskin 10, Ecoflex 00-10, Ecoflex 00-10 suction pad); "
                 "pick one with --scenario",
             ),
             # Lengths in metres whose cube leaves the float range, refused by the geometry.
             (
-                ["predict-force", "--angles", "30", "--length-mm", "1e200", "--ei-nm2", "1"],
+                [
+                    "predict-force", "--angles", "30", "--length-mm", "1e200",
+                    "--pad-radius-mm", "10", "--ei-nm2", "1",
+                ],
                 "stalk_length cubed must be positive and finite, got 1e+197",
             ),
             (
-                ["predict-force", "--angles", "30", "--length-mm", "1e-200", "--ei-nm2", "1e300"],
+                [
+                    "predict-force", "--angles", "30", "--length-mm", "1e-200",
+                    "--pad-radius-mm", "10", "--ei-nm2", "1e300",
+                ],
                 "stalk_length cubed must be positive and finite, got 1e-203",
             ),
             (
@@ -630,13 +656,9 @@ class TestExitCodes:
                 "stalk_length cubed must be positive and finite, got 1e-203",
             ),
             (
-                ["alpha-table", "--angles", "45", "--length-mm", "1e200"],
-                "stalk_length cubed must be positive and finite, got 1e+197",
-            ),
-            (
                 [
                     "compare", "--manifest", MANIFEST, "--scenario", "20mm Granular",
-                    "--length-mm", "1e200", "--ei-nm2", "1e-4",
+                    "--length-mm", "1e200", "--pad-radius-mm", "10", "--ei-nm2", "1e-4",
                 ],
                 "stalk_length cubed must be positive and finite, got 1e+197",
             ),
@@ -647,33 +669,55 @@ class TestExitCodes:
             ),
             # L^2 is in range, but L^3 is not.
             (
-                ["predict-force", "--angles", "30", "--length-mm", "1e120", "--ei-nm2", "1"],
+                [
+                    "predict-force", "--angles", "30", "--length-mm", "1e120",
+                    "--pad-radius-mm", "10", "--ei-nm2", "1",
+                ],
                 "stalk_length cubed must be positive and finite, got 1e+117",
             ),
         ],
         ids=[
-            "zero-step", "no-length", "negative-pad", "pad-without-length", "negative-ratio",
-            "zero-ei", "several-scenarios",
+            "zero-step", "negative-pad", "negative-ratio", "zero-ei", "several-scenarios",
             "huge-length", "tiny-length", "huge-calibration-length", "tiny-calibration-length",
-            "alpha-table-huge-length", "compare-huge-length",
-            "overflowing-calibration-ei", "direct-ei-length-cubed",
+            "compare-huge-length", "overflowing-calibration-ei", "direct-ei-length-cubed",
         ],
     )
     def test_a_bad_flag_combination_names_itself(self, capsys, argv, message):
         assert run(argv) == (1, "")
         assert capsys.readouterr().err == f"stalkmech: error: {message}\n"
 
+    # A force needs both lengths in mm; a load table or a shape reads R/L alone.
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (
+                ["predict-force", "--angles", "45", "--ei-nm2", "1e-4"],
+                "--length-mm, --pad-radius-mm",
+            ),
+            (
+                ["predict-force", "--angles", "45", "--length-mm", "20", "--ei-nm2", "1e-4"],
+                "--pad-radius-mm",
+            ),
+            (
+                ["compare", "--manifest", MANIFEST, "--length-mm", "20", "--ei-nm2", "1e-4"],
+                "--pad-radius-mm",
+            ),
+        ],
+        ids=["no-length", "no-pad", "compare-no-pad"],
+    )
+    def test_a_force_needs_both_lengths(self, capsys, argv, missing):
+        assert run(argv) == (2, "")
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("length_mm", ["1e200", "1e-200", "1e308", "1e120", "inf"])
     def test_a_length_out_of_float_range_is_one_message_on_every_command(
         self, capsys, length_mm
     ):
-        common = ["--length-mm", length_mm, "--ei-nm2", "1e-4"]
+        common = ["--length-mm", length_mm, "--pad-radius-mm", "10", "--ei-nm2", "1e-4"]
         argvs = [
             ["predict-force", "--angles", "30", *common],
             ["calibrate", "--input", self.BENDING, "--length-mm", length_mm],
             ["compare", "--manifest", self.MANIFEST, "--scenario", "20mm Granular", *common],
-            ["alpha-table", "--angles", "30", "--length-mm", length_mm],
-            ["shape", "--alpha", "1", "--length-mm", length_mm],
         ]
         message = (
             "stalkmech: error: stalk_length cubed must be positive and finite, "
@@ -694,7 +738,8 @@ class TestExitCodes:
         assert status == 2
 
     def test_negative_length_rejected(self):
-        status, _ = run(["alpha-table", "--angles", "30", "--length-mm", "-5"])
+        argv = ["predict-force", "--angles", "30", "--length-mm", "-5", "--pad-radius-mm", "2"]
+        status, _ = run(argv + ["--ei-nm2", "1e-4"])
         assert status == 1
 
     # A manifest is the one way to give analyze its trials, with their scenario and angle.
@@ -741,6 +786,19 @@ class TestDispatch:
         monkeypatch.setattr(stalkmech.cli, "cmd_alpha_table", counted)
         status, _ = run(["alpha-table", "--angles", "45"])
         assert (status, calls) == (0, ["alpha-table"])
+
+
+# The benchmark runs these commands and checks their values, so a flag
+# change that would break it fails here first.
+def test_the_benchmark_command_script_runs(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    monkeypatch.chdir(REPO)
+    cli_sessions = importlib.import_module("cli_sessions")
+    state = cli_sessions.prepare(seed=0)
+    for name, argv in cli_sessions.SCRIPT.items():
+        status, out = run(argv)
+        assert status == 0, name
+        assert cli_sessions.CHECKS[name](state, *cli_sessions.parse_document(out)) == [], name
 
 
 class TestNumpyOnlyRuntime:

@@ -170,6 +170,19 @@ class TestShooting:
         # bisection down to the width; the error comes before any secant step.
         assert len(slopes) == 1 + math.ceil(math.log2(24.0 / _BISECTION_WIDTH))
 
+    # alpha (1 + R/L) overflows to inf, where a pass would take sin(inf).
+    @pytest.mark.parametrize(
+        "alpha, ratio, shown",
+        [(9e307, 1.0, "9e+307, R/L=1.0"), (1e300, 1e10, "1e+300, R/L=10000000000.0")],
+    )
+    def test_overflowing_bracket_end_is_refused_without_a_pass(
+        self, slopes, alpha, ratio, shown
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            solve_shape_shooting(NormalizedLoad(alpha), BeamGeometry.from_ratio(ratio))
+        assert str(excinfo.value) == f"alpha (1 + R/L) must be finite, got alpha={shown}"
+        assert slopes == []
+
     @pytest.mark.parametrize("alpha", [0.0, 1.03])
     def test_grid_below_sixteen_points_rejected(self, half_ratio_geometry, alpha):
         load = NormalizedLoad(alpha)
