@@ -565,17 +565,34 @@ class TestParameterEcho:
             *((command, flag) for command in LOAD_COMMANDS
               for flag in ("--grid-points 64", "--alpha-max 1")),
             ("shape", "--alpha-max 0.5"),
-            # Each command states its geometry one way.
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        self, monkeypatch, capsys, command, flag
+    ):
+        self.assert_usage_error(monkeypatch, capsys, command, flag)
+
+    # Each command states its geometry one way: a load table or a shape reads
+    # R/L alone, a force reads both lengths in mm.
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
             ("alpha-table", "--length-mm 1e200"),
             ("alpha-table", "--pad-radius-mm 5"),
             ("shape", "--length-mm inf"),
             ("predict-force", "--radius-ratio 0.5"),
             ("compare", "--radius-ratio 0.5"),
         ],
+        ids=[
+            "alpha-table-huge-length", "pad-without-length", "shape-inf-length",
+            "predict-force-ratio", "compare-ratio",
+        ],
     )
-    def test_a_flag_the_command_does_not_read_is_a_usage_error(
-        self, monkeypatch, capsys, command, flag
-    ):
+    def test_one_way_to_state_geometry(self, monkeypatch, capsys, command, flag):
+        self.assert_usage_error(monkeypatch, capsys, command, flag)
+
+    @staticmethod
+    def assert_usage_error(monkeypatch, capsys, command, flag):
         monkeypatch.chdir(REPO)
         status, out = run([*CASES[command], *flag.split()])
         assert (status, out) == (2, "")
