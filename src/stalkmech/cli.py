@@ -153,7 +153,7 @@ def parse_angles_spec(text: str) -> list[float]:
         if count > MAX_RANGE_ANGLES:
             raise ValueError(f"angle range gives {count:.7g} angles, more than {MAX_RANGE_ANGLES}")
         return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip() != ""]
+    return [float(p) for p in text.split(",")]
 
 
 def _check_length_mm(length_mm: float) -> None:
@@ -161,17 +161,20 @@ def _check_length_mm(length_mm: float) -> None:
         raise ValueError(f"--length-mm must be positive, got {length_mm}")
 
 
+def _check_radius(flag: str, value: float) -> None:
+    if not (0.0 <= value < math.inf):
+        raise ValueError(f"{flag} must be finite and >= 0, got {value}")
+
+
 # A load table and a shape depend on R/L alone; a force needs both lengths.
 def _ratio_geometry(args) -> BeamGeometry:
-    if args.radius_ratio < 0:
-        raise ValueError(f"--radius-ratio must be >= 0, got {args.radius_ratio}")
+    _check_radius("--radius-ratio", args.radius_ratio)
     return BeamGeometry.from_ratio(args.radius_ratio)
 
 
 def _stalk_geometry(args) -> BeamGeometry:
     _check_length_mm(args.length_mm)
-    if args.pad_radius_mm < 0:
-        raise ValueError(f"--pad-radius-mm must be >= 0, got {args.pad_radius_mm}")
+    _check_radius("--pad-radius-mm", args.pad_radius_mm)
     return BeamGeometry.from_millimeters(args.length_mm, args.pad_radius_mm)
 
 
@@ -191,24 +194,14 @@ def _geometry_parameters(geometry: BeamGeometry) -> dict:
     }
 
 
-def _bending_label(label: str | None, path: str) -> str:
-    """The stiffness source label: ``--label``, else the bending file's stem."""
-    return label or path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+def _file_stem(path: str) -> str:
+    return path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
 
-def _resolve_calibration(args, geometry: BeamGeometry) -> StiffnessCalibration:
-    if (args.bending_input is None) == (args.ei_nm2 is None):
-        raise ValueError("give exactly one of --bending-input or --ei-nm2")
-    if args.ei_nm2 is not None:
-        return StiffnessCalibration(
-            flexural_rigidity=args.ei_nm2,
-            fit_quality=1.0,
-            source_label=args.label or "direct",
-            stalk_length=geometry.stalk_length,
-        )
+def _fit_stiffness(args, geometry: BeamGeometry) -> StiffnessCalibration:
+    """EI fitted from ``--bending-input``, labelled with the file's stem."""
     samples = read_bending_samples(args.bending_input)
-    label = _bending_label(args.label, args.bending_input)
-    return calibrate_ei(samples, geometry, source_label=label)
+    return calibrate_ei(samples, geometry, source_label=_file_stem(args.bending_input))
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +256,7 @@ def cmd_calibrate(args) -> OutputDocument:
     _check_length_mm(args.length_mm)
     geometry = BeamGeometry.from_millimeters(args.length_mm, 0.0)
     samples = read_bending_samples(args.input)
-    label = _bending_label(args.label, args.input)
+    label = args.label or _file_stem(args.input)
     calibration = calibrate_ei(samples, geometry, source_label=label)
     columns = (
         "source_label", "stalk_length_mm", "n_samples",
@@ -280,7 +273,7 @@ def cmd_calibrate(args) -> OutputDocument:
 def cmd_predict_force(args) -> OutputDocument:
     angles_deg = parse_angles_spec(args.angles)
     geometry = _stalk_geometry(args)
-    calibration = _resolve_calibration(args, geometry)
+    calibration = _fit_stiffness(args, geometry)
     angles = [math.radians(a) for a in angles_deg]
     predictions = predict_force_curve(angles, calibration, geometry)
     columns = ("surface_angle_deg", "alpha", "force_N", "error")
@@ -342,22 +335,13 @@ def cmd_analyze(args) -> OutputDocument:
 
 def cmd_compare(args) -> OutputDocument:
     groups = _group_by_scenario(load_manifest_trials(args.manifest))
-    if not groups:
-        raise ValueError(f"manifest {args.manifest} lists no trials")
-    if args.scenario is not None:
-        if args.scenario not in groups:
-            known = ", ".join(sorted(groups))
-            raise ValueError(f"scenario {args.scenario!r} not in manifest (have: {known})")
-        selected = args.scenario
-    elif len(groups) == 1:
-        selected = next(iter(groups))
-    else:
-        known = ", ".join(sorted(groups))
-        raise ValueError(f"manifest has several scenarios ({known}); pick one with --scenario")
+    if args.scenario not in groups:
+        known = f"have: {', '.join(sorted(groups))}" if groups else "it lists none"
+        raise ValueError(f"scenario {args.scenario!r} not in manifest ({known})")
 
     geometry = _stalk_geometry(args)
-    calibration = _resolve_calibration(args, geometry)
-    summary = summarize_scenario(groups[selected], args.threshold_kpa)
+    calibration = _fit_stiffness(args, geometry)
+    summary = summarize_scenario(groups[args.scenario], args.threshold_kpa)
     measured_angles = [row.surface_angle for row in summary.attached_angles]
     predictions = predict_force_curve(measured_angles, calibration, geometry)
     comparison = compare_theory(summary, predictions)
@@ -376,7 +360,7 @@ def cmd_compare(args) -> OutputDocument:
     ]
     parameters = {
         "manifest": args.manifest,
-        "scenario": selected,
+        "scenario": args.scenario,
         "threshold_kpa": args.threshold_kpa,
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
@@ -393,19 +377,15 @@ def cmd_compare(args) -> OutputDocument:
 ANGLES_FLAG = ("--angles", dict(required=True, help="degrees, start:stop:step or a,b,c"))
 BENDING_CSV = "bending CSV (deflection_mm,force_N)"
 MANIFEST_FLAG = ("--manifest", dict(required=True, help="manifest CSV (file,scenario,angle_deg)"))
-LABEL_FLAG = ("--label", dict(help="label for the stiffness source"))
 RATIO_FLAG = ("--radius-ratio", dict(
     type=float, default=0.5, help="pad radius over stalk length R/L (default 0.5)",
 ))
 LENGTH_FLAG = ("--length-mm", dict(type=float, required=True, help="stalk length in mm"))
-STALK_FLAGS = (
+# A force's geometry and its stiffness, fitted from a bending sweep.
+FORCE_FLAGS = (
     LENGTH_FLAG,
     ("--pad-radius-mm", dict(type=float, required=True, help="suction-pad radius in mm")),
-)
-CALIBRATION_FLAGS = (
-    ("--bending-input", dict(help=BENDING_CSV)),
-    ("--ei-nm2", dict(type=float, help="flexural rigidity EI in N*m^2")),
-    LABEL_FLAG,
+    ("--bending-input", dict(required=True, help=BENDING_CSV)),
 )
 THRESHOLD_FLAG = ("--threshold-kpa", dict(
     type=float, default=DEFAULT_ATTACH_THRESHOLD_KPA,
@@ -425,11 +405,9 @@ COMMANDS = (
     ("calibrate", "fit effective EI from bending data", (
         ("--input", dict(required=True, help=BENDING_CSV)),
         LENGTH_FLAG,
-        LABEL_FLAG,
+        ("--label", dict(help="label for the stiffness source")),
     )),
-    ("predict-force", "theory adaptation-force curve", (
-        ANGLES_FLAG, *STALK_FLAGS, *CALIBRATION_FLAGS,
-    )),
+    ("predict-force", "theory adaptation-force curve", (ANGLES_FLAG, *FORCE_FLAGS)),
     ("analyze", "summarize adaptation trials per scenario", (
         MANIFEST_FLAG,
         THRESHOLD_FLAG,
@@ -437,8 +415,8 @@ COMMANDS = (
     )),
     ("compare", "theory vs measured adaptation force", (
         MANIFEST_FLAG,
-        ("--scenario", dict(help="scenario to compare")),
-        THRESHOLD_FLAG, *STALK_FLAGS, *CALIBRATION_FLAGS,
+        ("--scenario", dict(required=True, help="scenario to compare")),
+        THRESHOLD_FLAG, *FORCE_FLAGS,
     )),
 )
 

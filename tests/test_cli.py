@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tokenize
@@ -29,6 +31,9 @@ def run(argv):
 
 # The stalk of the fixtures: 20 mm long, with a 10 mm pad.
 STALK = ["--length-mm", "20", "--pad-radius-mm", "10"]
+# Its bending sweep, whose fit is EI = 5.44e-4 N m^2.
+BENDING = str(REPO / "fixtures" / "bending" / "granular_20mm.csv")
+MANIFEST = str(REPO / "fixtures" / "trials" / "manifest.csv")
 
 
 def csv_rows(text):
@@ -75,6 +80,16 @@ class TestAngleSpec:
         assert (status, out) == (1, "")
         message = f"angle range gives {count} angles, more than {MAX_RANGE_ANGLES}"
         assert message in capsys.readouterr().err
+
+    # A blank item is refused like any other text float() cannot read.
+    @pytest.mark.parametrize("spec", ["45,,60", ",", "45,"])
+    def test_a_blank_item_is_a_domain_error(self, capsys, spec):
+        with pytest.raises(ValueError, match="could not convert string to float: ''"):
+            parse_angles_spec(spec)
+        status, out = run(["alpha-table", "--angles", spec])
+        assert (status, out) == (1, "")
+        message = "stalkmech: error: could not convert string to float: ''\n"
+        assert capsys.readouterr().err == message
 
     def test_range_at_the_cap_parses(self):
         angles = parse_angles_spec(f"0:{MAX_RANGE_ANGLES - 1}:1")
@@ -165,8 +180,8 @@ class TestShapeCommand:
         [
             ("--alpha inf", "alpha must be finite and >= 0, got inf"),
             ("--alpha nan", "alpha must be finite and >= 0, got nan"),
-            ("--alpha 1 --radius-ratio inf", "pad_radius must be finite and >= 0, got inf"),
-            ("--alpha 1 --radius-ratio nan", "pad_radius must be finite and >= 0, got nan"),
+            ("--alpha 1 --radius-ratio inf", "--radius-ratio must be finite and >= 0, got inf"),
+            ("--alpha 1 --radius-ratio nan", "--radius-ratio must be finite and >= 0, got nan"),
         ],
     )
     def test_non_finite_input_is_a_domain_error(self, capsys, flags, message):
@@ -292,62 +307,22 @@ class TestCalibrateCommand:
 
 
 class TestPredictForceCommand:
-    def test_direct_ei(self):
-        status, out = run(
-            [
-                "predict-force",
-                "--angles",
-                "15:75:15",
-                "--length-mm",
-                "20",
-                "--pad-radius-mm",
-                "10",
-                "--ei-nm2",
-                "5.44e-4",
-            ]
-        )
+    def test_bending_input_equivalent(self):
+        argv = ["predict-force", "--angles", "15:75:15", *STALK, "--bending-input", BENDING]
+        status, out = run(argv)
         assert status == 0
-        rows = csv_rows(out)
-        forces = [float(r["force_N"]) for r in rows]
+        assert "# parameter flexural_rigidity_Nm2=0.000544\n" in out
+        assert "# parameter source_label=granular_20mm\n" in out
+        forces = [float(r["force_N"]) for r in csv_rows(out)]
         assert forces[2] == pytest.approx(1.40, rel=0.03)
         assert forces == sorted(forces)
 
-    def test_infinite_ei_is_rejected(self, capsys):
-        argv = ["predict-force", "--angles", "45", "--length-mm", "20", "--pad-radius-mm", "10"]
-        status, out = run(argv + ["--ei-nm2", "inf"])
-        assert (status, out) == (1, "")
-        assert "flexural_rigidity must be positive and finite" in capsys.readouterr().err
-
-    def test_bending_input_equivalent(self, fixtures_dir):
-        argv_common = [
-            "predict-force",
-            "--angles",
-            "45",
-            "--length-mm",
-            "20",
-            "--pad-radius-mm",
-            "10",
-        ]
-        _, from_file = run(
-            argv_common
-            + ["--bending-input", str(fixtures_dir / "bending" / "granular_20mm.csv")]
-        )
-        (row,) = csv_rows(from_file)
-        assert float(row["force_N"]) == pytest.approx(1.40, rel=0.03)
-
-    def test_requires_exactly_one_stiffness_source(self):
-        status, _ = run(
-            [
-                "predict-force",
-                "--angles",
-                "45",
-                "--length-mm",
-                "20",
-                "--pad-radius-mm",
-                "10",
-            ]
-        )
-        assert status == 1
+    # The bending sweep is the one source of EI.
+    def test_requires_exactly_one_stiffness_source(self, capsys):
+        status, out = run(["predict-force", "--angles", "45", *STALK])
+        assert (status, out) == (2, "")
+        message = "the following arguments are required: --bending-input"
+        assert message in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -397,6 +372,13 @@ class TestAnalyzeCommand:
         )
         assert status == 1
 
+    # argparse reads a negative number with an exponent as a flag, so the
+    # value is written with "=".
+    def test_negative_threshold_in_exponent_form(self):
+        status, out = run(["analyze", "--manifest", MANIFEST, "--threshold-kpa=-5e1"])
+        assert status == 0
+        assert "# parameter threshold_kpa=-50\n" in out
+
 
 class TestCompareCommand:
     def test_theory_overshoots_measured_everywhere(self, fixtures_dir):
@@ -425,7 +407,7 @@ class TestCompareCommand:
             assert row["residual_N"] > 0.0
         assert doc["aggregates"]["mean_abs_relative_error"] > 0.0
 
-    def test_unknown_scenario(self, fixtures_dir):
+    def test_unknown_scenario(self, fixtures_dir, capsys):
         status, _ = run(
             [
                 "compare",
@@ -437,28 +419,32 @@ class TestCompareCommand:
                 "20",
                 "--pad-radius-mm",
                 "10",
-                "--ei-nm2",
-                "1e-4",
+                "--bending-input",
+                BENDING,
             ]
         )
         assert status == 1
+        assert capsys.readouterr().err == (
+            "stalkmech: error: scenario 'nope' not in manifest (have: 10mm Granular, "
+            "20mm Granular, 5mm Granular, Dragonskin 10, Ecoflex 00-10, "
+            "Ecoflex 00-10 suction pad)\n"
+        )
 
-    @pytest.fixture
-    def zero_force_argv(self, tmp_path):
-        """compare on one scenario, one trial whose force stays 0 until the cup attaches."""
+    @staticmethod
+    def one_trial_argv(tmp_path, angle_deg):
+        """compare on one trial at ``angle_deg``, whose force stays 0 until the cup attaches."""
         header = "time_s,force_N,displacement_mm,pressure_kPa"
         (tmp_path / "a.csv").write_text(f"{header}\n0,0,0,-8\n0.5,0,0.5,-60\n")
         manifest = tmp_path / "manifest.csv"
-        manifest.write_text("file,scenario,angle_deg\na.csv,s,45\n")
-        return ["compare", "--manifest", str(manifest), *STALK, "--ei-nm2", "1e-4"]
-
-    def test_one_scenario_needs_no_scenario_flag(self, zero_force_argv):
-        status, out = run(zero_force_argv)
-        assert status == 0
-        assert "# parameter scenario=s\n" in out
+        manifest.write_text(f"file,scenario,angle_deg\na.csv,s,{angle_deg}\n")
+        return [
+            "compare", "--manifest", str(manifest), "--scenario", "s", *STALK,
+            "--bending-input", BENDING,
+        ]
 
     # A positive prediction against a measured 0 N is an infinite relative residual.
-    def test_non_finite_cells(self, zero_force_argv):
+    def test_non_finite_cells(self, tmp_path):
+        zero_force_argv = self.one_trial_argv(tmp_path, 45)
         status, out = run(zero_force_argv)
         assert status == 0
         (row,) = csv_rows(out)
@@ -470,14 +456,31 @@ class TestCompareCommand:
         assert doc["rows"][0]["relative_residual"] == "inf"
         assert doc["aggregates"] == {"mean_abs_relative_error": "inf"}
 
-    @pytest.mark.parametrize("scenario", [[], ["--scenario", "s"]], ids=["any", "named"])
-    def test_manifest_without_trials(self, tmp_path, capsys, scenario):
+    # The attached trial at 90 deg is past the load solver's domain.
+    def test_an_attached_angle_theory_cannot_reach(self, tmp_path, capsys):
+        assert run(self.one_trial_argv(tmp_path, 90)) == (1, "")
+        message = "stalkmech: error: predictions do not cover measured angles: 90 deg\n"
+        assert capsys.readouterr().err == message
+
+    # Without --scenario compare stops before it reads the manifest; with one,
+    # the error says that the manifest lists none.
+    @pytest.mark.parametrize(
+        "scenario, status, message",
+        [
+            ([], 2, "the following arguments are required: --scenario"),
+            (
+                ["--scenario", "s"], 1,
+                "stalkmech: error: scenario 's' not in manifest (it lists none)\n",
+            ),
+        ],
+        ids=["any", "named"],
+    )
+    def test_manifest_without_trials(self, tmp_path, capsys, scenario, status, message):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("file,scenario,angle_deg\n")
-        argv = ["compare", "--manifest", str(manifest), *STALK, "--ei-nm2", "1e-4"]
-        status, out = run(argv + scenario)
-        assert (status, out) == (1, "")
-        assert capsys.readouterr().err == f"stalkmech: error: manifest {manifest} lists no trials\n"
+        argv = ["compare", "--manifest", str(manifest), *STALK, "--bending-input", BENDING]
+        assert run(argv + scenario) == (status, "")
+        assert message in capsys.readouterr().err
 
 
 # A bad data file: its name, its bad third line and the error after its path.
@@ -591,6 +594,12 @@ class TestParameterEcho:
     def test_one_way_to_state_geometry(self, monkeypatch, capsys, command, flag):
         self.assert_usage_error(monkeypatch, capsys, command, flag)
 
+    # A force takes its EI, and the label of its source, from the bending file alone.
+    @pytest.mark.parametrize("command", ["predict-force", "compare"])
+    @pytest.mark.parametrize("flag", ["--ei-nm2 5.44e-4", "--label jammed"], ids=["ei", "label"])
+    def test_one_source_of_stiffness(self, monkeypatch, capsys, command, flag):
+        self.assert_usage_error(monkeypatch, capsys, command, flag)
+
     @staticmethod
     def assert_usage_error(monkeypatch, capsys, command, flag):
         monkeypatch.chdir(REPO)
@@ -621,9 +630,6 @@ class TestParameterEcho:
 
 
 class TestExitCodes:
-    MANIFEST = str(REPO / "fixtures" / "trials" / "manifest.csv")
-    BENDING = str(REPO / "fixtures" / "bending" / "granular_20mm.csv")
-
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -631,36 +637,49 @@ class TestExitCodes:
             (
                 [
                     "predict-force", "--angles", "45", "--length-mm", "20",
-                    "--pad-radius-mm", "-1", "--ei-nm2", "1e-4",
+                    "--pad-radius-mm", "-1", "--bending-input", BENDING,
                 ],
-                "--pad-radius-mm must be >= 0, got -1.0",
+                "--pad-radius-mm must be finite and >= 0, got -1.0",
             ),
             (
                 ["alpha-table", "--angles", "45", "--radius-ratio", "-0.5"],
-                "--radius-ratio must be >= 0, got -0.5",
+                "--radius-ratio must be finite and >= 0, got -0.5",
+            ),
+            # A radius outside [0, inf) is refused in the words of the flag that gave it.
+            (
+                ["alpha-table", "--angles", "45", "--radius-ratio", "nan"],
+                "--radius-ratio must be finite and >= 0, got nan",
             ),
             (
-                ["predict-force", "--angles", "45", *STALK, "--ei-nm2", "0"],
-                "flexural_rigidity must be positive and finite, got 0.0",
+                ["alpha-table", "--angles", "45", "--radius-ratio", "inf"],
+                "--radius-ratio must be finite and >= 0, got inf",
             ),
             (
-                ["compare", "--manifest", MANIFEST, *STALK, "--ei-nm2", "1e-4"],
-                "manifest has several scenarios (10mm Granular, 20mm Granular, 5mm Granular, "
-                "Dragonskin 10, Ecoflex 00-10, Ecoflex 00-10 suction pad); "
-                "pick one with --scenario",
+                [
+                    "predict-force", "--angles", "45", "--length-mm", "20",
+                    "--pad-radius-mm", "nan", "--bending-input", BENDING,
+                ],
+                "--pad-radius-mm must be finite and >= 0, got nan",
+            ),
+            (
+                [
+                    "compare", "--manifest", MANIFEST, "--scenario", "20mm Granular",
+                    "--length-mm", "20", "--pad-radius-mm", "inf", "--bending-input", BENDING,
+                ],
+                "--pad-radius-mm must be finite and >= 0, got inf",
             ),
             # Lengths in metres whose cube leaves the float range, refused by the geometry.
             (
                 [
                     "predict-force", "--angles", "30", "--length-mm", "1e200",
-                    "--pad-radius-mm", "10", "--ei-nm2", "1",
+                    "--pad-radius-mm", "10", "--bending-input", BENDING,
                 ],
                 "stalk_length cubed must be positive and finite, got 1e+197",
             ),
             (
                 [
                     "predict-force", "--angles", "30", "--length-mm", "1e-200",
-                    "--pad-radius-mm", "10", "--ei-nm2", "1e300",
+                    "--pad-radius-mm", "10", "--bending-input", BENDING,
                 ],
                 "stalk_length cubed must be positive and finite, got 1e-203",
             ),
@@ -675,7 +694,7 @@ class TestExitCodes:
             (
                 [
                     "compare", "--manifest", MANIFEST, "--scenario", "20mm Granular",
-                    "--length-mm", "1e200", "--pad-radius-mm", "10", "--ei-nm2", "1e-4",
+                    "--length-mm", "1e200", "--pad-radius-mm", "10", "--bending-input", BENDING,
                 ],
                 "stalk_length cubed must be positive and finite, got 1e+197",
             ),
@@ -684,19 +703,11 @@ class TestExitCodes:
                 ["calibrate", "--input", BENDING, "--length-mm", "5e105"],
                 "EI = k L^3 / 3 is out of float range at stalk length 5e+102 m, k = 204 N/m",
             ),
-            # L^2 is in range, but L^3 is not.
-            (
-                [
-                    "predict-force", "--angles", "30", "--length-mm", "1e120",
-                    "--pad-radius-mm", "10", "--ei-nm2", "1",
-                ],
-                "stalk_length cubed must be positive and finite, got 1e+117",
-            ),
         ],
         ids=[
-            "zero-step", "negative-pad", "negative-ratio", "zero-ei", "several-scenarios",
-            "huge-length", "tiny-length", "huge-calibration-length", "tiny-calibration-length",
-            "compare-huge-length", "overflowing-calibration-ei", "direct-ei-length-cubed",
+            "zero-step", "negative-pad", "negative-ratio", "nan-ratio", "inf-ratio", "nan-pad",
+            "compare-inf-pad", "huge-length", "tiny-length", "huge-calibration-length",
+            "tiny-calibration-length", "compare-huge-length", "overflowing-calibration-ei",
         ],
     )
     def test_a_bad_flag_combination_names_itself(self, capsys, argv, message):
@@ -708,15 +719,21 @@ class TestExitCodes:
         "argv, missing",
         [
             (
-                ["predict-force", "--angles", "45", "--ei-nm2", "1e-4"],
+                ["predict-force", "--angles", "45", "--bending-input", BENDING],
                 "--length-mm, --pad-radius-mm",
             ),
             (
-                ["predict-force", "--angles", "45", "--length-mm", "20", "--ei-nm2", "1e-4"],
+                [
+                    "predict-force", "--angles", "45", "--length-mm", "20",
+                    "--bending-input", BENDING,
+                ],
                 "--pad-radius-mm",
             ),
             (
-                ["compare", "--manifest", MANIFEST, "--length-mm", "20", "--ei-nm2", "1e-4"],
+                [
+                    "compare", "--manifest", MANIFEST, "--scenario", "20mm Granular",
+                    "--length-mm", "20", "--bending-input", BENDING,
+                ],
                 "--pad-radius-mm",
             ),
         ],
@@ -724,17 +741,30 @@ class TestExitCodes:
     )
     def test_a_force_needs_both_lengths(self, capsys, argv, missing):
         assert run(argv) == (2, "")
-        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+        assert f"the following arguments are required: {missing}\n" in capsys.readouterr().err
+
+    # predict-force's case is TestPredictForceCommand.test_requires_exactly_one_stiffness_source.
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["compare", "--manifest", MANIFEST, "--scenario", "s", *STALK], "--bending-input"),
+            (["compare", "--manifest", MANIFEST, *STALK, "--bending-input", BENDING], "--scenario"),
+        ],
+        ids=["compare-no-bending-input", "compare-no-scenario"],
+    )
+    def test_compare_needs_a_bending_file_and_a_scenario(self, capsys, argv, missing):
+        assert run(argv) == (2, "")
+        assert f"the following arguments are required: {missing}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("length_mm", ["1e200", "1e-200", "1e308", "1e120", "inf"])
     def test_a_length_out_of_float_range_is_one_message_on_every_command(
         self, capsys, length_mm
     ):
-        common = ["--length-mm", length_mm, "--pad-radius-mm", "10", "--ei-nm2", "1e-4"]
+        common = ["--length-mm", length_mm, "--pad-radius-mm", "10", "--bending-input", BENDING]
         argvs = [
             ["predict-force", "--angles", "30", *common],
-            ["calibrate", "--input", self.BENDING, "--length-mm", length_mm],
-            ["compare", "--manifest", self.MANIFEST, "--scenario", "20mm Granular", *common],
+            ["calibrate", "--input", BENDING, "--length-mm", length_mm],
+            ["compare", "--manifest", MANIFEST, "--scenario", "20mm Granular", *common],
         ]
         message = (
             "stalkmech: error: stalk_length cubed must be positive and finite, "
@@ -756,7 +786,7 @@ class TestExitCodes:
 
     def test_negative_length_rejected(self):
         argv = ["predict-force", "--angles", "30", "--length-mm", "-5", "--pad-radius-mm", "2"]
-        status, _ = run(argv + ["--ei-nm2", "1e-4"])
+        status, _ = run(argv + ["--bending-input", BENDING])
         assert status == 1
 
     # A manifest is the one way to give analyze its trials, with their scenario and angle.
@@ -816,6 +846,27 @@ def test_the_benchmark_command_script_runs(monkeypatch):
         status, out = run(argv)
         assert status == 0, name
         assert cli_sessions.CHECKS[name](state, *cli_sessions.parse_document(out)) == [], name
+
+
+def readme_commands():
+    """The argv of each ``stalkmech`` line in the README's sh blocks, redirect dropped."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("stalkmech "):
+                argv = shlex.split(line)[1:]
+                commands.append(argv[: argv.index(">")] if ">" in argv else argv)
+    return commands
+
+
+# A flag change that leaves the README's examples stale fails here.
+def test_the_readme_command_examples_run(monkeypatch):
+    monkeypatch.chdir(REPO)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {name for name, _, _ in stalkmech.cli.COMMANDS}
+    for argv in commands:
+        assert run(argv)[0] == 0, argv
 
 
 class TestNumpyOnlyRuntime:
