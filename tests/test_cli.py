@@ -16,7 +16,8 @@ import pytest
 import stalkmech
 import stalkmech.cli
 from stalkmech.cli import MAX_RANGE_ANGLES, execute, parse_angles_spec
-from stalkmech.geometry import MAX_GRID_POINTS
+from stalkmech.force import StiffnessCalibration, predict_force_curve
+from stalkmech.geometry import MAX_GRID_POINTS, BeamGeometry
 from test_golden import CASES, REPO, golden_path
 
 # Every character at which str.splitlines() ends a line.
@@ -316,6 +317,21 @@ class TestPredictForceCommand:
         forces = [float(r["force_N"]) for r in csv_rows(out)]
         assert forces[2] == pytest.approx(1.40, rel=0.03)
         assert forces == sorted(forces)
+
+    # A known EI goes in through the library; the command's sweep from the
+    # bending file whose fit is that EI prints the same forces.
+    def test_direct_ei(self):
+        calibration = StiffnessCalibration(5.44e-4, 1.0, "direct", 0.02)
+        angles = [math.radians(a) for a in (15, 30, 45, 60, 75)]
+        curve = predict_force_curve(angles, calibration, BeamGeometry(0.02, 0.01))
+        direct = [p.force for p in curve]
+        assert direct[2] == pytest.approx(1.40, rel=0.03)
+        assert direct == sorted(direct)
+        argv = ["predict-force", "--angles", "15:75:15", *STALK, "--bending-input", BENDING]
+        status, out = run(argv)
+        assert status == 0
+        printed = [float(r["force_N"]) for r in csv_rows(out)]
+        assert printed == pytest.approx(direct, rel=1e-5)
 
     # The bending sweep is the one source of EI.
     def test_requires_exactly_one_stiffness_source(self, capsys):
@@ -703,11 +719,20 @@ class TestExitCodes:
                 ["calibrate", "--input", BENDING, "--length-mm", "5e105"],
                 "EI = k L^3 / 3 is out of float range at stalk length 5e+102 m, k = 204 N/m",
             ),
+            # L^2 is in range, but L^3 is not.
+            (
+                [
+                    "predict-force", "--angles", "30", "--length-mm", "1e120",
+                    "--pad-radius-mm", "10", "--bending-input", BENDING,
+                ],
+                "stalk_length cubed must be positive and finite, got 1e+117",
+            ),
         ],
         ids=[
             "zero-step", "negative-pad", "negative-ratio", "nan-ratio", "inf-ratio", "nan-pad",
             "compare-inf-pad", "huge-length", "tiny-length", "huge-calibration-length",
             "tiny-calibration-length", "compare-huge-length", "overflowing-calibration-ei",
+            "direct-ei-length-cubed",
         ],
     )
     def test_a_bad_flag_combination_names_itself(self, capsys, argv, message):
