@@ -10,11 +10,6 @@ The public names load lazily (PEP 562): ``import stalkmech`` imports no
 submodule, and reading a name imports only the submodule that defines it.
 """
 
-import os
-
-# Numpy's OpenBLAS worker pool would only spin beside this package's tiny linear algebra.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from importlib import import_module
 
 __version__ = "0.1.0"

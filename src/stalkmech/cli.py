@@ -3,10 +3,11 @@
 Every command prints one machine-readable document to standard output,
 as CSV (default) or JSON. Documents echo every parameter the command
 reads, defaults and fixed solver bounds included, and no other, so a run
-can be reproduced from its output alone;
-repeated identical invocations produce byte-identical output. Angles are
-accepted in degrees and lengths in millimeters at the flag boundary;
-everything is SI internally.
+can be reproduced from its output alone to the 6 significant digits of
+the echo: ``--angles 89.9999999`` echoes 90 and solves, while 90 is out of
+domain. Repeated identical invocations produce byte-identical output.
+Angles are accepted in degrees and lengths in millimeters at the flag
+boundary; everything is SI internally.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ class ElasticaSolution(NamedTuple("ElasticaSolution", [
 
     @property
     def theta_samples(self) -> np.ndarray:
-        """``theta`` as a read-only float array, built on each read; numpy loads here."""
+        """``theta`` as a read-only float array, built on each read; needs numpy (test extra)."""
         import numpy as np
         samples = np.array(self.theta)
         samples.flags.writeable = False
@@ -133,7 +133,8 @@ def integrate_elastica_ivp(
     with theta(0) = 0 and theta'(0) = ``initial_slope`` over s in [0, 1];
     halving the step reduces the error roughly 16-fold.
 
-    Returns the tangent angle at each of ``grid_points`` equispaced nodes.
+    Returns the tangent angle at each of ``grid_points`` equispaced nodes, as
+    a numpy array: needs numpy, which the ``test`` extra installs.
     """
     import numpy as np
     _validate_grid(grid_points)
@@ -275,7 +276,7 @@ def solve_shape_oracle(load: NormalizedLoad, geometry: BeamGeometry) -> Elastica
     restricted to the ``GRID_POINTS`` grid.
 
     This route shares no code path with the shooting solver and serves as
-    its independent cross-check.
+    its independent cross-check. It needs numpy, which the ``test`` extra installs.
     """
     import numpy as np
     alpha = load.alpha

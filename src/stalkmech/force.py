@@ -105,7 +105,7 @@ def calibrate_ei(
     for sample in samples:
         try:
             deflection, force = sample
-            pairs.append((float(deflection), float(force)))
+            pairs.append((_as_float(deflection), _as_float(force)))  # 10**400 as inf
         except (TypeError, ValueError):
             raise DataError("samples must be (deflection, force) pairs") from None
     if not pairs:

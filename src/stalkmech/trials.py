@@ -32,6 +32,8 @@ def _channel(name: str, values) -> tuple[float, ...]:
             return tuple(map(float, values))
         except (TypeError, ValueError):
             pass
+        except OverflowError:  # an int such as 10**400
+            raise DataError(f"channel {name} contains non-finite values") from None
     raise DataError(f"channel {name} must be a flat sequence of numbers")
 
 
@@ -200,10 +202,11 @@ def detect_attachment(
 ) -> int | None:
     """Index of the first sample whose pressure is at or below ``threshold`` (kPa), if any.
 
-    Absence (the cup never attached) is a valid result, returned as None.
+    Absence (the cup never attached) is a valid result, returned as None; a
+    ``threshold`` outside (-inf, 0) raises ValueError.
     """
-    if not (threshold < 0.0):
-        raise ValueError(f"threshold must be negative (vacuum), got {threshold}")
+    if not (-math.inf < threshold < 0.0):
+        raise ValueError(f"threshold must be finite and negative (vacuum), got {threshold}")
     for index, pressure in enumerate(record.pressure):
         if pressure <= threshold:
             return index

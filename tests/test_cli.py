@@ -54,8 +54,10 @@ class TestAngleSpec:
         assert parse_angles_spec("15,30,45") == [15.0, 30.0, 45.0]
 
     def test_bad_range(self):
-        with pytest.raises(ValueError):
-            parse_angles_spec("0:75")
+        for spec in ("0:75", "1:2:3:4"):
+            message = f"^angle range must be start:stop:step, got '{spec}'$"
+            with pytest.raises(ValueError, match=message):
+                parse_angles_spec(spec)
         with pytest.raises(ValueError):
             parse_angles_spec("10:0:5")
 
@@ -120,6 +122,22 @@ class TestAlphaTableCommand:
         _, out = run(["alpha-table", "--angles", "15", "--radius-ratio", "0.25"])
         assert "# parameter radius_ratio=0.25\n" in out
         assert "grid_points" not in out
+
+    # A list parameter is rounded item by item, as a float parameter is.
+    def test_json_rounds_each_listed_angle(self):
+        status, out = run(["alpha-table", "--angles", "0:0.3:0.1", "--format", "json"])
+        assert status == 0
+        assert json.loads(out)["parameters"]["angles_deg"] == [0.0, 0.1, 0.2, 0.3]
+
+    # The echo keeps 6 significant digits, so it reproduces a run only to that
+    # precision: this solved angle echoes as 90, which is out of domain.
+    def test_echo_reproduces_a_run_to_six_digits(self):
+        argv = ["alpha-table", "--radius-ratio", "3", "--angles"]
+        _, out = run([*argv, "89.9999999"])
+        assert "# parameter angles_deg=90\n" in out
+        (row,) = csv_rows(out)
+        assert (row["surface_angle_deg"], row["alpha"], row["error"]) == ("90", "0.460304", "")
+        assert "surface angle must be in [0, pi/2)" in run([*argv, "90"])[1]
 
     def test_zero_radius_solves_every_row_on_the_buckled_branch(self):
         argv = ["alpha-table", "--angles", "15,45,85", "--radius-ratio", "0"]
@@ -375,6 +393,23 @@ class TestAnalyzeCommand:
         assert by_angle[90.0]["adaptation_force_N"] is None
         assert by_angle[85.0]["attached"] is True
         assert by_angle[85.0]["rep_forces_N"] == [0.33, 0.33]
+
+    # No finite vacuum sample reaches -inf, so it would report every trial as unattached.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--manifest", MANIFEST],
+            [
+                "compare", "--manifest", MANIFEST, "--scenario", "20mm Granular", *STALK,
+                "--bending-input", BENDING,
+            ],
+        ],
+        ids=["analyze", "compare"],
+    )
+    def test_infinite_threshold_rejected(self, capsys, argv):
+        status, out = run([*argv, "--threshold-kpa=-inf"])
+        assert (status, out) == (1, "")
+        assert "threshold must be finite and negative (vacuum), got -inf" in capsys.readouterr().err
 
     def test_positive_threshold_rejected(self, fixtures_dir):
         status, _ = run(
@@ -895,7 +930,7 @@ def test_the_readme_command_examples_run(monkeypatch):
 
 
 class TestNumpyOnlyRuntime:
-    """The package needs numpy and the standard library, and nothing else."""
+    """The package runs on the standard library; numpy serves three array builders only."""
 
     PRELUDE = (
         "import sys\n"
@@ -904,11 +939,8 @@ class TestNumpyOnlyRuntime:
         "    return sorted({n.partition('.')[0] for n in names} - allowed)\n"
     )
 
-    def child(self, code, blas_threads=None):
+    def child(self, code):
         env = dict(os.environ, PYTHONPATH=str(Path(stalkmech.__file__).resolve().parents[1]))
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if blas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas_threads
         return subprocess.run(
             [sys.executable, "-c", self.PRELUDE + code],
             env=env,
@@ -928,13 +960,62 @@ class TestNumpyOnlyRuntime:
         # numpy.polynomial would add to every command's start-up time.
         assert proc.stdout.split() == ["[]", "False"]
 
-    @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
-    def test_numpy_starts_with_one_blas_thread_unless_set(self, given, expected):
+    # Installing the package installs nothing else; the test extra adds numpy.
+    def test_the_runtime_dependencies_are_empty(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        with open(REPO / "pyproject.toml", "rb") as handle:
+            project = tomllib.load(handle)["project"]
+        assert project["dependencies"] == []
+        assert "numpy>=1.24" in project["optional-dependencies"]["test"]
+
+    # Importing the package sets no variable in the caller's process environment.
+    # The child empties it first, so a variable already set cannot hide a default.
+    def test_import_leaves_the_environment_unchanged(self):
         proc = self.child(
-            "import os, stalkmech.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n", given
+            "import os\n"
+            "os.environ.clear()\n"
+            "import stalkmech\n"
+            "print(dict(os.environ))\n"
+            "import stalkmech.cli\n"
+            "print(dict(os.environ))\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [expected]
+        assert proc.stdout.splitlines() == ["{}", "{}"]
+
+    # Without numpy every public name resolves and everything but the three
+    # array builders runs: the load solver, shooting, the fit and the trial reduction.
+    def test_the_library_runs_with_numpy_blocked(self):
+        proc = self.child(
+            f"import os\nos.chdir({str(REPO)!r})\n"
+            "sys.modules['numpy'] = None\n"
+            "import math, stalkmech as sm\n"
+            "for name in sm.__all__:\n"
+            "    getattr(sm, name)\n"
+            "geometry = sm.BeamGeometry(0.02, 0.01)\n"
+            "result = sm.solve_alpha_for_angle(math.radians(45.0), geometry)\n"
+            "solution = sm.solve_shape_shooting(sm.NormalizedLoad(result.alpha), geometry)\n"
+            "assert result.inner_solution.theta and sm.centerline(solution)\n"
+            "samples = sm.read_bending_samples('fixtures/bending/granular_20mm.csv')\n"
+            "calibration = sm.calibrate_ei(samples, geometry)\n"
+            "trials = sm.load_manifest_trials('fixtures/trials/manifest.csv')\n"
+            "granular = [trial for trial in trials if trial.scenario == '20mm Granular']\n"
+            "summary = sm.summarize_scenario(granular)\n"
+            "angles = [outcome.surface_angle for outcome in summary.angles if outcome.rep_forces]\n"
+            "predictions = sm.predict_force_curve(angles, calibration, geometry)\n"
+            "report = sm.compare_theory(summary, predictions)\n"
+            "for build in (\n"
+            "    lambda: sm.solve_shape_oracle(sm.NormalizedLoad(result.alpha), geometry),\n"
+            "    lambda: sm.integrate_elastica_ivp(sm.NormalizedLoad(1.0), 1.0, 16),\n"
+            "    lambda: solution.theta_samples,\n"
+            "):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except ModuleNotFoundError as exc:\n"
+            "        print(exc.name)\n"
+            "print(len(sm.__all__), len(report.rows))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["numpy"] * 3 + ["35 6"]
 
     # numpy's import is about 40% of a command's wall time, so it loads only where
     # an array is built: the relaxation oracle, integrate_elastica_ivp and

@@ -24,6 +24,7 @@ from stalkmech import (
     NormalizedLoad,
     StiffnessCalibration,
     TrialRecord,
+    calibrate_ei,
 )
 
 RECORDS = {
@@ -73,6 +74,7 @@ BAD_VALUES = [
     ("load", "alpha", 10**400, ValueError),
     ("calibration", "stalk_length", 10**200, ValueError),
     ("trial", "surface_angle", 10**400, DataError),
+    ("trial", "displacement", (0, 10**400, 0), DataError),
 ]
 
 
@@ -147,6 +149,27 @@ def test_scalar_fields_are_stored_as_floats():
 )
 def test_a_number_beyond_the_float_range_names_its_field(build, message):
     with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+# A measured sample beyond the float range is refused as a non-finite one is.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: TrialRecord("s", 0.1, [0], [10**400], [0], [0]),
+            "channel force contains non-finite values",
+        ),
+        (
+            lambda: calibrate_ei([(10**400, 1), (1, 2)], BeamGeometry(0.02, 0)),
+            "deflections and forces must be finite",
+        ),
+    ],
+    ids=["trial-channel", "bending-sample"],
+)
+def test_a_sample_beyond_the_float_range_is_a_data_error(build, message):
+    with pytest.raises(DataError) as excinfo:
         build()
     assert str(excinfo.value) == message
 

@@ -295,9 +295,12 @@ class TestDetectAttachment:
     def test_single_attached_sample(self):
         assert detect_attachment(make_record([-60.0])) == 0
 
+    # No finite sample reaches -inf, so it would report every trial as unattached.
     def test_threshold_must_be_negative(self):
-        with pytest.raises(ValueError):
-            detect_attachment(make_record([-60.0]), threshold=0.0)
+        for threshold in (0.0, -math.inf, math.nan, math.inf):
+            message = f"threshold must be finite and negative \\(vacuum\\), got {threshold}$"
+            with pytest.raises(ValueError, match=message):
+                detect_attachment(make_record([-60.0]), threshold=threshold)
 
     @given(
         pressures=st.lists(
