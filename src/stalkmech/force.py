@@ -132,13 +132,17 @@ def calibrate_ei(
 
     # In units of the largest deflection the sum of squares is at least 1, so it cannot underflow.
     scaled = [(d / top, f) for d, f in pairs]
-    slope = sum(f * x for x, f in scaled) / sum(x * x for x, _ in scaled) / top
+    scaled_slope = sum(f * x for x, f in scaled) / sum(x * x for x, _ in scaled)
+    slope = scaled_slope / top
     if slope <= 0.0:
         raise DataError(f"non-positive stiffness slope {slope:g}")
 
-    ss_res = sum((f - slope * d) ** 2 for d, f in pairs)
-    ss_tot = sum(f * f for _, f in pairs)
-    fit_quality = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+    # The forces too, in units of the largest: their squares then neither overflow
+    # nor all underflow, and the ratio of the two sums is the same in any unit.
+    big = max(abs(f) for _, f in pairs)
+    ss_res = sum(((f - scaled_slope * x) / big) ** 2 for x, f in scaled)
+    ss_tot = sum((f / big) ** 2 for _, f in pairs)
+    fit_quality = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
 
     flexural_rigidity = slope * (L * L * L) / 3.0
     if not (0.0 < flexural_rigidity < math.inf):

@@ -312,6 +312,16 @@ class TestCalibrateCommand:
             escape = line_break.encode("unicode_escape").decode("ascii")
             assert table[1:] == [f"jammed{escape}x,20,5,204,0.000544,1"]
 
+    # The squares of these forces overflow; the fit quality does not.
+    def test_forces_whose_squares_overflow(self, tmp_path, capsys):
+        bending = tmp_path / "huge.csv"
+        bending.write_text("deflection_mm,force_N\n1,1e200\n2,3e200\n", encoding="utf-8")
+        status, out = run(["calibrate", "--input", str(bending), "--length-mm", "20"])
+        assert status == 0
+        (row,) = csv_rows(out)
+        assert (row["linear_slope_N_per_m"], row["fit_quality"]) == ("1.4e+203", "0.98")
+        assert capsys.readouterr().err == ""
+
     def test_missing_file_exits_one(self):
         status, _ = run(["calibrate", "--input", "no/such/file.csv", "--length-mm", "20"])
         assert status == 1

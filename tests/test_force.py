@@ -108,6 +108,16 @@ class TestCalibration:
         cal = calibrate_ei(samples, GEOM_20MM)
         assert cal.linear_slope == pytest.approx(204.0, rel=1e-12)
 
+    # Past about 1e154 N the squares of the forces overflow, and below about
+    # 1e-162 N they all underflow; the fit quality must not see the unit.
+    @pytest.mark.parametrize("newtons", [1e200, 1e-200], ids=["overflow", "underflow"])
+    def test_fit_quality_does_not_depend_on_the_force_unit(self, newtons):
+        geometry = BeamGeometry(0.02, 0.0)
+        at_one_newton = calibrate_ei([(1e-3, 1.0), (2e-3, 3.0)], geometry).fit_quality
+        cal = calibrate_ei([(1e-3, newtons), (2e-3, 3.0 * newtons)], geometry)
+        assert at_one_newton == pytest.approx(0.98, rel=1e-12)
+        assert cal.fit_quality == pytest.approx(at_one_newton, rel=1e-12)
+
     def test_two_point_line_through_the_10mm_anchor(self):
         # 2.74 N at 5 mm on the 10 mm stalk: EI = 548 * 0.01^3 / 3.
         geom = BeamGeometry.from_millimeters(10.0, 10.0)

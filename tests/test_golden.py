@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import stalkmech.alpha
 from stalkmech.cli import execute
 
 REPO = Path(__file__).resolve().parent.parent
@@ -71,6 +72,25 @@ def render(argv: list[str]) -> str:
 
 def golden_path(name: str) -> Path:
     return GOLDEN / f"{name}.txt"
+
+
+# Evaluations of the load excess per command, 3 per angle solved at R/L = 0.5:
+# 5 angles for alpha-table, 15 for predict-force and the 6 of compare's scenario.
+@pytest.mark.parametrize(
+    "name, evaluations", [("alpha-table", 15), ("predict-force", 45), ("compare", 18)]
+)
+def test_excess_evaluations_per_command(name, evaluations, monkeypatch):
+    monkeypatch.chdir(REPO)
+    calls = []
+    excess = stalkmech.alpha._excess
+
+    def counted(*args):
+        calls.append(args)
+        return excess(*args)
+
+    monkeypatch.setattr(stalkmech.alpha, "_excess", counted)
+    render(CASES[name])
+    assert len(calls) == evaluations
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
