@@ -9,11 +9,11 @@ and k sin(phi_gamma) = sin(gamma/2). In Carlson's symmetric form (DLMF
 19.25.5) F = sin(phi) R_F(cos^2 phi, 1 - k^2 sin^2 phi, 1), whose second
 argument is cos^2(gamma/2) for every load; duplication evaluates R_F to
 rounding in a few steps of square roots, and the same steps give the R_D
-in F's derivative. As k >= sin(gamma/2), F never exceeds K(sin(gamma/2)),
-its value at rho = 0, so the unique root in sqrt(alpha) of the strictly
-increasing sqrt(alpha) - F lies in [0, K], where Newton's method, kept in
-a bracket, finds it in about three evaluations. Its inverse is the shape in
-closed form, sin(theta / 2) = k sn(sqrt(alpha) s | k^2) (Frisch-Fay,
+in F's first and second derivatives. As k >= sin(gamma/2), F never exceeds
+K(sin(gamma/2)), its value at rho = 0, so the unique root in sqrt(alpha) of
+the strictly increasing sqrt(alpha) - F lies in [0, K], where Halley's
+method, kept in a bracket, finds it in two evaluations. Its inverse is the
+shape in closed form, sin(theta / 2) = k sn(sqrt(alpha) s | k^2) (Frisch-Fay,
 Flexible Bars, 1962). A load table reads only the tip of that shape, so the
 solver evaluates it at s = 1 alone; the whole grid is built anew on each
 read of ``inner_solution``.
@@ -40,7 +40,7 @@ class AlphaResult(NamedTuple("AlphaResult", [
 ])):
     """Normalized load solving tip_angle(alpha) = the caller's surface angle.
 
-    ``outer_iterations`` counts Newton's evaluations of the excess, K's alone
+    ``outer_iterations`` counts Halley's evaluations of the excess, K's alone
     at R/L = 0; ``boundary_residual`` is the achieved |theta'(1) - alpha R / L|.
     The sampled shape, ``inner_solution``, is built on each read from the
     modulus k, kept for it alone.
@@ -121,26 +121,42 @@ def _carlson(x: float, y: float, z: float) -> tuple[float, float]:
 
 def _excess(
     root: float, half_sine: float, half_cos2: float, radius_ratio: float,
-) -> tuple[float, float]:
-    """root - F(phi_gamma, k) at root = sqrt(alpha), and its slope in root.
+) -> tuple[float, float, float]:
+    """root - F(phi_gamma, k) at root = sqrt(alpha), and its slope and curvature in root.
 
     ``half_sine`` > 0 and ``half_cos2`` are sin(gamma/2) and cos^2(gamma/2);
-    the excess is negative while the load is too small. Along
-    k sin(phi_gamma) = sin(gamma/2), dF/d(k^2) = -Pi(phi_gamma, 1, k) / (2 k^2),
+    the excess is negative while the load is too small. With
+    D(theta)^2 = 2 (cos theta - cos gamma) + w, w = alpha rho^2 = 4 c^2, and
+    J_n the integral of D^-n over [0, gamma], the excess is root - J_1.
+    Along k sin(phi_gamma) = sin(gamma/2), J_3 = Pi(phi_gamma, 1, k) / (4 k^2),
     and DLMF 19.25.14, with R_J(x, y, z, x) = R_D(y, z, x), gives
     Pi = F + sin^3(phi_gamma) R_D(cos^2(gamma/2), 1, cos^2(phi_gamma)) / 3.
-    The slope, 1 + root (rho / 2k)^2 Pi, is therefore never below 1.
+    The slope, 1 + root rho^2 J_3, is therefore never below 1. The
+    curvature is rho^2 (J_3 - 3 w J_5), and integrating the derivative of
+    sin(theta) D^-3 over [0, gamma] gives, with A = 4 k^2 - 2,
+    3 (4 - A^2) J_5 = 4 sin(gamma) w^(-3/2) + J_1 - 4 A J_3, where
+    4 - A^2 = 16 k^2 (1 - k^2): no further integral. At k = 1 to rounding
+    that division fails, and the curvature is nan.
     """
     c = 0.5 * root * radius_ratio  # k cos(phi_gamma)
     k = math.hypot(half_sine, c)
     cos2 = (c / k) * (c / k)
-    if cos2 == 0.0:  # phi_gamma = pi/2 to rounding: F = K, and the slope is 1
-        return root - _carlson(0.0, half_cos2, 1.0)[0], 1.0
+    if cos2 == 0.0:  # phi_gamma = pi/2 to rounding: F = K, the slope 1 and the curvature 0
+        return root - _carlson(0.0, half_cos2, 1.0)[0], 1.0, 0.0
     sine = half_sine / k  # sin(phi_gamma)
     rf, rd = _carlson(half_cos2, 1.0, cos2)
     f = sine * rf
+    pi = f + sine * sine * sine * rd / 3.0
     half = 0.5 * radius_ratio / k  # squared by hand: ** raises where * overflows to inf
-    return root - f, 1.0 + root * half * half * (f + sine * sine * sine * rd / 3.0)
+    # rho^2 J_3 = half^2 Pi and 3 w rho^2 J_5 = half^2 tail / (1 - k^2), each
+    # multiplied in one half at a time, so that half^2 alone never overflows.
+    tail = (
+        half_sine * math.sqrt(half_cos2) / c + c * c * f
+        - (4.0 * (half_sine * half_sine + c * c) - 2.0) * cos2 * pi
+    )
+    gap = half_cos2 - c * c  # 1 - k^2
+    curvature = half * (half * (pi - tail / gap)) if gap else math.nan
+    return root - f, 1.0 + root * half * half * pi, curvature
 
 
 def _agm(m: float) -> tuple[float, list[float]]:
@@ -195,27 +211,32 @@ def _validate_angle(surface_angle: float) -> None:
 _ROOT_CEILING = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
 _START_BLEND = 4.0 / math.pi**2  # the start's weight of 1 / (pi/2)^2
 _STOP = 4.0 * sys.float_info.epsilon
-_SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # the relative step the error bound accepts
+_CBRT_EPS = sys.float_info.epsilon ** (1.0 / 3.0)  # the relative step the error bound accepts
 
 
-def _newton(
+def _halley(
     root: float, half_sine: float, half_cos2: float, radius_ratio: float,
 ) -> tuple[float, int]:
-    """The excess's root by Newton's method from ``root``, and the evaluations it took.
+    """The excess's root by Halley's method from ``root``, and the evaluations it took.
 
-    Newton's method in r = sqrt(alpha), safeguarded by the bracket
+    Halley's method in r = sqrt(alpha), safeguarded by the bracket
     [0, K(1/sqrt(2))], whose ends move by the sign of each excess g: a step
     that leaves the bracket, the last one too, gives way to its midpoint.
+    The step is d = (g/g') / (1 - h), h = g g'' / (2 g'^2); where h is not
+    finite or |h| > 1/2, as at k = 1 exactly or where rho / k is so large
+    that the derivatives overflow, it is Newton's g/g'.
 
-    Newton's error bound stops it one evaluation before a step could only
-    confirm the root. After a step d the root is off by about
-    |g''/(2g')| d^2, and at the root |g''/(2g')| r is 1/2 in the small-load
-    limit g = r - gamma/(rho r) (at most 0.5000 over 40,000 draws with R/L
-    log-uniform in [1e-8, 1e8]). Taking the bound as 1, a step with
-    |d| <= sqrt(eps) r leaves an error of at most d^2 / r <= eps r, so the
-    stepped root is returned if it stays in the bracket and the step
-    shrank as that bound says, |d| r <= d_prev^2. That clause keeps the
-    first step (d_prev = 0) off this stop, and steps on rounding noise too.
+    Halley's error bound stops it one evaluation before a step could only
+    confirm the root. After a Halley step d the root is off by about
+    |C| |d|^3, C = (g''/(2g'))^2 - g'''/(6g'), and at the root |C| r^2 is
+    1/4 in the small-load limit g = r - gamma/(rho r) (at most 0.2500 over
+    40,000 draws with R/L log-uniform in [1e-8, 1e8]). Taking the bound
+    as 1, a step with |d| <= eps^(1/3) r leaves an error of at most
+    |d|^3 / r^2 <= eps r, so the stepped root is returned if it stays in
+    the bracket and the step shrank as that bound says,
+    |d| r^2 <= d_prev^3. That clause keeps the first step (d_prev = 0) off
+    this stop, and steps on rounding noise too; a Newton step never takes
+    it.
 
     Otherwise it stops once a step, applied, is within 4 eps of the root, or
     once the bracket is that narrow, as it gets where rounding in a subnormal
@@ -224,40 +245,47 @@ def _newton(
     lo, hi = 0.0, _ROOT_CEILING
     last = 0.0
     for evals in range(1, MAX_ITERATIONS + 1):
-        f, slope = _excess(root, half_sine, half_cos2, radius_ratio)
+        f, slope, curvature = _excess(root, half_sine, half_cos2, radius_ratio)
         if f < 0.0:
             lo = root
         else:
             hi = root
         step = f / slope
+        h = 0.5 * step * curvature / slope
+        halley = abs(h) <= 0.5
+        if halley:
+            step /= 1.0 - h
         root -= step
         size = abs(step)
         tolerance = _STOP * root
         if size <= tolerance or hi - lo <= tolerance:
             return (root if lo <= root <= hi else 0.5 * (lo + hi)), evals
-        if size <= _SQRT_EPS * root and size * root <= last * last and lo <= root <= hi:
+        if (
+            halley and size <= _CBRT_EPS * root
+            and size * root * root <= last * last * last and lo <= root <= hi
+        ):
             return root, evals
         if not lo < root < hi:
             root = 0.5 * (lo + hi)
         last = size
-    raise SolverError(f"Newton iteration did not converge after {MAX_ITERATIONS} iterations")
+    raise SolverError(f"Halley iteration did not converge after {MAX_ITERATIONS} iterations")
 
 
 def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> AlphaResult:
     """Normalized load alpha whose solved tip angle equals ``surface_angle``.
 
     At R/L = 0 the root in sqrt(alpha) is K(sin(gamma/2)), one evaluation.
-    Otherwise Newton's method finds the root of the first-integral excess,
+    Otherwise Halley's method finds the root of the first-integral excess,
     starting between pi/2 and the small-angle root sqrt(gamma / (R/L));
-    each evaluation of the excess and its slope counts as an outer
+    each evaluation of the excess and its two derivatives counts as an outer
     iteration. The closed form then gives the shape's tip, whose slope and
     angle must match within ``BOUNDARY_TOLERANCE`` and ``ANGLE_TOLERANCE``,
     the latter relative to the angle below 1 rad.
     Zero angle is the zero load and the straight stalk.
 
     Raises SolverError when the shape's tip angle or slope misses its
-    target or Newton's method runs out of iterations, and ValueError for an
-    angle outside [0, pi/2).
+    target (naming an underflowed alpha as the cause) or Halley's method runs
+    out of iterations, and ValueError for an angle outside [0, pi/2).
     """
     _validate_angle(surface_angle)
     if surface_angle == 0.0:
@@ -277,7 +305,7 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
         if half_sine == 0.0:  # gamma/2 underflowed, so F = 0: the start is the root to rounding
             evals = 0
         else:
-            root, evals = _newton(root, half_sine, half_cos2, ratio)
+            root, evals = _halley(root, half_sine, half_cos2, ratio)
     alpha_star = root * root
     root = math.sqrt(alpha_star)  # as inner_solution rebuilds it; they differ for a subnormal alpha
     k = math.hypot(half_sine, 0.5 * root * ratio)
@@ -291,6 +319,11 @@ def solve_alpha_for_angle(surface_angle: float, geometry: BeamGeometry) -> Alpha
     # 16 ulps of rounding, which only a subnormal angle comes near.
     tolerance = ANGLE_TOLERANCE * min(1.0, surface_angle) + 16.0 * math.ulp(surface_angle)
     if abs(achieved - surface_angle) > tolerance:
+        if alpha_star < sys.float_info.min:  # alpha ~ gamma / rho: too few bits to aim the tip
+            raise SolverError(
+                f"load alpha={alpha_star:.8g} underflows below the normal floats and "
+                f"leaves tip angle {achieved:.8g} rad off target {surface_angle:.8g} rad"
+            )
         raise SolverError(
             f"root search left tip angle {achieved:.8g} rad off target "
             f"{surface_angle:.8g} rad"

@@ -133,13 +133,43 @@ class TestExcess:
         difference = excess_at(root + h, gamma, ratio)[0] - excess_at(root - h, gamma, ratio)[0]
         assert excess_at(root, gamma, ratio)[1] == pytest.approx(difference / (2.0 * h), rel=1e-7)
 
-    # A concave, increasing excess: Newton's method climbs to the root from below.
+    # Below R/L = 0.1 the curvature is too small beside the slope's rounding
+    # for a difference of slopes to resolve it. Above 1 the modulus k
+    # passes 1, where the curvature's 1 / (1 - k^2) changes sign.
+    @given(
+        gamma=st.floats(min_value=math.radians(1.0), max_value=math.radians(89.5)),
+        ratio=st.floats(min_value=0.1, max_value=10.0),
+        fraction=st.floats(min_value=0.02, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_curvature_matches_a_central_difference(self, gamma, ratio, fraction):
+        root = fraction * complete_k(0.5 * gamma)
+        h = 1e-4 * root
+        difference = excess_at(root + h, gamma, ratio)[1] - excess_at(root - h, gamma, ratio)[1]
+        assert excess_at(root, gamma, ratio)[2] == pytest.approx(difference / (2.0 * h), rel=1e-6)
+
+    # A concave, increasing excess: the search climbs to the root from below.
     @pytest.mark.parametrize("ratio", [1e-4, 0.05, 0.5, 1.0, 3.0, 10.0])
     def test_slope_never_rises_on_the_bracket(self, ratio):
         for gamma in np.radians(np.arange(1.0, 90.0, 0.5)).tolist():
             ceiling = complete_k(0.5 * gamma)
-            slopes = [excess_at(ceiling * i / 50, gamma, ratio)[1] for i in range(1, 51)]
+            values = [excess_at(ceiling * i / 50, gamma, ratio) for i in range(1, 51)]
+            slopes = [slope for _, slope, _ in values]
             assert all(1.0 <= b <= a for a, b in zip(slopes, slopes[1:])), math.degrees(gamma)
+            assert all(curvature <= 0.0 for _, _, curvature in values), math.degrees(gamma)
+
+    # At k = 1 exactly, here where k cos(phi_gamma) = cos(gamma/2) to the
+    # last bit, the curvature's 1 - k^2 is 0: the curvature is nan, and the
+    # search takes Newton's step there instead of raising.
+    def test_unit_modulus_has_no_curvature_and_takes_a_newton_step(self):
+        gamma = math.radians(30.0)
+        half_sine, half_cos2 = math.sin(0.5 * gamma), math.cos(0.5 * gamma) ** 2
+        root = math.sqrt(half_cos2)
+        assert (0.5 * root * 2.0) ** 2 == half_cos2
+        assert math.isnan(_excess(root, half_sine, half_cos2, 2.0)[2])
+        solved = solve_alpha_for_angle(gamma, BeamGeometry.from_ratio(2.0)).alpha
+        found, _ = stalkmech.alpha._halley(root, half_sine, half_cos2, 2.0)
+        assert found * found == pytest.approx(solved, rel=8 * EPS)
 
 
 def amplitude_within(seconds, u, m):
@@ -340,7 +370,7 @@ class TestSolveAlphaForAngle:
     def test_each_quadrature_is_evaluated_once(
         self, half_ratio_geometry, monkeypatch, gamma_deg
     ):
-        # Newton's method starts inside the bracket, so f(0) = -K is never
+        # Halley's method starts inside the bracket, so f(0) = -K is never
         # evaluated, and it stops on its error bound before a step could
         # only confirm the root.
         loads = []
@@ -356,17 +386,16 @@ class TestSolveAlphaForAngle:
         assert len(set(loads)) == len(loads)
         assert 0.0 not in loads
 
-    def test_about_three_evaluations_per_angle(self):
-        # The stop on Newton's error bound saves the evaluation that would
-        # only confirm the root: a mean of 4.00 and a maximum of 5 before it.
-        # At R/L = 0 the one evaluation is K itself.
+    def test_about_two_evaluations_per_angle(self):
+        # Halley's cubic step and its error-bound stop need two evaluations
+        # per angle. At R/L = 0 the one evaluation is K itself.
         counts = [
             solve_alpha_for_angle(math.radians(d), BeamGeometry.from_ratio(r)).outer_iterations
             for r in (0.05, 0.1, 0.5, 1.0, 1.5, 3.0)
             for d in range(1, 90)
         ]
-        assert sum(counts) / len(counts) <= 3.1
-        assert max(counts) <= 4
+        assert sum(counts) / len(counts) <= 2.05
+        assert max(counts) <= 3
         pure_force = BeamGeometry.from_ratio(0.0)
         assert {
             solve_alpha_for_angle(math.radians(d), pure_force).outer_iterations
@@ -459,17 +488,17 @@ class TestSolveAlphaForAngle:
     # too large is refused at a tiny angle too, a subnormal one included.
     @pytest.mark.parametrize("gamma", [1e-9, 1e-320])
     def test_wrong_load_at_a_tiny_angle_is_refused(self, half_ratio_geometry, monkeypatch, gamma):
-        newton = stalkmech.alpha._newton
+        halley = stalkmech.alpha._halley
 
         def doubled(*args):
-            root, evals = newton(*args)
+            root, evals = halley(*args)
             return 2.0 * root, evals
 
-        monkeypatch.setattr(stalkmech.alpha, "_newton", doubled)
+        monkeypatch.setattr(stalkmech.alpha, "_halley", doubled)
         with pytest.raises(SolverError, match="off target"):
             solve_alpha_for_angle(gamma, half_ratio_geometry)
 
-    # At a subnormal angle the excess is rounding noise: Newton's second step
+    # At a subnormal angle the excess is rounding noise: the second step
     # leaves the bracket and is replaced by its midpoint, and the bracket is
     # then 4 eps wide, which ends the search.
     # The last step leaves that bracket too, so its midpoint is the answer.
@@ -478,9 +507,9 @@ class TestSolveAlphaForAngle:
         excess = stalkmech.alpha._excess
 
         def recorded(root, *args):
-            f, slope = excess(root, *args)
-            evaluated.append((root, f))
-            return f, slope
+            values = excess(root, *args)
+            evaluated.append((root, values[0]))
+            return values
 
         monkeypatch.setattr(stalkmech.alpha, "_excess", recorded)
         result = solve_alpha_for_angle(1e-323, BeamGeometry.from_ratio(2.811020096439373e-295))
@@ -520,13 +549,39 @@ class TestAlphaTable:
         assert rows[1].error is not None and rows[1].alpha is None
         assert rows[2].error is None
 
+    # Over the whole domain, subnormal angles and pads over the float range
+    # included, an angle gives a value or an error row and never raises: at
+    # the example, k^2 underflows to 0.
+    @given(
+        gamma=st.one_of(
+            st.floats(min_value=0.0, max_value=0.5 * math.pi, exclude_max=True),
+            st.floats(min_value=-324.0, max_value=0.0).map(lambda e: 10.0**e),
+        ),
+        ratio=st.one_of(
+            st.just(0.0), st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+        ),
+    )
+    @example(gamma=1e-323, ratio=2.811020096439373e-295)
+    @settings(max_examples=300, deadline=None)
+    def test_every_angle_gives_a_value_or_an_error_row(self, gamma, ratio):
+        [row] = generate_alpha_table([gamma], BeamGeometry.from_ratio(ratio))
+        assert (row.result is None) == (row.error is not None)
+
+    # A subnormal load, too coarse to aim the tip, is named as the cause.
+    def test_a_subnormal_load_is_named_in_the_error_row(self):
+        [row] = generate_alpha_table([math.radians(1e-318)], BeamGeometry.from_ratio(100.0))
+        assert row.error == (
+            "load alpha=1.7292298e-322 underflows below the normal floats and leaves "
+            "tip angle 1.7292298e-320 rad off target 1.7455339e-320 rad"
+        )
+
     def test_outer_search_out_of_iterations_is_an_error_row(
         self, half_ratio_geometry, monkeypatch
     ):
-        monkeypatch.setattr(stalkmech.alpha, "MAX_ITERATIONS", 2)
+        monkeypatch.setattr(stalkmech.alpha, "MAX_ITERATIONS", 1)
         rows = generate_alpha_table([math.radians(45.0)], half_ratio_geometry)
         assert rows[0].alpha is None and rows[0].result is None
-        assert "after 2 iterations" in rows[0].error
+        assert "after 1 iterations" in rows[0].error
 
 
 # A caller that still passes a settings object positionally fails loudly
@@ -626,17 +681,17 @@ class TestWholeDomain:
 
 
 def returned_root(gamma, ratio):
-    """The root in sqrt(alpha) that the load search returns: Newton's, or K at R/L = 0."""
+    """The root in sqrt(alpha) that the load search returns: Halley's, or K at R/L = 0."""
     roots = []
-    newton = stalkmech.alpha._newton
+    halley = stalkmech.alpha._halley
 
     def recorded(*args):
-        root, evals = newton(*args)
+        root, evals = halley(*args)
         roots.append(root)
         return root, evals
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stalkmech.alpha, "_newton", recorded)
+        patch.setattr(stalkmech.alpha, "_halley", recorded)
         result = solve_alpha_for_angle(gamma, BeamGeometry.from_ratio(ratio))
     return roots[0] if roots else math.sqrt(result.alpha)
 
@@ -652,36 +707,92 @@ WIDE_RATIOS = st.one_of(
 )
 
 
+def scripted_search(monkeypatch, start, script):
+    """The roots that ``_halley`` evaluates from ``start``, and its answer.
+
+    Each evaluation of the scripted excess returns the next (value,
+    curvature) pair of ``script``, with slope 1.
+    """
+    evaluated = []
+    pairs = iter(script)
+
+    def excess(root, *args):
+        evaluated.append(root)
+        value, curvature = next(pairs)
+        return value, 1.0, curvature
+
+    monkeypatch.setattr(stalkmech.alpha, "_excess", excess)
+    return evaluated, stalkmech.alpha._halley(start, 0.5, 0.75, 0.5)
+
+
 class TestNewtonStop:
     # The early stop accepts a root that one more step would confirm: that
-    # step moves it by at most 4 eps relative, as the 4-eps stop does. At
-    # 43 degrees and R/L = 100, a stop at |d| <= 4 sqrt(eps) r, 4 times the
-    # derived one, would accept a root that the next step moves by 6.5 eps.
+    # step moves it by at most 4 eps relative, as the 4-eps stop does.
     @given(gamma=NORMAL_ANGLES, ratio=WIDE_RATIOS)
-    @example(gamma=math.radians(43.0), ratio=100.0)
     @settings(max_examples=300, deadline=None)
     def test_one_more_step_moves_the_root_by_at_most_4_eps(self, gamma, ratio):
         root = returned_root(gamma, ratio)
-        f, slope = excess_at(root, gamma, ratio)
+        f, slope, _ = excess_at(root, gamma, ratio)
         assert abs(f / slope) <= 4.0 * EPS * root
 
-    # The stop's premise: the next error, |g''/(2g')| d^2, is at most d^2 / root.
-    # In the small-load limit g = r - gamma/(rho r) gives 1/2 at the root.
+    # The stop's premise: after a Halley step d the next error,
+    # |C| |d|^3 with C = (g''/(2g'))^2 - g'''/(6g'), is at most |d|^3 / root^2.
+    # In the small-load limit g = r - gamma/(rho r) gives |C| root^2 = 1/4.
     @given(gamma=NORMAL_ANGLES, ratio=WIDE_RATIOS)
     @settings(max_examples=300, deadline=None)
     def test_curvature_bound_holds_at_the_returned_root(self, gamma, ratio):
         root = returned_root(gamma, ratio)
-        slope = excess_at(root, gamma, ratio)[1]
-        h = 1e-6 * root
-        above, below = excess_at(root + h, gamma, ratio)[1], excess_at(root - h, gamma, ratio)[1]
-        assert abs((above - below) / (2.0 * h) / (2.0 * slope)) * root <= 1.0
+        _, slope, curvature = excess_at(root, gamma, ratio)
+        h = 1e-4 * root
+        above, below = excess_at(root + h, gamma, ratio)[2], excess_at(root - h, gamma, ratio)[2]
+        # root^2 g''' by a central difference, scaled before it can overflow
+        third = (above - below) / 2e-4 * root
+        assert abs((curvature * root / (2.0 * slope)) ** 2 - third / (6.0 * slope)) <= 1.0
 
     # A step that leaves the bracket never ends the search, however small. On
     # this scripted excess the third step, of 2e-10, passes the upper end
     # that the first evaluation set, so its midpoint is evaluated instead.
     def test_a_step_out_of_the_bracket_is_not_accepted(self, monkeypatch):
-        values = iter([0.1, -(0.1 - 1e-10), -2e-10, 0.0])
-        monkeypatch.setattr(stalkmech.alpha, "_excess", lambda *args: (next(values), 1.0))
-        root, evals = stalkmech.alpha._newton(1.0, 0.5, 0.75, 0.5)
+        script = [(0.1, 0.0), (-(0.1 - 1e-10), 0.0), (-2e-10, 0.0), (0.0, 0.0)]
+        _, (root, evals) = scripted_search(monkeypatch, 1.0, script)
         assert evals == 4
         assert 1.0 - 1e-10 < root < 1.0
+
+    # Each clause of the error-bound stop, on a scripted excess whose zero
+    # curvature makes every step Halley's and Newton's alike: a first step
+    # (d_prev = 0) never stops; a step above eps^(1/3) r (here 6e-6 at
+    # r = 0.9, where the bound is 5.45e-6), or one above d_prev^3 / r^2,
+    # takes one more evaluation; and a step below both, here of 5e-8 at
+    # r = 0.009 after one of 3e-4, stops.
+    @pytest.mark.parametrize(
+        "start, values, evaluations",
+        [
+            (1.0, [1e-6, 0.0], 2),
+            (1.0, [0.1, -6e-6, 0.0], 3),
+            (1.0, [0.01, -5e-6, 0.0], 3),
+            (0.0093, [3e-4, -5e-8], 2),
+        ],
+        ids=["first-step", "above-the-cube-root-bound", "above-the-cubic-contraction",
+             "below-both"],
+    )
+    def test_each_clause_of_the_error_bound_stop(self, monkeypatch, start, values, evaluations):
+        _, (_, evals) = scripted_search(monkeypatch, start, [(v, 0.0) for v in values])
+        assert evals == evaluations
+
+    # From 1.0 with g = 0.1 and g' = 1 the step is Halley's, 0.1 / (1 - h),
+    # while |h| <= 1/2, and Newton's 0.1 beyond. Where h is nan (k = 1) it
+    # is Newton's too, and a Newton step never takes the error-bound stop:
+    # the second step below passes every other clause of it.
+    @pytest.mark.parametrize(
+        "curvature, first_step",
+        [(5.0, 0.1 / 0.75), (10.0, 0.1 / 0.5), (-10.0, 0.1 / 1.5), (15.0, 0.1), (-15.0, 0.1)],
+        ids=["h=0.25", "h=0.5", "h=-0.5", "h=0.75", "h=-0.75"],
+    )
+    def test_halley_steps_up_to_h_of_one_half_and_newton_steps_never_stop_early(
+        self, monkeypatch, curvature, first_step
+    ):
+        script = [(0.1, curvature), (-1e-7, math.nan), (0.0, 0.0)]
+        evaluated, (root, evals) = scripted_search(monkeypatch, 1.0, script)
+        assert evaluated[1] == pytest.approx(1.0 - first_step, rel=1e-15)
+        assert evaluated[2] == evaluated[1] + 1e-7
+        assert (root, evals) == (evaluated[2], 3)
