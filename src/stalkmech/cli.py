@@ -1,11 +1,12 @@
 """Command-line front end: batch solving, calibration, prediction, analysis.
 
 Every command prints one machine-readable document to standard output,
-as CSV (default) or JSON. Documents echo every parameter the command
-reads, defaults and fixed solver bounds included, and no other, so a run
-can be reproduced from its output alone to the 6 significant digits of
-the echo: ``--angles 89.9999999`` echoes 90 and solves, while 90 is out of
-domain. Repeated identical invocations produce byte-identical output.
+as CSV (default) or JSON. Documents echo what the caller set, defaults
+included, and what the command derived from it, and no other; the fixed
+solver bounds in ``stalkmech.geometry`` are not echoed. A run can be
+reproduced from its output to the 6 significant digits of the echo:
+``--angles 89.9999999`` echoes 90 and solves, while 90 is out of domain.
+Repeated identical invocations produce byte-identical output.
 Angles are accepted in degrees and lengths in millimeters at the flag
 boundary; everything is SI internally.
 """
@@ -18,16 +19,14 @@ import math
 import os
 import sys
 import warnings
+from pathlib import Path
 
 from .alpha import AlphaTableRow, generate_alpha_table
 from .analysis import compare_theory, summarize_scenario
 from .elastica import centerline, solve_shape_shooting
 from .errors import StalkmechError
 from .force import StiffnessCalibration, calibrate_ei, predict_force_curve
-from .geometry import (
-    ANGLE_TOLERANCE, BOUNDARY_TOLERANCE, GRID_POINTS, MAX_ITERATIONS, BeamGeometry,
-    NormalizedLoad,
-)
+from .geometry import GRID_POINTS, BeamGeometry, NormalizedLoad
 from .trials import DEFAULT_ATTACH_THRESHOLD_KPA, load_manifest_trials, read_bending_samples
 
 SCHEMA_VERSION = "1"
@@ -179,14 +178,6 @@ def _stalk_geometry(args) -> BeamGeometry:
     return BeamGeometry.from_millimeters(args.length_mm, args.pad_radius_mm)
 
 
-# The load solve's fixed bounds, echoed by every command that solves for a load.
-LOAD_SEARCH_PARAMETERS = {
-    "boundary_tolerance": BOUNDARY_TOLERANCE,
-    "max_iterations": MAX_ITERATIONS,
-    "angle_tolerance": ANGLE_TOLERANCE,
-}
-
-
 def _geometry_parameters(geometry: BeamGeometry) -> dict:
     return {
         "stalk_length_mm": geometry.stalk_length * 1e3,
@@ -195,14 +186,10 @@ def _geometry_parameters(geometry: BeamGeometry) -> dict:
     }
 
 
-def _file_stem(path: str) -> str:
-    return path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-
-
 def _fit_stiffness(args, geometry: BeamGeometry) -> StiffnessCalibration:
     """EI fitted from ``--bending-input``, labelled with the file's stem."""
     samples = read_bending_samples(args.bending_input)
-    return calibrate_ei(samples, geometry, source_label=_file_stem(args.bending_input))
+    return calibrate_ei(samples, geometry, source_label=Path(args.bending_input).stem)
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +218,6 @@ def cmd_alpha_table(args) -> OutputDocument:
     parameters = {
         "angles_deg": angles_deg,
         "radius_ratio": geometry.radius_ratio,
-        **LOAD_SEARCH_PARAMETERS,
     }
     return OutputDocument(args.command, parameters, columns, rows)
 
@@ -248,7 +234,6 @@ def cmd_shape(args) -> OutputDocument:
         "tip_angle_deg": math.degrees(solution.tip_angle),
         "radius_ratio": geometry.radius_ratio,
         "grid_points": args.grid_points,
-        "boundary_tolerance": BOUNDARY_TOLERANCE,
     }
     return OutputDocument(args.command, parameters, columns, rows)
 
@@ -257,7 +242,7 @@ def cmd_calibrate(args) -> OutputDocument:
     _check_length_mm(args.length_mm)
     geometry = BeamGeometry.from_millimeters(args.length_mm, 0.0)
     samples = read_bending_samples(args.input)
-    label = args.label or _file_stem(args.input)
+    label = args.label or Path(args.input).stem
     calibration = calibrate_ei(samples, geometry, source_label=label)
     columns = (
         "source_label", "stalk_length_mm", "n_samples",
@@ -284,7 +269,6 @@ def cmd_predict_force(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **LOAD_SEARCH_PARAMETERS,
     }
     return OutputDocument(args.command, parameters, columns, rows)
 
@@ -366,7 +350,6 @@ def cmd_compare(args) -> OutputDocument:
         "source_label": calibration.source_label,
         "flexural_rigidity_Nm2": calibration.flexural_rigidity,
         **_geometry_parameters(geometry),
-        **LOAD_SEARCH_PARAMETERS,
     }
     aggregates = {"mean_abs_relative_error": comparison.mean_abs_relative_error}
     return OutputDocument(args.command, parameters, columns, rows, aggregates=aggregates)

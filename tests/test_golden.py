@@ -24,6 +24,8 @@ from pathlib import Path
 import pytest
 
 import stalkmech.alpha
+import stalkmech.elastica
+import stalkmech.trials
 from stalkmech.cli import execute
 
 REPO = Path(__file__).resolve().parent.parent
@@ -74,31 +76,50 @@ def golden_path(name: str) -> Path:
     return GOLDEN / f"{name}.txt"
 
 
-# Evaluations of the load excess per golden command, 2 per angle solved at
-# R/L = 0.5: 5 angles for each alpha-table, 15 for each predict-force, the 6
-# of compare's scenario and the 2 in the domain of each out-of-domain case.
-# The rest make none: the zero-radius table reads K from _carlson directly,
-# and shape, calibrate and analyze solve no load.
-EXCESS_EVALUATIONS = {
-    "alpha-table": 10, "alpha-table-json": 10, "alpha-table-out-of-domain": 4,
-    "predict-force": 30, "predict-force-json": 30, "predict-force-out-of-domain": 4,
-    "compare": 12,
+# The work of each golden command, counted as the calls of three private
+# functions; a case missing from a function's table makes no call to it.
+# - alpha._excess, 2 per angle solved at R/L = 0.5: 5 angles for each
+#   alpha-table, 15 for each predict-force, the 6 of compare's scenario and
+#   the 2 in the domain of each out-of-domain case. The zero-radius table
+#   reads K from _carlson directly.
+# - elastica._rk4_tip, one RK4 pass each, all made by shape's shooting
+#   search; the straight stalk takes none, and the coil fails after 26.
+# - trials.read_rows, one per CSV file read: the manifest and its 72 trial
+#   files for analyze, those and the bending file for compare, the bending
+#   file alone for calibrate and predict-force.
+WORK = {
+    (stalkmech.alpha, "_excess"): {
+        "alpha-table": 10, "alpha-table-json": 10, "alpha-table-out-of-domain": 4,
+        "predict-force": 30, "predict-force-json": 30, "predict-force-out-of-domain": 4,
+        "compare": 12,
+    },
+    (stalkmech.elastica, "_rk4_tip"): {
+        "shape": 9, "shape-rotating": 9, "shape-zero-radius": 10, "shape-coil": 26,
+    },
+    (stalkmech.trials, "read_rows"): {
+        "analyze": 73, "analyze-per-angle": 73, "compare": 74, "calibrate": 1,
+        "predict-force": 1, "predict-force-json": 1, "predict-force-out-of-domain": 1,
+    },
 }
 
 
+def counting(calls: dict, attr: str, fn):
+    def counted(*args, **kwargs):
+        calls[attr] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+# Named for the first of the three functions it came to count.
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_excess_evaluations_per_command(name, monkeypatch):
     monkeypatch.chdir(REPO)
-    calls = []
-    excess = stalkmech.alpha._excess
-
-    def counted(*args):
-        calls.append(args)
-        return excess(*args)
-
-    monkeypatch.setattr(stalkmech.alpha, "_excess", counted)
+    calls = dict.fromkeys((attr for _, attr in WORK), 0)
+    for module, attr in WORK:
+        monkeypatch.setattr(module, attr, counting(calls, attr, getattr(module, attr)))
     render(CASES[name])
-    assert len(calls) == EXCESS_EVALUATIONS.get(name, 0)
+    assert calls == {attr: counts.get(name, 0) for (_, attr), counts in WORK.items()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
